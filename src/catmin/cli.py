@@ -352,6 +352,10 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
+    except GlueError as exc:
+        # a well-formed instance whose faces cannot be glued: a FAIL verdict
+        print(f"FAIL (glue): {exc}", file=sys.stderr)
+        return 1
     except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

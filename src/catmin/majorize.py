@@ -16,6 +16,11 @@ Intrinsic distances on W are overestimated by Dijkstra runs on an
 edge-subdivided surface graph whose faces carry complete chord
 connections; every query can report a conservative error bound derived
 from the subdivision gap and the edge crossings of the returned path.
+Queries that read most source rows or need paths (the key lemma's
+contraction and shortness checks, ``thin_triangle_test``, node-to-node
+distances and geodesics) use the graph's all-pairs matrices; queries that
+read a few sources (``eps_net_report``, the refinement study) run Dijkstra
+only from those, through ``SurfaceGraph.rows``.
 """
 
 from __future__ import annotations
@@ -535,6 +540,13 @@ class SurfaceGraph:
     overestimate behaves like the quadratic snapping error of straight
     crossings (the thin-triangle allowance relies on the calibrated value
     ``THIN_ALLOWANCE_GAPS * max_gap``).
+
+    Two distance backends share one symmetric weight ``matrix``:
+    ``all_pairs()`` runs Dijkstra from every node once and keeps distances
+    and predecessors (``distance``, ``path_nodes``, geodesic points and
+    face-point distances read it); ``rows(sources)`` runs Dijkstra only from
+    sources it has not seen, and reads from all-pairs once that exists.
+    Both give bitwise the same distances.
     """
 
     def __init__(self, disc: PolyhedralDisc, subdiv: int = 12):
@@ -550,6 +562,7 @@ class SurfaceGraph:
         self._face_ring: dict[int, tuple[list[int], np.ndarray]] = {}
         self._dist = None
         self._pred = None
+        self._rows: dict[int, np.ndarray] = {}
         self._build()
 
     def _new_node(self, kind: str, ref: tuple) -> int:
@@ -587,55 +600,56 @@ class SurfaceGraph:
             max_gap = max(max_gap, disc.side_length(f, s) / r)
             return chain
 
-        weight: dict[tuple[int, int], float] = {}
-
-        def connect(a: int, b: int, w: float):
-            if a == b:
-                return
-            key = (min(a, b), max(a, b))
-            if w < weight.get(key, np.inf):
-                weight[key] = w
-
+        # chords of every face ring, then bridge segments, as parallel arrays
+        tri_u, tri_v = np.triu_indices(3 * r, k=1)
+        t = np.arange(r) / r
+        pair_a: list[np.ndarray] = []
+        pair_b: list[np.ndarray] = []
+        pair_w: list[np.ndarray] = []
         for f in range(disc.n_triangles):
             coords = disc.tri_coords[f]
             ring: list[int] = []
-            ring_xy: list[np.ndarray] = []
             for s in range(3):
-                chain = chain_of_side(f, s)
-                a_xy, b_xy = coords[s], coords[(s + 1) % 3]
-                for k, node in enumerate(chain[:-1]):
-                    t = k / r
-                    xy = (1 - t) * a_xy + t * b_xy
-                    ring.append(node)
-                    ring_xy.append(xy)
-                    self.node_chart.setdefault((node, f), xy)
-            self._face_ring[f] = (list(ring), np.asarray(ring_xy))
-            for i in range(len(ring)):
-                for j in range(i + 1, len(ring)):
-                    connect(ring[i], ring[j], float(np.linalg.norm(ring_xy[i] - ring_xy[j])))
+                ring.extend(chain_of_side(f, s)[:-1])
+            ring_xy = np.concatenate([
+                (1 - t)[:, None] * coords[s] + t[:, None] * coords[(s + 1) % 3] for s in range(3)
+            ])
+            for node, xy in zip(ring, ring_xy):
+                self.node_chart.setdefault((node, f), xy)
+            self._face_ring[f] = (ring, ring_xy)
+            ring_arr = np.asarray(ring)
+            d = ring_xy[tri_u] - ring_xy[tri_v]
+            pair_a.append(ring_arr[tri_u])
+            pair_b.append(ring_arr[tri_v])
+            # the dot-product form rounds exactly like np.linalg.norm of each
+            # chord; sqrt(x*x + y*y) and hypot differ in the last bit
+            pair_w.append(np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0]))
 
         for b_idx, (u, v, length) in enumerate(disc.bridges):
             chain = [vertex_node(u)]
             for k in range(1, r):
                 chain.append(self._new_node("bridge", (b_idx, k)))
             chain.append(vertex_node(v))
-            for a, b in zip(chain, chain[1:]):
-                connect(a, b, length / r)
+            pair_a.append(np.asarray(chain[:-1]))
+            pair_b.append(np.asarray(chain[1:]))
+            pair_w.append(np.full(r, length / r))
             self._bridge_chain.append(chain)
             max_gap = max(max_gap, length / r)
 
         n = len(self.nodes)
-        if weight:
-            pairs = np.asarray(list(weight.keys()), dtype=int)
-            w = np.asarray(list(weight.values()), dtype=float)
+        if pair_w:
+            a, b, w = np.concatenate(pair_a), np.concatenate(pair_b), np.concatenate(pair_w)
+            lo, hi = np.minimum(a, b), np.maximum(a, b)
+            key = lo * n + hi
+            # shortest connection per node pair: sort by pair, then by length
+            order = np.lexsort((w, key))
+            order = order[lo[order] != hi[order]]
+            first = np.ones(order.size, dtype=bool)
+            first[1:] = key[order[1:]] != key[order[:-1]]
+            keep = order[first]
+            lo, hi, w = lo[keep], hi[keep], w[keep]
             self.matrix = csr_matrix(
-                (
-                    np.concatenate([w, w]),
-                    (
-                        np.concatenate([pairs[:, 0], pairs[:, 1]]),
-                        np.concatenate([pairs[:, 1], pairs[:, 0]]),
-                    ),
-                ),
+                (np.concatenate([w, w]), (np.concatenate([lo, hi]), np.concatenate([hi, lo]))),
                 shape=(n, n),
             )
         else:
@@ -658,11 +672,30 @@ class SurfaceGraph:
         return self._bridge_chain[b_idx]
 
     def all_pairs(self):
+        """Distance and predecessor matrices from every node, computed once.
+
+        The matrix is symmetric, so a directed run gives the undirected
+        result while scanning each edge once.
+        """
         if self._dist is None:
             self._dist, self._pred = _dijkstra(
-                self.matrix, directed=False, return_predecessors=True
+                self.matrix, directed=True, return_predecessors=True
             )
         return self._dist, self._pred
+
+    def rows(self, sources) -> np.ndarray:
+        """Distance rows of the given source nodes, one per source.
+
+        Each source runs Dijkstra at most once per graph; once all-pairs
+        exists the rows are read from it.
+        """
+        sources = [int(s) for s in sources]
+        if self._dist is not None:
+            return self._dist[sources]
+        new = [s for s in dict.fromkeys(sources) if s not in self._rows]
+        if new:
+            self._rows.update(zip(new, _dijkstra(self.matrix, directed=True, indices=new)))
+        return np.array([self._rows[s] for s in sources]).reshape(len(sources), self.n_nodes)
 
     def distance(self, a: int, b: int) -> float:
         dist, _ = self.all_pairs()
@@ -930,7 +963,6 @@ def eps_net_report(w: PolyhedralDisc, eps_fracs=(0.1, 0.05), subdiv: int = 12) -
     4 (l / eps)^2.
     """
     sg = w.surface_graph(subdiv)
-    dist, _ = sg.all_pairs()
     L = w.boundary_length()
     ell = L / (2.0 * math.pi)
     b_nodes, b_arcs = sg.boundary_node_arcs()
@@ -946,7 +978,7 @@ def eps_net_report(w: PolyhedralDisc, eps_fracs=(0.1, 0.05), subdiv: int = 12) -
             if node not in chosen:
                 chosen.append(node)
         n_boundary = len(chosen)
-        mind = dist[chosen].min(axis=0)
+        mind = sg.rows(chosen).min(axis=0)
         added = 0
         while True:
             node = int(np.argmax(mind))
@@ -954,7 +986,7 @@ def eps_net_report(w: PolyhedralDisc, eps_fracs=(0.1, 0.05), subdiv: int = 12) -
                 break
             chosen.append(node)
             added += 1
-            mind = np.minimum(mind, dist[node])
+            mind = np.minimum(mind, sg.rows([node])[0])
         bound_interior = 4.0 * (ell / eps) ** 2
         results[f"L/{round(1 / frac)}"] = {
             "eps": float(eps),

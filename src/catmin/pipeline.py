@@ -32,10 +32,11 @@ from .minimize import MinimizationCertificate, relax, straighten
 __all__ = ["geodesic_graph", "run_key_lemma", "refinement_study", "KeyLemmaResult"]
 
 
-def _union_paths(graph: RefinedGraph, sources: list[int]) -> tuple[set[tuple[int, int]], np.ndarray]:
-    """Union of shortest-path edge sets between all source-node pairs."""
-    idx = np.asarray(sources, dtype=int)
-    dist, pred = graph.shortest_paths(idx, return_predecessors=True)
+def _union_paths(sources: list[int], dist: np.ndarray, pred: np.ndarray) -> set[tuple[int, int]]:
+    """Union of shortest-path edge sets between all source-node pairs.
+
+    ``dist`` and ``pred`` hold one Dijkstra row per source, in order.
+    """
     edges: set[tuple[int, int]] = set()
     for a_row, a_node in enumerate(sources):
         for b_row in range(a_row + 1, len(sources)):
@@ -49,12 +50,13 @@ def _union_paths(graph: RefinedGraph, sources: list[int]) -> tuple[set[tuple[int
                     break
                 edges.add((min(cur, nxt), max(cur, nxt)))
                 cur = nxt
-    return edges, dist[:, idx]
+    return edges
 
 
 def geodesic_graph(
     disc: MappedDisc, sample: list[int], refinement: int = 2,
     graph: RefinedGraph | None = None,
+    paths: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[GraphInTarget, dict[int, int]]:
     """Embedded union of refined-mesh shortest paths between sample vertices.
 
@@ -62,7 +64,10 @@ def geodesic_graph(
     contracted into single edges carrying their polylines, so the result
     is a small piecewise-geodesic graph; the rotation system is inherited
     from the parameter-plane embedding.  Returns the graph and the map
-    from mesh vertex index to graph vertex index.
+    from mesh vertex index to graph vertex index.  ``paths`` may pass in the
+    ``(dist, pred)`` rows of ``graph.shortest_paths`` from the sorted,
+    deduplicated sample, so a caller that already ran them does not repeat
+    the Dijkstra.
     """
     disc.require_valid()
     sample = sorted(dict.fromkeys(int(v) for v in sample))
@@ -70,7 +75,9 @@ def geodesic_graph(
         raise ValueError("sample must be nonempty")
     g = graph if graph is not None else build_refined_graph(disc, refinement)
     source_nodes = [int(g.orig_index[v]) for v in sample]
-    edge_set, _ = _union_paths(g, source_nodes)
+    if paths is None:
+        paths = g.shortest_paths(np.asarray(source_nodes), return_predecessors=True)
+    edge_set = _union_paths(source_nodes, *paths)
 
     adj: dict[int, set[int]] = {}
     for u, v in edge_set:
@@ -228,7 +235,7 @@ def run_key_lemma(
 
     g = build_refined_graph(disc, refinement)
     source_nodes = [int(g.orig_index[v]) for v in sample]
-    dist_all = g.shortest_paths(np.asarray(source_nodes))
+    dist_all, pred_all = g.shortest_paths(np.asarray(source_nodes), return_predecessors=True)
     d_sample = dist_all[:, source_nodes]
 
     # keep the part of the sample at finite mesh distance from the boundary
@@ -260,7 +267,10 @@ def run_key_lemma(
             },
         )
 
-    gamma0, vmap = geodesic_graph(disc, kept, refinement, graph=g)
+    kept_rows = [i for i, keep in enumerate(finite_mask) if keep]
+    gamma0, vmap = geodesic_graph(
+        disc, kept, refinement, graph=g, paths=(dist_all[kept_rows], pred_all[kept_rows])
+    )
     gamma_straight = straighten(gamma0)
     gamma, certificate = relax(gamma_straight, tol_descent=tol_descent, max_iter=max_iter)
     w_disc, glue_report = glue_disc(gamma)
@@ -282,8 +292,6 @@ def run_key_lemma(
             dw = dist_w[sg.vertex_node(p_map[x]), sg.vertex_node(p_map[y])]
             dm = d_sample[row_of[x], row_of[y]]
             worst_contraction = max(worst_contraction, float(dw - dm))
-    if not kept or len(kept) == 1:
-        worst_contraction = 0.0
 
     # boundary agreement: pinned vertices keep their original images
     target = disc.target
@@ -401,12 +409,13 @@ def refinement_study(
         if not r1.one_point and not r2.one_point and len(shared) >= 2:
             sg1 = r1.disc.surface_graph(kwargs.get("subdiv", 8))
             sg2 = r2.disc.surface_graph(kwargs.get("subdiv", 8))
-            d1, _ = sg1.all_pairs()
-            d2, _ = sg2.all_pairs()
-            for i, x in enumerate(shared):
-                for y in shared[i + 1:]:
-                    a = d1[sg1.vertex_node(r1.p_map[x]), sg1.vertex_node(r1.p_map[y])]
-                    b = d2[sg2.vertex_node(r2.p_map[x]), sg2.vertex_node(r2.p_map[y])]
+            nodes1 = [sg1.vertex_node(r1.p_map[x]) for x in shared]
+            nodes2 = [sg2.vertex_node(r2.p_map[x]) for x in shared]
+            d1, d2 = sg1.rows(nodes1), sg2.rows(nodes2)
+            for i in range(len(shared)):
+                for j in range(i + 1, len(shared)):
+                    a = d1[i, nodes1[j]]
+                    b = d2[i, nodes2[j]]
                     worst = max(worst, abs(float(a - b)))
                     increase = max(increase, float(b - a))
         table.append(

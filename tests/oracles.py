@@ -149,3 +149,116 @@ def articulation_oracle(n, edges):
 
     base = n_components(None if n == 0 else -1)
     return sorted(v for v in range(n) if n_components(v) > base)
+
+
+def surface_graph_matrix_oracle(disc, subdiv):
+    """Chord-complete surface graph of a polyhedral disc, built chord by chord.
+
+    Nodes are numbered exactly as in ``SurfaceGraph`` (per face, side chains
+    in side order, then bridge chains); every pair of ring nodes of a face is
+    joined by its planar chord, one ``np.linalg.norm`` per chord, keeping the
+    shortest connection per node pair in a dict.  Returns the symmetric CSR
+    weight matrix.
+    """
+    from scipy.sparse import csr_matrix
+
+    r = int(subdiv)
+    partner = {}
+    for a, b in disc.gluings:
+        partner[a] = b
+        partner[b] = a
+    n_nodes = 0
+    vertex_node = {}
+    side_chain = {}
+
+    def new_node():
+        nonlocal n_nodes
+        n_nodes += 1
+        return n_nodes - 1
+
+    def vnode(v):
+        if v not in vertex_node:
+            vertex_node[v] = new_node()
+        return vertex_node[v]
+
+    def chain_of_side(f, s):
+        if (f, s) in side_chain:
+            return side_chain[(f, s)]
+        u, v = disc.side_corners(f, s)
+        interior = [new_node() for _ in range(1, r)]
+        chain = [vnode(u)] + interior + [vnode(v)]
+        side_chain[(f, s)] = chain
+        if (f, s) in partner:
+            pu, _ = disc.side_corners(*partner[(f, s)])
+            side_chain[partner[(f, s)]] = chain if pu == u else chain[::-1]
+        return chain
+
+    weight = {}
+
+    def connect(a, b, w):
+        if a == b:
+            return
+        key = (min(a, b), max(a, b))
+        if w < weight.get(key, np.inf):
+            weight[key] = w
+
+    for f in range(disc.n_triangles):
+        coords = disc.tri_coords[f]
+        ring, ring_xy = [], []
+        for s in range(3):
+            chain = chain_of_side(f, s)
+            for k, node in enumerate(chain[:-1]):
+                t = k / r
+                ring.append(node)
+                ring_xy.append((1 - t) * coords[s] + t * coords[(s + 1) % 3])
+        for i in range(len(ring)):
+            for j in range(i + 1, len(ring)):
+                connect(ring[i], ring[j], float(np.linalg.norm(ring_xy[i] - ring_xy[j])))
+    for u, v, length in disc.bridges:
+        chain = [vnode(u)] + [new_node() for _ in range(1, r)] + [vnode(v)]
+        for a, b in zip(chain, chain[1:]):
+            connect(a, b, length / r)
+
+    pairs = np.asarray(list(weight.keys()), dtype=int).reshape(-1, 2)
+    w = np.asarray(list(weight.values()), dtype=float)
+    return csr_matrix(
+        (np.concatenate([w, w]), (np.concatenate([pairs[:, 0], pairs[:, 1]]),
+                                  np.concatenate([pairs[:, 1], pairs[:, 0]]))),
+        shape=(n_nodes, n_nodes),
+    )
+
+
+def eps_net_oracle(dist, boundary_length, b_nodes, b_arcs, eps_fracs):
+    """Greedy separated nets read off a dense all-pairs distance matrix."""
+    L = boundary_length
+    ell = L / (2.0 * math.pi)
+    results = {}
+    for frac in eps_fracs:
+        eps = frac * L
+        m = math.ceil(10.0 * ell / eps)
+        chosen = []
+        for k in range(m):
+            idx = int(np.searchsorted(b_arcs, L * k / m, side="right")) - 1
+            if b_nodes[max(idx, 0)] not in chosen:
+                chosen.append(b_nodes[max(idx, 0)])
+        n_boundary = len(chosen)
+        mind = dist[chosen].min(axis=0)
+        added = 0
+        while mind.max() > eps:
+            node = int(np.argmax(mind))
+            chosen.append(node)
+            added += 1
+            mind = np.minimum(mind, dist[node])
+        bound_interior = 4.0 * (ell / eps) ** 2
+        results[f"L/{round(1 / frac)}"] = {
+            "eps": float(eps),
+            "boundary_points": n_boundary,
+            "boundary_bound": m,
+            "interior_points": added,
+            "interior_bound": bound_interior,
+            "net_size": len(chosen),
+            "total_bound": bound_interior + m,
+            "ok": bool(added <= bound_interior and n_boundary <= m),
+        }
+    results["all_ok"] = all(v["ok"] for v in results.values() if isinstance(v, dict))
+    return results

@@ -247,3 +247,19 @@ def test_fixture_files_are_canonical_bytes():
         path = fixture_path(name)
         raw = path.read_text(encoding="utf-8")
         assert instance_to_json(json.loads(raw)) == raw, name
+
+
+def test_cli_key_lemma_glue_failure_is_a_fail_verdict(tmp_path, capsys):
+    # sweep instance 8: relax collapses an edge and the glue check rejects
+    # the result; that is a FAIL of the glue stage, not malformed input
+    disc = random_height_disc(9008, max_vertices=60, jitter=0.3)
+    rng = np.random.default_rng(8)
+    n = disc.n_vertices
+    k = int(rng.integers(3, min(n, 12) + 1))
+    sample = [int(v) for v in rng.choice(n, k, replace=False)]
+    inst = tmp_path / "sweep8.json"
+    save_instance(mapped_disc_instance(disc, sample=sample), inst)
+    assert run_cli("key-lemma", "--in", str(inst), "--out", str(tmp_path / "r.json")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("FAIL (glue): ")
+    assert "input error" not in err

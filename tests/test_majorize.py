@@ -19,9 +19,17 @@ from catmin.majorize import (
     strip_disc,
     thin_triangle_test,
 )
+from catmin.meshgen import grid_disc, make_mapped_disc
+from catmin.pipeline import run_key_lemma
 from catmin.targets import EuclideanSpace
+from scipy.sparse.csgraph import dijkstra
 
-from oracles import articulation_oracle, cone_distance_oracle
+from oracles import (
+    articulation_oracle,
+    cone_distance_oracle,
+    eps_net_oracle,
+    surface_graph_matrix_oracle,
+)
 
 
 def euclidean_graph(points, edges, pinned=()):
@@ -442,3 +450,76 @@ def test_certified_glued_disc_has_no_thin_triangle_violation():
     assert cat0_certificate(disc).ok
     rep = thin_triangle_test(disc, samples=800, seed=4, subdiv=14)
     assert not rep["violation_found"], rep
+
+
+# ------------------------------------- surface graph against the loop oracle
+
+
+@pytest.fixture(scope="module")
+def saddle_w():
+    vertices, triangles = grid_disc(6)
+    x, y = vertices[:, 0], vertices[:, 1]
+    disc = make_mapped_disc(vertices, triangles, np.stack([x, y, x * y], axis=1))
+    res = run_key_lemma(disc, [0, 2, 5, 17, 35, 33, 30, 12, 14, 22], refinement=2,
+                        shortness_samples=200)
+    assert res.ok, res.verification
+    return res.disc
+
+
+def whisker_disc():
+    # one triangle plus a whisker: one bridge next to the face chords
+    g = euclidean_graph(
+        [(0, 0, 0), (1, 0, 0), (0, 1, 0), (2, 0, 0)], [(0, 1), (1, 2), (0, 2), (1, 3)]
+    )
+    disc, _ = glue_disc(g)
+    assert len(disc.bridges) == 1
+    return disc
+
+
+def oracle_cases(saddle_w):
+    return [
+        ("cone3", cone_disc(2 * math.pi, 3), 8),
+        ("cone5", cone_disc(5 * math.pi / 2, 5), 8),
+        ("strip", strip_disc((1.0, 1.2, 0.9), (0.8, 1.1, 0.9)), 8),
+        ("whisker", whisker_disc(), 5),
+        ("saddle_w8", saddle_w, 8),
+        ("saddle_w12", saddle_w, 12),
+    ]
+
+
+def test_surface_graph_bitwise_equal_to_loop_oracle(saddle_w):
+    for name, disc, subdiv in oracle_cases(saddle_w):
+        sg = disc.surface_graph(subdiv)
+        want = surface_graph_matrix_oracle(disc, subdiv)
+        assert sg.matrix.shape == want.shape, name
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(sg.matrix, attr), getattr(want, attr)), (name, attr)
+        dist, pred = sg.all_pairs()
+        want_dist, want_pred = dijkstra(want, directed=False, return_predecessors=True)
+        assert np.array_equal(dist, want_dist), name
+        assert np.array_equal(pred, want_pred), name
+
+
+def test_rows_bitwise_equal_to_all_pairs(saddle_w):
+    for name, disc, subdiv in oracle_cases(saddle_w):
+        n = disc.surface_graph(subdiv).n_nodes
+        picks = [[0], [n - 1, 0, n // 2], [n // 2, n // 3, n // 2], list(range(0, n, 7)), []]
+        sg = disc.surface_graph(subdiv)
+        on_demand = [sg.rows(s) for s in picks]  # memoised rows, no all-pairs
+        assert sg._dist is None
+        dense, _ = disc.surface_graph(subdiv).all_pairs()
+        for s, got in zip(picks, on_demand):
+            assert got.shape == (len(s), n)
+            assert np.array_equal(got, dense[s]), (name, s)
+        sg.all_pairs()
+        assert np.array_equal(sg.rows(picks[1]), dense[picks[1]]), name
+
+
+def test_eps_net_report_equals_oracle_all_pairs(saddle_w):
+    fracs = (0.1, 0.05, 0.02)
+    for name, disc, subdiv in oracle_cases(saddle_w):
+        sg = disc.surface_graph(subdiv)
+        dist = dijkstra(surface_graph_matrix_oracle(disc, subdiv), directed=False)
+        b_nodes, b_arcs = sg.boundary_node_arcs()
+        want = eps_net_oracle(dist, disc.boundary_length(), b_nodes, b_arcs, fracs)
+        assert eps_net_report(disc, eps_fracs=fracs, subdiv=subdiv) == want, name
