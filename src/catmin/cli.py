@@ -39,6 +39,7 @@ def _load(path, want_kind):
 
 
 def _emit(report: dict, out_path):
+    """Write ``report`` as canonical JSON; its arrays are converted here, once."""
     text = instances.instance_to_json(report)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -63,10 +64,10 @@ def cmd_metrics(args) -> int:
         "command": "metrics",
         "refinement": args.refine,
         "zero_tol": zero_tol,
-        "length": instances.matrix_to_jsonable(rep["length"]),
-        "intrinsic": instances.matrix_to_jsonable(rep["intrinsic"]),
-        "connecting_upper": instances.matrix_to_jsonable(rep["connecting"].upper),
-        "connecting_lower": instances.jsonable(rep["connecting"].lower),
+        "length": rep["length"].d,
+        "intrinsic": rep["intrinsic"].d,
+        "connecting_upper": rep["connecting"].upper.d,
+        "connecting_lower": rep["connecting"].lower,
         "connecting_exact": rep["connecting"].exact,
         "chain": {
             "holds": chain_ok,
@@ -106,10 +107,7 @@ def cmd_minimize_graph(args) -> int:
 
 def cmd_build_disc(args) -> int:
     g, doc = _load(args.infile, "graph")
-    try:
-        disc, glue_report = glue_disc(g)
-    except GlueError as exc:
-        raise InputError(str(exc)) from exc
+    disc, glue_report = glue_disc(g)
     cert = cat0_certificate(disc, tol_angle=doc["tolerances"].get("angle", 1e-6))
     report = {
         "command": "build-disc",
@@ -163,7 +161,7 @@ def cmd_key_lemma(args) -> int:
         "boundary_sample": result.boundary_sample,
         "collapsed": result.collapsed,
         "one_point": result.one_point,
-        "verification": instances.jsonable(result.verification),
+        "verification": result.verification,
         "p_map": {str(k): int(v) for k, v in sorted(result.p_map.items())},
         "certificate": result.certificate.summary() if result.certificate else None,
         "cat0": result.cat0.summary() if result.cat0 else None,
@@ -189,7 +187,7 @@ def cmd_check_saddle(args) -> int:
         "command": "check-saddle",
         "saddle": verdict.saddle,
         "planes_tested": verdict.planes_tested,
-        "witness": instances.jsonable(verdict.witness) if verdict.witness else None,
+        "witness": verdict.witness or None,
         "pass": verdict.saddle,
     }
     _emit(report, args.out)
@@ -220,7 +218,7 @@ def cmd_shorten(args) -> int:
     deformed, rep = shorten_by_rotation(disc, args.epsilon)
     report = {
         "command": "shorten",
-        "report": instances.jsonable(rep),
+        "report": rep,
         "deformed": instances.mapped_disc_instance(deformed)["payload"],
         "pass": bool(rep["pareto"] and rep["strictly_shorter_somewhere"]),
     }
@@ -238,9 +236,9 @@ def cmd_solve_fields(args) -> int:
     rep = field_system_report(fields)
     report = {
         "command": "solve-fields",
-        "report": instances.jsonable(rep),
-        "lambda1": instances.jsonable(fields.lambda1),
-        "lambda2": instances.jsonable(fields.lambda2),
+        "report": rep,
+        "lambda1": fields.lambda1,
+        "lambda2": fields.lambda2,
         "shrunk": fields.shrunk,
         "window": list(fields.window),
         "pass": bool(rep["lambda_min"] > 0.0),
@@ -261,7 +259,7 @@ def cmd_perturb(args) -> int:
     )
     report = {
         "command": "perturb",
-        "report": instances.jsonable(rep),
+        "report": rep,
         "pass": bool(rep["never_decreases"] and rep["convex_ok"]),
     }
     _emit(report, args.out)

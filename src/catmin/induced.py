@@ -13,7 +13,17 @@ Three pullbacks of the target metric to the mesh vertices, ordered
 The connecting minimum over connected subsets is exact only at desk scale
 (``n <= 14`` by default, exhaustive over all connected subsets).  Beyond
 that a factor-2 bracket is computed by growing components inside metric
-balls around each candidate center.
+balls around each candidate center.  Per center, a union-find pass records
+the merges as a binary merge tree; in a depth-first leaf order of that
+forest every merge is a contiguous block, so one permutation of the image
+distance matrix turns each merge's cross diameter and its update into
+slices.  The bracket's ``upper`` is the metric (min-plus) closure of the
+raw grown-component diameters: the connecting pseudometric obeys the
+triangle inequality and lies below the raw values, so it lies below their
+closure too, and the closure is itself a pseudometric.  ``lower`` is
+``max(raw / 2, image distance)``.  Entries ``<= zero_tol`` are joined by
+chains of raw entries ``<= zero_tol``, so the closure keeps the zero
+classes.
 """
 
 from __future__ import annotations
@@ -145,6 +155,61 @@ def _exact_connecting(n: int, edges: list[tuple[int, int]], dimg: np.ndarray) ->
     return out
 
 
+def _merge_forest(
+    nbrs: list[list[int]], row: np.ndarray
+) -> tuple[list[int], list[tuple[int, int, int, int, int]]]:
+    """Merge tree of the components grown in order of ``row`` (pass 1).
+
+    Vertices enter in stable ascending order of ``row`` until the first
+    non-finite value; each enters as a singleton and is merged, neighbour by
+    neighbour, with the components of its already added neighbours.  Tree
+    nodes ``0..n-1`` are the vertices and node ``n + i`` is the i-th merge.
+    Returns a leaf order ``p`` of the merge forest and, per merge in creation
+    order, ``(lo, mid, hi, a, b)``: the merged component is ``p[lo:hi]``, the
+    entering vertex's side is node ``a`` on ``p[lo:mid]`` and the neighbour's
+    side is node ``b`` on ``p[mid:hi]``.
+    """
+    n = len(row)
+    uf = UnionFind(n)            # the grown components
+    node = list(range(n))        # root vertex -> its merge-tree node
+    added = [False] * n
+    kids: list[tuple[int, int]] = []   # node n + i merges kids[i]
+    order = np.argsort(row, kind="stable")
+    finite = np.isfinite(row[order])
+    entered = order[: finite.argmin() if not finite.all() else n].tolist()
+    for v in entered:
+        added[v] = True
+        rv = v                   # root of v's component
+        for w in nbrs[v]:
+            if not added[w]:
+                continue
+            rw = uf.find(w)
+            if rv == rw:
+                continue
+            kids.append((node[rv], node[rw]))
+            uf.union(rv, rw)
+            rv = min(rv, rw)
+            node[rv] = n + len(kids) - 1
+    size = [1] * n + [0] * len(kids)
+    for i, (a, b) in enumerate(kids):
+        size[n + i] = size[a] + size[b]
+    start = [0] * (n + len(kids))
+    offset = 0
+    for v in entered:
+        if uf.parent[v] == v:        # one tree per final component
+            start[node[v]] = offset
+            offset += size[node[v]]
+    for i in range(len(kids) - 1, -1, -1):   # parents before children
+        a, b = kids[i]
+        start[a] = start[n + i]
+        start[b] = start[n + i] + size[a]
+    p = [0] * offset
+    for v in entered:
+        p[start[v]] = v
+    merges = [(start[a], start[b], start[b] + size[b], a, b) for a, b in kids]
+    return p, merges
+
+
 def _bracket_connecting(
     n: int, edges: list[tuple[int, int]], dimg: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -153,6 +218,10 @@ def _bracket_connecting(
     For any connected witness set K containing a pair, centering at a point
     of K reaches the pair at radius <= diam K, and the grown component has
     diameter <= 2 diam K; hence upper/2 <= true value <= upper.
+
+    Per center, the components' merge tree puts every merge on a contiguous
+    block of the leaf order, so a merge's cross diameter and its update of
+    ``upper`` are slices of the once-permuted distance matrix.
     """
     nbrs: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
@@ -161,40 +230,28 @@ def _bracket_connecting(
     upper = np.full((n, n), np.inf)
     np.fill_diagonal(upper, 0.0)
     for c in range(n):
-        order = np.argsort(dimg[c], kind="stable")
-        uf = UnionFind(n)
-        added = np.zeros(n, dtype=bool)
-        diam_of: dict[int, float] = {}
-        members_of: dict[int, list[int]] = {}
-        for v in order.tolist():
-            if not np.isfinite(dimg[c][v]):
-                break
-            added[v] = True
-            rv = uf.find(v)
-            diam_of[rv] = 0.0
-            members_of[rv] = [v]
-            for w in nbrs[v]:
-                if not added[w]:
-                    continue
-                rv, rw = uf.find(v), uf.find(w)
-                if rv == rw:
-                    continue
-                ma, mb = members_of[rv], members_of[rw]
-                cross = float(dimg[np.ix_(ma, mb)].max())
-                d_new = max(diam_of[rv], diam_of[rw], cross)
-                uf.union(rv, rw)
-                root = uf.find(rv)
-                merged = ma + mb
-                members_of[root] = merged
-                diam_of[root] = d_new
-                for a in ma:
-                    row = upper[a]
-                    for b in mb:
-                        if d_new < row[b]:
-                            upper[a, b] = upper[b, a] = d_new
+        p, merges = _merge_forest(nbrs, dimg[c])
+        sub = np.ix_(p, p)
+        dp = dimg[sub]
+        block = np.full(dp.shape, np.inf)
+        diam = [0.0] * n             # per merge-tree node; vertices are 0
+        for lo, mid, hi, a, b in merges:
+            d_new = max(diam[a], diam[b], float(dp[lo:mid, mid:hi].max()))
+            diam.append(d_new)
+            block[lo:mid, mid:hi] = d_new
+            block[mid:hi, lo:mid] = d_new
+        upper[sub] = np.minimum(upper[sub], block)
     lower = np.maximum(upper / 2.0, dimg)
     np.fill_diagonal(lower, 0.0)
     return lower, upper
+
+
+def _metric_closure(d: np.ndarray) -> np.ndarray:
+    """Min-plus closure (Floyd-Warshall): the largest pseudometric <= ``d``."""
+    d = d.copy()
+    for k in range(d.shape[0]):
+        np.minimum(d, d[:, k, None] + d[None, k, :], out=d)
+    return d
 
 
 def connecting_on_graph(
@@ -214,7 +271,9 @@ def connecting_on_graph(
         d = _exact_connecting(n, edges, dimg)
         return ConnectingResult(upper=PseudometricMatrix(d), lower=d.copy(), exact=True)
     lower, upper = _bracket_connecting(n, edges, dimg)
-    return ConnectingResult(upper=PseudometricMatrix(upper), lower=lower, exact=False)
+    return ConnectingResult(
+        upper=PseudometricMatrix(_metric_closure(upper)), lower=lower, exact=False
+    )
 
 
 def connecting_pseudometric(
@@ -227,8 +286,11 @@ def connecting_pseudometric(
     )
 
 
-def _connecting_classes(disc: MappedDisc, zero_tol: float) -> UnionFind:
-    conn = connecting_pseudometric(disc)
+def _connecting_classes(
+    disc: MappedDisc, zero_tol: float, conn: ConnectingResult | None = None
+) -> UnionFind:
+    if conn is None:
+        conn = connecting_pseudometric(disc)
     uf = UnionFind(disc.n_vertices)
     ii, jj = np.where(conn.upper.d <= zero_tol)
     for i, j in zip(ii.tolist(), jj.tolist()):
@@ -242,16 +304,18 @@ def intrinsic_pseudometric(
     zero_tol: float = 1e-9,
     refinement: int = 1,
     graph: RefinedGraph | None = None,
+    connecting: ConnectingResult | None = None,
 ) -> PseudometricMatrix:
     """Length pseudometric after collapsing connecting-zero vertex classes.
 
     Vertices whose connecting distance is ``<= zero_tol`` become a single
     routing node, so paths may teleport within a collapsed class.  Lies
     entrywise between the connecting and length pseudometrics up to the
-    identification slack.
+    identification slack.  ``connecting``, when given, is the disc's
+    connecting pseudometric and is not computed again.
     """
     disc.require_valid()
-    uf = _connecting_classes(disc, zero_tol)
+    uf = _connecting_classes(disc, zero_tol, connecting)
     g = graph if graph is not None else build_refined_graph(disc, refinement)
     n = disc.n_vertices
     canon = np.arange(g.n_nodes)
@@ -408,8 +472,8 @@ def ordering_chain_report(
     """
     graph = build_refined_graph(disc, refinement)
     length = length_pseudometric(disc, refinement, graph=graph)
-    intrinsic = intrinsic_pseudometric(disc, zero_tol, refinement, graph=graph)
     conn = connecting_pseudometric(disc)
+    intrinsic = intrinsic_pseudometric(disc, zero_tol, refinement, graph=graph, connecting=conn)
     allowed = slack + zero_tol
     gap1 = intrinsic.d - length.d
     gap1 = gap1[np.isfinite(gap1)]

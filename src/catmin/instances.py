@@ -20,7 +20,6 @@ from .fields import HeightFieldPatch
 from .graphs import GraphInTarget
 from .majorize import PolyhedralDisc
 from .mesh import MappedDisc
-from .pseudometric import PseudometricMatrix
 from .targets import EuclideanSpace
 
 __all__ = [
@@ -35,7 +34,6 @@ __all__ = [
     "instance_to_json",
     "load_instance",
     "save_instance",
-    "matrix_to_jsonable",
     "jsonable",
     "fixture_path",
 ]
@@ -63,6 +61,15 @@ def fixture_path(name: str) -> Path:
     return Path(__file__).parent / "fixtures" / name
 
 
+def _array_jsonable(a: np.ndarray):
+    """Nested lists of a bool, integer or float array in one ``tolist``;
+    float arrays with non-finite entries go through the recursive path."""
+    out = a.tolist()
+    if a.dtype.kind != "f" or np.isfinite(a).all():
+        return out
+    return jsonable(out)
+
+
 def jsonable(obj):
     """Recursively convert arrays/floats, encoding infinities as 'inf'."""
     if isinstance(obj, dict):
@@ -70,6 +77,8 @@ def jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
+        if obj.dtype.kind in "biuf":
+            return _array_jsonable(obj)
         return jsonable(obj.tolist())
     if isinstance(obj, (np.floating, float)):
         f = float(obj)
@@ -93,10 +102,6 @@ def _parse_floats(obj):
     if obj == "-inf":
         return -math.inf
     return obj
-
-
-def matrix_to_jsonable(matrix: PseudometricMatrix) -> list:
-    return jsonable(matrix.d)
 
 
 def instance_to_json(doc: dict) -> str:

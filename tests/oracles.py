@@ -83,6 +83,83 @@ def connecting_matrix_oracle(n, edges, image_dist):
     return out
 
 
+def bracket_connecting_oracle(n, edges, dimg):
+    """The factor-2 connecting bracket, merge by merge and pair by pair.
+
+    Per center, vertices enter in stable order of image distance until the
+    first infinite one; every union of two grown components writes its
+    diameter into ``upper`` for each cross pair.  Returns (lower, upper)
+    with ``lower = max(upper / 2, dimg)``; ``upper`` is not metric-closed.
+    """
+    from catmin.pseudometric import UnionFind
+
+    nbrs = [[] for _ in range(n)]
+    for u, v in edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    upper = np.full((n, n), np.inf)
+    np.fill_diagonal(upper, 0.0)
+    for c in range(n):
+        order = np.argsort(dimg[c], kind="stable")
+        uf = UnionFind(n)
+        added = np.zeros(n, dtype=bool)
+        diam_of = {}
+        members_of = {}
+        for v in order.tolist():
+            if not np.isfinite(dimg[c][v]):
+                break
+            added[v] = True
+            rv = uf.find(v)
+            diam_of[rv] = 0.0
+            members_of[rv] = [v]
+            for w in nbrs[v]:
+                if not added[w]:
+                    continue
+                rv, rw = uf.find(v), uf.find(w)
+                if rv == rw:
+                    continue
+                ma, mb = members_of[rv], members_of[rw]
+                cross = float(dimg[np.ix_(ma, mb)].max())
+                d_new = max(diam_of[rv], diam_of[rw], cross)
+                uf.union(rv, rw)
+                root = uf.find(rv)
+                members_of[root] = ma + mb
+                diam_of[root] = d_new
+                for a in ma:
+                    row = upper[a]
+                    for b in mb:
+                        if d_new < row[b]:
+                            upper[a, b] = upper[b, a] = d_new
+    lower = np.maximum(upper / 2.0, dimg)
+    np.fill_diagonal(lower, 0.0)
+    return lower, upper
+
+
+def jsonable_oracle(obj):
+    """JSON-ready copy of ``obj``, converted element by element.
+
+    Infinities become the strings "inf"/"-inf"; NaN raises ``ValueError``.
+    """
+    if isinstance(obj, dict):
+        return {str(k): jsonable_oracle(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [jsonable_oracle(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return jsonable_oracle(obj.tolist())
+    if isinstance(obj, (np.floating, float)):
+        f = float(obj)
+        if math.isinf(f):
+            return "inf" if f > 0 else "-inf"
+        if math.isnan(f):
+            raise ValueError("NaN is not serializable")
+        return f
+    if isinstance(obj, (np.integer,)):
+        return int(obj)
+    if isinstance(obj, (bool, int, str)) or obj is None:
+        return obj
+    raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
 def cone_distance_oracle(total_angle, r1, phi1, r2, phi2):
     """Exact intrinsic distance on a cone of the given total apex angle.
 

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from catmin import induced
 from catmin.induced import (
     connecting_on_graph,
     connecting_pseudometric,
@@ -14,7 +17,7 @@ from catmin.mesh import build_refined_graph
 from catmin.meshgen import fan_disc, grid_disc, make_mapped_disc, random_height_disc
 from catmin.pseudometric import verify_pseudometric
 
-from oracles import all_pairs_dijkstra_oracle, connecting_matrix_oracle
+from oracles import all_pairs_dijkstra_oracle, bracket_connecting_oracle, connecting_matrix_oracle
 
 
 def flat_grid_disc(k):
@@ -143,6 +146,105 @@ def test_connecting_bracket_is_sound_on_larger_graph():
     exact = connecting_on_graph(n, edges, dimg, exact_limit=n)
     assert np.all(res.lower <= exact.matrix.d + 1e-12)
     assert np.all(exact.matrix.d <= res.upper.d + 1e-12)
+    assert verify_pseudometric(res.upper.d) == []
+
+
+def smooth_grid_disc(k):
+    """k x k grid disc mapped to a fixed low-frequency height field."""
+    rng = np.random.default_rng(k)
+    amp = rng.uniform(0.1, 0.6, size=3)
+    freq = rng.uniform(0.5, 2.5, size=(3, 2))
+    phase = rng.uniform(0.0, 2.0 * math.pi, size=3)
+    vertices, triangles = grid_disc(k)
+    x, y = vertices[:, 0], vertices[:, 1]
+    z = sum(amp[i] * np.sin(2.0 * math.pi * (freq[i, 0] * x + freq[i, 1] * y) + phase[i]) for i in range(3))
+    return make_mapped_disc(vertices, triangles, np.stack([x, y, z], axis=1))
+
+
+def assert_bracket_is_oracle(n, edges, dimg):
+    lower, upper = induced._bracket_connecting(n, edges, dimg)
+    want_lower, want_upper = bracket_connecting_oracle(n, edges, dimg)
+    assert upper.tobytes() == want_upper.tobytes()
+    assert lower.tobytes() == want_lower.tobytes()
+
+
+@pytest.mark.parametrize("k", [10, 12])
+def test_bracket_bitwise_equals_oracle_on_grid_discs(k):
+    disc = smooth_grid_disc(k)
+    assert_bracket_is_oracle(disc.n_vertices, disc.skeleton_edges(), induced.vertex_image_distances(disc))
+
+
+def test_bracket_bitwise_equals_oracle_on_acceptance_discs():
+    checked = 0
+    for s in range(23):
+        disc = random_height_disc(1000 + s, max_vertices=30)
+        if disc.n_vertices <= induced.EXACT_CONNECTING_LIMIT:
+            continue
+        assert_bracket_is_oracle(disc.n_vertices, disc.skeleton_edges(), induced.vertex_image_distances(disc))
+        checked += 1
+    assert checked == 10
+
+
+def test_bracket_bitwise_equals_oracle_with_infinite_distances():
+    # two clusters at infinite image distance, a few infinite pairs inside
+    # them, and an asymmetric copy: vertices beyond the first infinite
+    # distance never enter, the merge forest has several trees, and a
+    # merge's cross diameter is read with the entering side as rows
+    rng = np.random.default_rng(17)
+    n = 22
+    edges = sorted({(i - 1, i) for i in range(1, n)} | {
+        (int(min(u, v)), int(max(u, v))) for u, v in rng.integers(0, n, size=(14, 2)) if u != v
+    })
+    pts = rng.standard_normal((n, 3))
+    dimg = np.linalg.norm(pts[:, None] - pts[None, :], axis=2)
+    half = n // 2
+    dimg[:half, half:] = dimg[half:, :half] = np.inf
+    for i, j in ((0, 3), (12, 19), (5, 8)):
+        dimg[i, j] = dimg[j, i] = np.inf
+    nbrs = [[] for _ in range(n)]
+    for u, v in edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    forests = [induced._merge_forest(nbrs, dimg[c]) for c in range(n)]
+    assert all(len(p) < n for p, _ in forests)
+    assert any(len(p) - len(merges) > 1 for p, merges in forests)
+    assert_bracket_is_oracle(n, edges, dimg)
+    skew = dimg + np.triu(rng.uniform(0.0, 0.5, size=(n, n)), 1)
+    assert_bracket_is_oracle(n, edges, skew)
+
+
+def test_bracket_upper_is_closed_and_keeps_zero_classes():
+    rng = np.random.default_rng(23)
+    n = 20
+    edges = [(i - 1, i) for i in range(1, n)] + [(0, 7), (3, 12), (9, 18)]
+    pts = rng.standard_normal((n, 3))
+    pts[4:7] = pts[4]           # a connected class with one image
+    pts[15] = pts[10]           # same image, not joined by a zero chain
+    dimg = np.linalg.norm(pts[:, None] - pts[None, :], axis=2)
+    res = connecting_on_graph(n, edges, dimg)
+    assert not res.exact
+    _, raw = induced._bracket_connecting(n, edges, dimg)
+    assert verify_pseudometric(res.upper.d) == []
+    assert np.all(res.upper.d <= raw)
+    assert (res.upper.d < raw).any()
+    assert np.array_equal(res.upper.d <= 1e-9, raw <= 1e-9)
+    assert (raw <= 1e-9).sum() == n + 6
+
+
+def test_ordering_chain_computes_connecting_once(monkeypatch):
+    calls = []
+    real = induced.connecting_pseudometric
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(induced, "connecting_pseudometric", counted)
+    for disc in (random_height_disc(1002, max_vertices=30), random_height_disc(1001, max_vertices=30)):
+        calls.clear()
+        report = ordering_chain_report(disc, refinement=2)
+        assert len(calls) == 1
+        assert report["chain_holds"]
 
 
 def test_connecting_below_length_on_random_instances():

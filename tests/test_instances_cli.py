@@ -2,6 +2,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 from catmin.cli import main
 from catmin.fields import bilinear_saddle_patch
@@ -9,6 +10,7 @@ from catmin.instances import (
     fixture_path,
     graph_instance,
     instance_to_json,
+    jsonable,
     load_instance,
     mapped_disc_instance,
     parse_instance,
@@ -20,6 +22,8 @@ from catmin.instances import (
 from catmin.majorize import cone_disc
 from catmin.meshgen import grid_disc, make_mapped_disc, random_height_disc
 from catmin.saddle import hexagon_counterexample
+
+from oracles import jsonable_oracle
 
 
 def flat_instance():
@@ -249,17 +253,101 @@ def test_fixture_files_are_canonical_bytes():
         assert instance_to_json(json.loads(raw)) == raw, name
 
 
-def test_cli_key_lemma_glue_failure_is_a_fail_verdict(tmp_path, capsys):
-    # sweep instance 8: relax collapses an edge and the glue check rejects
-    # the result; that is a FAIL of the glue stage, not malformed input
+def sweep_instance_8():
+    """Key-lemma sweep instance 8: its disc and vertex sample."""
     disc = random_height_disc(9008, max_vertices=60, jitter=0.3)
     rng = np.random.default_rng(8)
     n = disc.n_vertices
     k = int(rng.integers(3, min(n, 12) + 1))
-    sample = [int(v) for v in rng.choice(n, k, replace=False)]
+    return disc, [int(v) for v in rng.choice(n, k, replace=False)]
+
+
+def test_cli_key_lemma_glue_failure_is_a_fail_verdict(tmp_path, capsys):
+    # sweep instance 8: relax collapses an edge and the glue check rejects
+    # the result; that is a FAIL of the glue stage, not malformed input
+    disc, sample = sweep_instance_8()
     inst = tmp_path / "sweep8.json"
     save_instance(mapped_disc_instance(disc, sample=sample), inst)
     assert run_cli("key-lemma", "--in", str(inst), "--out", str(tmp_path / "r.json")) == 1
     err = capsys.readouterr().err
     assert err.startswith("FAIL (glue): ")
     assert "input error" not in err
+
+
+def test_cli_build_disc_glue_failure_is_a_fail_verdict(tmp_path, capsys):
+    # the relaxed graph of sweep instance 8 is well-formed, but its faces
+    # cannot be glued within GLUE_TOL: a FAIL of the glue stage, exit 1
+    from catmin.minimize import relax, straighten
+    from catmin.pipeline import geodesic_graph
+
+    disc, sample = sweep_instance_8()
+    gamma0, _ = geodesic_graph(disc, sorted(sample), 2)
+    gamma, _ = relax(straighten(gamma0), tol_descent=1e-8, max_iter=5000)
+    inst = tmp_path / "relaxed8.json"
+    save_instance(graph_instance(gamma), inst)
+    assert validate_instance(load_instance(inst)) == []
+    assert run_cli("build-disc", "--in", str(inst), "--out", str(tmp_path / "w.json")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("FAIL (glue): ")
+    assert "input error" not in err
+
+
+def test_cli_metrics_bracketed_disc_passes(tmp_path):
+    # n = 25 > EXACT_CONNECTING_LIMIT: the bracket's upper side must be a
+    # pseudometric, so the command reports PASS and exits 0
+    disc = random_height_disc(1002, max_vertices=30)
+    assert disc.n_vertices == 25
+    inst = tmp_path / "acc1002.json"
+    save_instance(mapped_disc_instance(disc), inst)
+    out = tmp_path / "report.json"
+    assert run_cli("metrics", "--in", str(inst), "--out", str(out)) == 0
+    rep = load_instance(out)
+    assert rep["connecting_exact"] is False
+    assert rep["matrices_verify"] is True
+    assert rep["chain"]["holds"] is True
+    assert rep["pass"] is True
+
+
+def _jsonable_samples():
+    rng = np.random.default_rng(11)
+    floats = rng.standard_normal((6, 5))
+    floats[1, 2] = math.inf
+    floats[4, 0] = -math.inf
+    floats[5, 4] = math.inf
+    cube = rng.standard_normal((2, 3, 4))
+    cube[1, 2, 3] = -math.inf
+    return [
+        floats,
+        cube,
+        np.array([math.inf, 1.5, -math.inf, -0.0]),
+        np.float64(math.inf),
+        np.array(-math.inf),
+        np.array(2.5),
+        rng.standard_normal(7).astype(np.float32),
+        rng.integers(-5, 5, size=(3, 4)),
+        rng.integers(0, 9, size=5).astype(np.uint8),
+        np.array([[True, False], [False, True]]),
+        np.zeros((0, 3)),
+        {
+            "a": {1: floats, "b": [cube, (np.int64(3), np.float64(-math.inf))]},
+            "c": [None, True, "inf", 2, 0.5, np.array([1, 2])],
+            "d": np.array(["x", "y"]),
+        },
+    ]
+
+
+def test_jsonable_matches_recursive_converter():
+    for obj in _jsonable_samples():
+        want = jsonable_oracle(obj)
+        got = jsonable(obj)
+        assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+        assert instance_to_json({"x": obj}) == (
+            json.dumps({"x": want}, sort_keys=True, separators=(",", ":")) + "\n"
+        )
+
+
+def test_jsonable_rejects_nan_in_arrays():
+    for bad in (np.array([[1.0, math.nan], [math.inf, 0.0]]), np.array(math.nan),
+                {"m": np.array([math.nan])}):
+        with pytest.raises(ValueError):
+            jsonable(bad)
