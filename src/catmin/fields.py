@@ -140,11 +140,20 @@ def _dd(arr: np.ndarray, h: float, axis: int) -> np.ndarray:
     return out
 
 
+def _grad(patch: HeightFieldPatch, arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (d/dx, d/dy) pair of a grid quantity, for every field to share."""
+    return _d(arr, patch.hx, 0), _d(arr, patch.hy, 1)
+
+
+def _along(vec: np.ndarray, grad: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Derivative along a parameter vector field, from the quantity's `_grad`."""
+    ax, ay = grad
+    return vec[..., :1] * ax + vec[..., 1:2] * ay
+
+
 def directional_derivative(patch: HeightFieldPatch, vec: np.ndarray, arr: np.ndarray) -> np.ndarray:
     """Derivative of a grid quantity along a parameter vector field."""
-    ax = _d(arr, patch.hx, 0)
-    ay = _d(arr, patch.hy, 1)
-    return vec[..., :1] * ax + vec[..., 1:2] * ay
+    return _along(vec, _grad(patch, arr))
 
 
 @dataclass
@@ -153,6 +162,7 @@ class FieldArray:
 
     fields: list[np.ndarray]                    # each (nx, ny, 2)
     patch: HeightFieldPatch
+    frame: CurvatureFrame                       # of ``patch``, kept by the solver
     lambda1: np.ndarray | None = None
     lambda2: np.ndarray | None = None
     shrunk: bool = False
@@ -277,23 +287,35 @@ def energy(patch: HeightFieldPatch, fields: FieldArray | list, values: np.ndarra
     """
     vecs = fields.fields if isinstance(fields, FieldArray) else fields
     vals = patch.values if values is None else np.asarray(values, dtype=float)
+    grad = _grad(patch, vals)
     total = 0.0
     for vec in vecs:
-        deriv = directional_derivative(patch, vec, vals)
-        dens = np.sum(deriv * deriv, axis=-1)
+        deriv = _along(vec, grad)
+        sq = deriv * deriv
+        # coordinates added in index order, the order np.sum(sq, axis=-1)
+        # takes, without its slow reduction over an axis of length 3
+        dens = sq[..., 0] + sq[..., 1] + sq[..., 2]
         total += float(np.trapezoid(np.trapezoid(dens, dx=patch.hy, axis=1), dx=patch.hx))
     return total
+
+
+def _second_derivatives(patch: HeightFieldPatch, vecs, grad_s) -> list[np.ndarray]:
+    """v(v s) for each field v, from the values' gradient pair ``grad_s``."""
+    return [directional_derivative(patch, vec, _along(vec, grad_s)) for vec in vecs]
+
+
+def _summed(s: np.ndarray, terms: list[np.ndarray]) -> np.ndarray:
+    out = np.zeros_like(s)
+    for term in terms:
+        out += term
+    return out[1:-1, 1:-1]
 
 
 def laplacian(patch: HeightFieldPatch, fields: FieldArray | list) -> np.ndarray:
     """Nested directional derivatives sum_i v_i(v_i s) on interior nodes."""
     vecs = fields.fields if isinstance(fields, FieldArray) else fields
     s = patch.values
-    out = np.zeros_like(s)
-    for vec in vecs:
-        g = directional_derivative(patch, vec, s)
-        out += directional_derivative(patch, vec, g)
-    return out[1:-1, 1:-1]
+    return _summed(s, _second_derivatives(patch, vecs, _grad(patch, s)))
 
 
 # --------------------------------------------------------------------------
@@ -350,9 +372,8 @@ def solve_field_system(
     v2 = frame.e2 * inv_sqrt_k2[..., None]
 
     s = patch.values
-    g1 = directional_derivative(patch, v1, s)
-    g2 = directional_derivative(patch, v2, s)
-    T = directional_derivative(patch, v1, g1) + directional_derivative(patch, v2, g2)
+    vv1, vv2 = _second_derivatives(patch, (v1, v2), (frame.s_x, frame.s_y))
+    T = vv1 + vv2
     A1 = _dd(s, patch.hx, 0)   # a1(a1 s) for the coordinate field a1
     A2 = _dd(s, patch.hy, 1)
 
@@ -433,20 +454,19 @@ def _assemble(patch, frame, w1, w2, shrunk, window) -> FieldArray:
         lambda2=lam2,
         shrunk=shrunk,
         window=window,
+        frame=frame,
     )
 
 
 def field_system_report(fields: FieldArray) -> dict:
     """Residual and structural checks of a solved field array."""
     patch = fields.patch
-    res = laplacian(patch, fields)
+    frame = fields.frame
+    terms = _second_derivatives(patch, fields.fields, (frame.s_x, frame.s_y))
+    res = _summed(patch.values, terms)
     res_norm = float(np.abs(res).max()) if res.size else 0.0
-    frame = curvature_frame(patch)
-    s = patch.values
     checks = {}
-    for name, vec in (("v3", fields.fields[2]), ("v4", fields.fields[3])):
-        g = directional_derivative(patch, vec, s)
-        gg = directional_derivative(patch, vec, g)
+    for name, gg in (("v3", terms[2]), ("v4", terms[3])):
         normal_part = np.abs(np.sum(gg * frame.normal, axis=-1))[2:-2, 2:-2]
         checks[f"{name}_normal_part_max"] = float(normal_part.max()) if normal_part.size else 0.0
     return {
@@ -474,8 +494,11 @@ def perturbation_evidence(
 
     Each trial adds a random smooth interior bump (two outer grid rings
     pinned) and checks both the minimality inequality E(s') >= E(s) - tol
-    and the convexity inequality along the segment to s'.
+    and the convexity inequality along the segment to s'.  At least one
+    trial is required: with none there is no evidence to report.
     """
+    if trials < 1:
+        raise ValueError(f"perturbation evidence needs trials >= 1, got {trials}")
     rng = np.random.default_rng(seed)
     nx, ny = patch.shape
     ii, jj = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")

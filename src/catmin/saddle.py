@@ -7,6 +7,12 @@ the plane crosses a vertex image, so testing every plane through three
 vertex images (plus nudged offsets and random planes) decides the
 predicate at mesh resolution.
 
+The candidate planes are built as arrays, and the disc's face adjacency
+is read once per verdict; each plane is then one `check_plane` call, a
+depth-first search over that adjacency.  Verdicts, plane counts and witnesses
+are bit for bit those of the former loop, which rebuilt the adjacency
+for every plane and is kept as the oracle in ``tests/oracles.py``.
+
 The pinwheel disc shows that saddle does not imply length-minimizing: ten
 triangles with a hexagonal parameter boundary mapped onto three wings
 around a vertical axis, the boundary running twice along each arm of a
@@ -28,7 +34,6 @@ import numpy as np
 from .induced import length_pseudometric
 from .mesh import MappedDisc
 from .meshgen import make_mapped_disc
-from .pseudometric import UnionFind
 from .targets import EuclideanSpace
 
 __all__ = [
@@ -68,103 +73,130 @@ class SaddleVerdict:
         return self.saddle
 
 
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products, each rounded like the 1-D ``a[k] @ b[k]``."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+class _PlaneSections:
+    """One disc's face adjacency, read once, cut by one plane at a time.
+
+    Each edge joins consecutive faces around it, and an edge with one face
+    is a boundary edge.  For a plane and a side (positive first) a face is
+    active when a vertex lies strictly on that side, and an edge is live
+    when one of its ends does.  Active faces joined by live edges form the
+    side's components; a component is a violation when no live boundary
+    edge bounds one of its faces.
+    """
+
+    def __init__(self, disc: MappedDisc, tol: float = 1e-9):
+        self.img = np.asarray(disc.images, dtype=float)
+        self.snap = tol * max(1.0, float(np.abs(self.img).max()))
+        self.tris = np.asarray(disc.triangles).tolist()
+        # per face: (u, v, other face) across each interior edge, (u, v) of each boundary edge
+        self.joins = [[] for _ in self.tris]
+        self.rims = [[] for _ in self.tris]
+        for (u, v), fs in disc.edge_faces().items():
+            for a, b in zip(fs, fs[1:]):
+                self.joins[a].append((u, v, b))
+                self.joins[b].append((u, v, a))
+            if len(fs) == 1:
+                self.rims[fs[0]].append((u, v))
+
+    def violations(self, normal: np.ndarray, offset: float) -> list[dict]:
+        """The violations of the plane ``normal . x = offset``: the positive
+        side first, then components in the order of their smallest face."""
+        nn = np.linalg.norm(normal)
+        if nn == 0.0:
+            raise ValueError("zero normal")
+        g = (self.img @ normal - float(offset)) / nn
+        g = np.where(np.abs(g) <= self.snap, 0.0, g)
+        found = []
+        for side, up in (("positive", (g > 0.0).tolist()), ("negative", (g < 0.0).tolist())):
+            seen = [False] * len(self.tris)
+            for start, (a, b, c) in enumerate(self.tris):
+                if seen[start] or not (up[a] or up[b] or up[c]):
+                    continue
+                # a face reached over a live edge has a vertex on this side
+                seen[start] = True
+                stack, faces, touches = [start], [], False
+                while stack:
+                    f = stack.pop()
+                    faces.append(f)
+                    for u, v in self.rims[f]:
+                        touches = touches or up[u] or up[v]
+                    for u, v, h in self.joins[f]:
+                        if not seen[h] and (up[u] or up[v]):
+                            seen[h] = True
+                            stack.append(h)
+                if not touches:
+                    found.append({"side": side, "normal": normal.tolist(), "offset": float(offset),
+                                  "triangles": sorted(faces)})
+        return found
+
+
 def check_plane(
-    disc: MappedDisc, normal, offset: float, tol: float = 1e-9
+    disc: MappedDisc, normal, offset: float, tol: float = 1e-9, *, sections: _PlaneSections | None = None
 ) -> list[dict]:
     """Components of either open side of a plane section that miss the boundary.
 
     Vertices within ``tol`` (times the image scale) of the plane count as
     lying on it; a component of the positive or negative open side is a
     violation when none of its triangles shows a positively/negatively
-    sliced boundary edge.
+    sliced boundary edge.  ``sections`` is the disc's adjacency read once,
+    as `is_saddle_pl` shares it across its planes; by default it is read
+    from ``disc`` with ``tol``.
     """
-    img = np.asarray(disc.images, dtype=float)
-    normal = np.asarray(normal, dtype=float)
-    nn = np.linalg.norm(normal)
-    if nn == 0.0:
-        raise ValueError("zero normal")
-    scale = max(1.0, float(np.abs(img).max()))
-    g = (img @ normal - float(offset)) / nn
-    g = np.where(np.abs(g) <= tol * scale, 0.0, g)
-    tris = disc.triangles
-    edge_faces = disc.edge_faces()
-    boundary_edges = {e for e, fs in edge_faces.items() if len(fs) == 1}
-    violations = []
-    for side in (1.0, -1.0):
-        s = side * g
-        active = np.where(s[tris].max(axis=1) > 0.0)[0]
-        if active.size == 0:
-            continue
-        pos_in_active = {int(f): k for k, f in enumerate(active)}
-        uf = UnionFind(len(active))
-        touches = [False] * len(active)
-        for (u, v), fs in edge_faces.items():
-            if max(s[u], s[v]) <= 0.0:
-                continue
-            ids = [pos_in_active[f] for f in fs if f in pos_in_active]
-            for a, b in zip(ids, ids[1:]):
-                uf.union(a, b)
-            if (u, v) in boundary_edges:
-                for a in ids:
-                    touches[a] = True
-        comp_touch: dict[int, bool] = {}
-        comp_members: dict[int, list[int]] = {}
-        for k in range(len(active)):
-            root = uf.find(k)
-            comp_touch[root] = comp_touch.get(root, False) or touches[k]
-            comp_members.setdefault(root, []).append(int(active[k]))
-        for root, ok in comp_touch.items():
-            if not ok:
-                violations.append(
-                    {
-                        "side": "positive" if side > 0 else "negative",
-                        "normal": normal.tolist(),
-                        "offset": float(offset),
-                        "triangles": sorted(comp_members[root]),
-                    }
-                )
-    return violations
+    if sections is None:
+        sections = _PlaneSections(disc, tol)
+    return sections.violations(np.asarray(normal, dtype=float), offset)
 
 
 def _candidate_planes(disc: MappedDisc, extra_planes: int, seed: int, nudge: float):
+    """Unit normals and offsets of the planes through vertex-image triples
+    (each also nudged both ways) and of seeded random planes.
+
+    Each normal's sign is fixed by its first coordinate beyond 1e-12, and
+    planes repeating an earlier (normal, offset) rounded to 9 digits are
+    dropped, so the order is that of first appearance.
+    """
     img = np.asarray(disc.images, dtype=float)
-    n = img.shape[0]
     scale = max(1.0, float(np.abs(img).max()))
-    seen = set()
-    planes = []
-
-    def push(normal, offset):
-        nn = np.linalg.norm(normal)
-        if nn <= 1e-12 * scale:
-            return
-        normal = normal / nn
-        for k in range(3):
-            if abs(normal[k]) > 1e-12:
-                if normal[k] < 0:
-                    normal = -normal
-                break
-        key = (tuple(np.round(normal, 9)), round(float(offset), 9))
-        if key in seen:
-            return
-        seen.add(key)
-        planes.append((normal, float(offset)))
-
-    for i, j, k in itertools.combinations(range(n), 3):
-        normal = np.cross(img[j] - img[i], img[k] - img[i])
-        nn = np.linalg.norm(normal)
-        if nn <= 1e-12 * scale * scale:
-            continue
-        normal = normal / nn
-        base = float(normal @ img[i])
-        for off in (base, base + nudge * scale, base - nudge * scale):
-            push(normal.copy(), off)
+    i, j, k = np.array(list(itertools.combinations(range(len(img)), 3)), dtype=np.intp).reshape(-1, 3).T
+    cross = np.cross(img[j] - img[i], img[k] - img[i])
+    nn = np.sqrt(_row_dots(cross, cross))
+    keep = ~(nn <= 1e-12 * scale * scale)
+    unit = cross[keep] / nn[keep][:, None]
+    base = _row_dots(unit, img[i[keep]])
+    offsets = [np.stack([base, base + nudge * scale, base - nudge * scale], axis=1).ravel()]
+    normals = [np.repeat(unit, 3, axis=0)]
     rng = np.random.default_rng(seed)
     lo, hi = img.min(), img.max()
     for _ in range(extra_planes):
-        normal = rng.standard_normal(3)
-        offset = rng.uniform(lo - 0.1 * scale, hi + 0.1 * scale)
-        push(normal, offset)
-    return planes
+        normals.append(rng.standard_normal(3)[None])
+        offsets.append([rng.uniform(lo - 0.1 * scale, hi + 0.1 * scale)])
+    normals = np.concatenate(normals)
+    offsets = np.concatenate(offsets).astype(float)
+
+    nn = np.sqrt(_row_dots(normals, normals))
+    keep = ~(nn <= 1e-12 * scale)
+    normals = normals[keep] / nn[keep][:, None]
+    offsets = offsets[keep]
+    lead = np.abs(normals) > 1e-12
+    first = np.argmax(lead, axis=1)
+    flip = lead.any(axis=1) & (normals[np.arange(len(normals)), first] < 0)
+    normals = np.where(flip[:, None], -normals, normals)
+
+    # a key row per plane: the normal rounded by np.round, the offset by
+    # Python's round (np.round does not match it near ties); sorting and !=
+    # take -0.0 for 0.0, as tuple keys do
+    keys = np.column_stack([np.round(normals, 9), [round(o, 9) for o in offsets.tolist()]])
+    order = np.lexsort(keys.T[::-1])
+    ordered = keys[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    kept = np.sort(order[new])
+    return normals[kept], offsets[kept]
 
 
 def is_saddle_pl(
@@ -178,18 +210,20 @@ def is_saddle_pl(
 
     Tests every plane through a triple of distinct vertex images (with the
     offset also nudged both ways to break ties) plus seeded random planes.
-    Degenerate (collinear) triples are skipped.
+    Degenerate (collinear) triples are skipped.  The witness is the first
+    violation of the first violating plane, as `check_plane` lists them.
     """
     disc.require_valid()
     img = np.asarray(disc.images, dtype=float)
     if img.shape[1] != 3 or not isinstance(disc.target, EuclideanSpace):
         raise ValueError("the saddle predicate expects a disc mapped into Euclidean 3-space")
-    planes = _candidate_planes(disc, extra_planes, seed, nudge)
-    for normal, offset in planes:
-        violations = check_plane(disc, normal, offset, tol)
+    normals, offsets = _candidate_planes(disc, extra_planes, seed, nudge)
+    sections = _PlaneSections(disc, tol)
+    for normal, offset in zip(normals, offsets):
+        violations = check_plane(disc, normal, offset, sections=sections)
         if violations:
-            return SaddleVerdict(False, len(planes), violations[0])
-    return SaddleVerdict(True, len(planes), None)
+            return SaddleVerdict(False, len(normals), violations[0])
+    return SaddleVerdict(True, len(normals), None)
 
 
 # --------------------------------------------------------------------------

@@ -339,3 +339,137 @@ def eps_net_oracle(dist, boundary_length, b_nodes, b_arcs, eps_fracs):
         }
     results["all_ok"] = all(v["ok"] for v in results.values() if isinstance(v, dict))
     return results
+
+
+def _directional_derivative_oracle(patch, vec, arr):
+    ax = np.gradient(arr, patch.hx, axis=0, edge_order=2)
+    ay = np.gradient(arr, patch.hy, axis=1, edge_order=2)
+    return vec[..., :1] * ax + vec[..., 1:2] * ay
+
+
+def energy_oracle(patch, vecs, values=None):
+    """Field energy with both gradients of the values taken again per field."""
+    vals = patch.values if values is None else np.asarray(values, dtype=float)
+    total = 0.0
+    for vec in vecs:
+        deriv = _directional_derivative_oracle(patch, vec, vals)
+        dens = np.sum(deriv * deriv, axis=-1)
+        total += float(np.trapezoid(np.trapezoid(dens, dx=patch.hy, axis=1), dx=patch.hx))
+    return total
+
+
+def laplacian_oracle(patch, vecs):
+    """sum_i v_i(v_i s) on interior nodes, each derivative taken on its own."""
+    s = patch.values
+    out = np.zeros_like(s)
+    for vec in vecs:
+        g = _directional_derivative_oracle(patch, vec, s)
+        out += _directional_derivative_oracle(patch, vec, g)
+    return out[1:-1, 1:-1]
+
+
+def check_plane_oracle(disc, normal, offset, tol=1e-9):
+    """One plane section, its face adjacency rebuilt and its components
+    found by a per-edge union-find (the saddle predicate's per-plane loop)."""
+    from catmin.pseudometric import UnionFind
+
+    img = np.asarray(disc.images, dtype=float)
+    normal = np.asarray(normal, dtype=float)
+    nn = np.linalg.norm(normal)
+    if nn == 0.0:
+        raise ValueError("zero normal")
+    scale = max(1.0, float(np.abs(img).max()))
+    g = (img @ normal - float(offset)) / nn
+    g = np.where(np.abs(g) <= tol * scale, 0.0, g)
+    tris = disc.triangles
+    edge_faces = disc.edge_faces()
+    boundary_edges = {e for e, fs in edge_faces.items() if len(fs) == 1}
+    violations = []
+    for side in (1.0, -1.0):
+        s = side * g
+        active = np.where(s[tris].max(axis=1) > 0.0)[0]
+        if active.size == 0:
+            continue
+        pos_in_active = {int(f): k for k, f in enumerate(active)}
+        uf = UnionFind(len(active))
+        touches = [False] * len(active)
+        for (u, v), fs in edge_faces.items():
+            if max(s[u], s[v]) <= 0.0:
+                continue
+            ids = [pos_in_active[f] for f in fs if f in pos_in_active]
+            for a, b in zip(ids, ids[1:]):
+                uf.union(a, b)
+            if (u, v) in boundary_edges:
+                for a in ids:
+                    touches[a] = True
+        comp_touch = {}
+        comp_members = {}
+        for k in range(len(active)):
+            root = uf.find(k)
+            comp_touch[root] = comp_touch.get(root, False) or touches[k]
+            comp_members.setdefault(root, []).append(int(active[k]))
+        for root, ok in comp_touch.items():
+            if not ok:
+                violations.append(
+                    {
+                        "side": "positive" if side > 0 else "negative",
+                        "normal": normal.tolist(),
+                        "offset": float(offset),
+                        "triangles": sorted(comp_members[root]),
+                    }
+                )
+    return violations
+
+
+def candidate_planes_oracle(disc, extra_planes, seed, nudge):
+    """Saddle candidate planes built one vertex triple at a time: unit
+    normal, sign fixed by its first nonzero coordinate, deduplicated on
+    the normal and offset rounded to 9 digits, in first-seen order."""
+    img = np.asarray(disc.images, dtype=float)
+    n = img.shape[0]
+    scale = max(1.0, float(np.abs(img).max()))
+    seen = set()
+    planes = []
+
+    def push(normal, offset):
+        nn = np.linalg.norm(normal)
+        if nn <= 1e-12 * scale:
+            return
+        normal = normal / nn
+        for k in range(3):
+            if abs(normal[k]) > 1e-12:
+                if normal[k] < 0:
+                    normal = -normal
+                break
+        key = (tuple(np.round(normal, 9)), round(float(offset), 9))
+        if key in seen:
+            return
+        seen.add(key)
+        planes.append((normal, float(offset)))
+
+    for i, j, k in itertools.combinations(range(n), 3):
+        normal = np.cross(img[j] - img[i], img[k] - img[i])
+        nn = np.linalg.norm(normal)
+        if nn <= 1e-12 * scale * scale:
+            continue
+        normal = normal / nn
+        base = float(normal @ img[i])
+        for off in (base, base + nudge * scale, base - nudge * scale):
+            push(normal.copy(), off)
+    rng = np.random.default_rng(seed)
+    lo, hi = img.min(), img.max()
+    for _ in range(extra_planes):
+        normal = rng.standard_normal(3)
+        offset = rng.uniform(lo - 0.1 * scale, hi + 0.1 * scale)
+        push(normal, offset)
+    return planes
+
+
+def is_saddle_oracle(disc, extra_planes=200, seed=0, tol=1e-9, nudge=1e-7):
+    """Saddle verdict as (saddle, planes tested, witness), plane by plane."""
+    planes = candidate_planes_oracle(disc, extra_planes, seed, nudge)
+    for normal, offset in planes:
+        violations = check_plane_oracle(disc, normal, offset, tol)
+        if violations:
+            return False, len(planes), violations[0]
+    return True, len(planes), None

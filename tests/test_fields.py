@@ -14,6 +14,9 @@ from catmin.fields import (
     perturbation_evidence,
     solve_field_system,
 )
+import catmin.fields as fields_module
+
+from oracles import energy_oracle, laplacian_oracle
 
 
 def unit_coordinate_fields(patch):
@@ -59,6 +62,28 @@ def test_energy_matches_richardson_extrapolated_oracle():
     err1 = abs(e1 - star)
     err2 = abs(e2 - star)
     assert err2 <= err1 / 3.0  # roughly fourth of the error at half the step
+
+
+@pytest.mark.parametrize("n", [32, 64, 128])
+def test_energy_and_laplacian_bitwise_equal_oracle_on_solved_patches(n):
+    patch = bilinear_saddle_patch(0.5, n, coef=1.1)
+    fa = solve_field_system(patch)
+    rng = np.random.default_rng(n)
+    values = patch.values + 0.02 * rng.standard_normal(patch.values.shape)
+    assert energy(patch, fa) == energy_oracle(patch, fa.fields)
+    assert energy(patch, fa, values=values) == energy_oracle(patch, fa.fields, values)
+    assert np.array_equal(laplacian(patch, fa), laplacian_oracle(patch, fa.fields))
+
+
+def test_energy_and_laplacian_bitwise_equal_oracle_on_random_values():
+    rng = np.random.default_rng(5)
+    for n in (8, 13, 24):
+        patch = patch_from_function(lambda x, y: rng.standard_normal(x.shape + (3,)), 0.7, n)
+        vecs = [rng.standard_normal((n + 1, n + 1, 2)) for _ in range(int(rng.integers(1, 5)))]
+        values = rng.standard_normal(patch.values.shape) * 10.0 ** rng.uniform(-3, 3)
+        assert energy(patch, vecs) == energy_oracle(patch, vecs)
+        assert energy(patch, vecs, values=values) == energy_oracle(patch, vecs, values)
+        assert np.array_equal(laplacian(patch, vecs), laplacian_oracle(patch, vecs))
 
 
 # ------------------------------------------------------------- laplacian
@@ -160,6 +185,27 @@ def test_solver_shrinks_when_positivity_fails():
     assert rep["lambda_min"] > 0.0
 
 
+def test_report_reads_the_solver_frame(monkeypatch):
+    calls = []
+    original = fields_module.curvature_frame
+
+    def counted(patch, *args, **kwargs):
+        calls.append(patch.shape)
+        return original(patch, *args, **kwargs)
+
+    monkeypatch.setattr(fields_module, "curvature_frame", counted)
+    for patch in (bilinear_saddle_patch(0.5, 24), bilinear_saddle_patch(0.7, 32, coef=3.0)):
+        calls.clear()
+        fa = solve_field_system(patch)
+        rep = field_system_report(fa)
+        # one frame for the solve (two when the patch is shrunk), none for the report
+        assert len(calls) == (2 if fa.shrunk else 1)
+        assert fa.frame.s_x.shape[:2] == fa.patch.shape
+        fa.frame = original(fa.patch)
+        assert field_system_report(fa) == rep
+        assert rep["residual_max"] == float(np.abs(laplacian_oracle(fa.patch, fa.fields)).max())
+
+
 # ------------------------------------------------------------- minimality
 
 
@@ -169,6 +215,14 @@ def test_perturbation_evidence_on_solved_patch():
     rep = perturbation_evidence(patch, fa, trials=40, seed=7)
     assert rep["never_decreases"], rep
     assert rep["convex_ok"], rep
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_perturbation_needs_a_trial(trials):
+    patch = bilinear_saddle_patch(0.5, 16, coef=1.0)
+    fa = solve_field_system(patch)
+    with pytest.raises(ValueError, match="trials"):
+        perturbation_evidence(patch, fa, trials=trials)
 
 
 def test_perturbation_zero_is_equality():

@@ -208,6 +208,17 @@ def test_cli_solve_fields_and_perturb(tmp_path):
                    "--out", str(tmp_path / "p.json")) == 0
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_cli_perturb_without_trials_is_malformed(tmp_path, capsys, trials):
+    # no trial means no evidence: a PASS here would claim minimality untested
+    inst = tmp_path / "patch.json"
+    save_instance(patch_instance(bilinear_saddle_patch(0.5, 16)), inst)
+    out = tmp_path / "p.json"
+    assert run_cli("perturb", "--in", str(inst), "--trials", trials, "--out", str(out)) == 2
+    assert "trials" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_shorten_pinwheel(tmp_path):
     cx = tmp_path / "cx.json"
     run_cli("counterexample", "--out", str(cx))
