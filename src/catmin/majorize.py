@@ -18,8 +18,8 @@ connections; every query can report a conservative error bound derived
 from the subdivision gap and the edge crossings of the returned path.
 Queries that read most source rows or need paths (the key lemma's
 contraction and shortness checks, ``thin_triangle_test``, node-to-node
-distances and geodesics) use the graph's all-pairs matrices; queries that
-read a few sources (``eps_net_report``, the refinement study) run Dijkstra
+distances and paths) use the graph's all-pairs matrices; queries that read
+a few sources (``eps_net_report``, the refinement study) run Dijkstra
 only from those, through ``SurfaceGraph.rows``.
 """
 
@@ -52,7 +52,6 @@ __all__ = [
     "cut_vertices",
     "eps_net_report",
     "SurfaceGraph",
-    "PolyhedralTarget",
     "cone_disc",
     "strip_disc",
 ]
@@ -280,7 +279,27 @@ class PolyhedralDisc:
         return sorted(v for v in incident if v not in exposed)
 
     def validate(self) -> list[str]:
+        # shapes and vertex indices first: every later check reads them
+        n = self.n_vertices
         problems: list[str] = []
+        if len(self.tri_vertices) != self.n_triangles:
+            problems.append("tri_vertices must list one triple per tri_coords entry")
+        for f, coords in enumerate(self.tri_coords):
+            if np.shape(coords) != (3, 2) or not np.all(np.isfinite(coords)):
+                problems.append(f"tri_coords[{f}] must be a finite (3, 2) array")
+        for f, tri in enumerate(self.tri_vertices):
+            if len(tri) != 3 or not all(0 <= v < n for v in tri):
+                problems.append(f"tri_vertices[{f}] must be a triple in range({n})")
+        for u, v, _ in self.bridges:
+            if not (0 <= u < n and 0 <= v < n):
+                problems.append(f"bridge ({u},{v}) has an end outside range({n})")
+        for v in self.boundary_walk:
+            if not 0 <= v < n:
+                problems.append(f"boundary_walk vertex {v} outside range({n})")
+        if len(self.boundary_lengths) != len(self.boundary_walk):
+            problems.append("boundary_lengths must list one length per boundary_walk step")
+        if problems:
+            return problems
         seen_sides = set()
         for (f1, s1), (f2, s2) in self.gluings:
             for f, s in ((f1, s1), (f2, s2)):
@@ -543,9 +562,9 @@ class SurfaceGraph:
 
     Two distance backends share one symmetric weight ``matrix``:
     ``all_pairs()`` runs Dijkstra from every node once and keeps distances
-    and predecessors (``distance``, ``path_nodes``, geodesic points and
-    face-point distances read it); ``rows(sources)`` runs Dijkstra only from
-    sources it has not seen, and reads from all-pairs once that exists.
+    and predecessors (``distance``, ``path_nodes`` and
+    ``distance_with_bound`` read it); ``rows(sources)`` runs Dijkstra only
+    from sources it has not seen, and reads from all-pairs once that exists.
     Both give bitwise the same distances.
     """
 
@@ -555,11 +574,9 @@ class SurfaceGraph:
         self.disc = disc
         self.subdiv = int(subdiv)
         self.nodes: list[_Node] = []
-        self.node_chart: dict[tuple[int, int], np.ndarray] = {}
         self._vertex_node: dict[int, int] = {}
         self._side_chain: dict[tuple[int, int], list[int]] = {}
         self._bridge_chain: list[list[int]] = []
-        self._face_ring: dict[int, tuple[list[int], np.ndarray]] = {}
         self._dist = None
         self._pred = None
         self._rows: dict[int, np.ndarray] = {}
@@ -614,9 +631,6 @@ class SurfaceGraph:
             ring_xy = np.concatenate([
                 (1 - t)[:, None] * coords[s] + t[:, None] * coords[(s + 1) % 3] for s in range(3)
             ])
-            for node, xy in zip(ring, ring_xy):
-                self.node_chart.setdefault((node, f), xy)
-            self._face_ring[f] = (ring, ring_xy)
             ring_arr = np.asarray(ring)
             d = ring_xy[tri_u] - ring_xy[tri_v]
             pair_a.append(ring_arr[tri_u])
@@ -721,82 +735,6 @@ class SurfaceGraph:
         crossings = max(len(self.path_nodes(a, b)) - 2, 0)
         return value, (crossings + 2) * self.max_gap
 
-    # ---------------- points interior to faces
-    #
-    # A point strictly inside a face is addressed as ("face", f, (x, y)) in
-    # the chart of f.  Its graph distances are exact: every route leaves
-    # the face through a ring node.
-
-    def face_point(self, f: int, bary):
-        xy = np.asarray(bary, float) @ self.disc.tri_coords[f]
-        return ("face", f, (float(xy[0]), float(xy[1])))
-
-    def point_to_node_distances(self, locator) -> np.ndarray:
-        dist, _ = self.all_pairs()
-        if isinstance(locator, (int, np.integer)):
-            return dist[int(locator)]
-        _, f, xy = locator
-        ring, ring_xy = self._face_ring[f]
-        local = np.linalg.norm(ring_xy - np.asarray(xy), axis=1)
-        return (dist[ring] + local[:, None]).min(axis=0)
-
-    def point_distance(self, p, q) -> float:
-        if isinstance(p, (int, np.integer)) and isinstance(q, (int, np.integer)):
-            return self.distance(int(p), int(q))
-        if isinstance(p, (int, np.integer)):
-            p, q = q, p
-        _, f, xy = p
-        through = self.point_to_node_distances(q)
-        ring, ring_xy = self._face_ring[f]
-        local = np.linalg.norm(ring_xy - np.asarray(xy), axis=1)
-        best = float((local + through[ring]).min())
-        if not isinstance(q, (int, np.integer)) and q[1] == f:
-            best = min(best, float(np.linalg.norm(np.asarray(xy) - np.asarray(q[2]))))
-        return best
-
-    def _segment_face(self, u: int, v: int, length: float) -> int | None:
-        """A face whose chart realizes the path segment (u, v)."""
-        for (node, f), pos_u in self.node_chart.items():
-            if node != u:
-                continue
-            pos_v = self.node_chart.get((v, f))
-            if pos_v is not None and abs(float(np.linalg.norm(pos_u - pos_v)) - length) <= 1e-9:
-                return f
-        return None
-
-    def point_on_geodesic(self, a: int, b: int, t: float):
-        """Point at parameter t of the graph geodesic between two nodes.
-
-        Returns a node id when the position lands on one (or on a bridge,
-        where nodes are gap-dense), and a face locator otherwise.
-        """
-        path = self.path_nodes(a, b)
-        if len(path) <= 1:
-            return a
-        dist, _ = self.all_pairs()
-        want = float(t) * dist[a, b]
-        acc = 0.0
-        for i in range(len(path) - 1):
-            u, v = path[i], path[i + 1]
-            step = dist[u, v]
-            if acc + step >= want - 1e-12:
-                if step <= 0.0:
-                    return u
-                s = (want - acc) / step
-                if s <= 1e-9:
-                    return u
-                if s >= 1.0 - 1e-9:
-                    return v
-                f = self._segment_face(u, v, float(step))
-                if f is None:
-                    return u if s <= 0.5 else v  # bridge segment: snap to a node
-                pu = self.node_chart[(u, f)]
-                pv = self.node_chart[(v, f)]
-                xy = (1.0 - s) * pu + s * pv
-                return ("face", f, (float(xy[0]), float(xy[1])))
-            acc += step
-        return path[-1]
-
     def boundary_node_arcs(self) -> tuple[list[int], list[float]]:
         """Nodes along the boundary walk with cumulative arclengths."""
         disc = self.disc
@@ -833,61 +771,6 @@ class SurfaceGraph:
                 arcs.append(acc + seg * (k / m if m else 0.0))
             acc += seg
         return nodes, arcs
-
-
-class PolyhedralTarget(TargetSpace):
-    """A polyhedral disc exposed through the target-space interface.
-
-    Points are node ids of the underlying surface graph; distances are
-    Dijkstra overestimates with a declared error bound, and geodesics are
-    evaluated by arclength along the graph path, snapping to nodes.
-    """
-
-    def __init__(self, disc: PolyhedralDisc, subdiv: int = 12):
-        self.disc = disc
-        self.graph = disc.surface_graph(subdiv)
-
-    @property
-    def approximation_gap(self) -> float:
-        return self.graph.max_gap
-
-    def contains(self, p) -> bool:
-        if isinstance(p, (int, np.integer)):
-            return 0 <= int(p) < self.graph.n_nodes
-        return (
-            isinstance(p, tuple)
-            and len(p) == 3
-            and p[0] == "face"
-            and 0 <= p[1] < self.disc.n_triangles
-        )
-
-    def _check(self, p):
-        if not self.contains(p):
-            raise ValueError(f"point {p!r} does not lie on this polyhedral target")
-        return int(p) if isinstance(p, (int, np.integer)) else p
-
-    def distance(self, p, q) -> float:
-        return self.graph.point_distance(self._check(p), self._check(q))
-
-    def distance_with_bound(self, p, q) -> tuple[float, float]:
-        p, q = self._check(p), self._check(q)
-        if isinstance(p, (int, np.integer)) and isinstance(q, (int, np.integer)):
-            return self.graph.distance_with_bound(int(p), int(q))
-        # face locators add at most one extra crossing on each side
-        return self.graph.point_distance(p, q), 4 * self.graph.max_gap
-
-    def _nearest_node(self, p) -> int:
-        if isinstance(p, (int, np.integer)):
-            return int(p)
-        _, f, xy = p
-        ring, ring_xy = self.graph._face_ring[f]
-        k = int(np.argmin(np.linalg.norm(ring_xy - np.asarray(xy), axis=1)))
-        return ring[k]
-
-    def geodesic_eval(self, p, q, t: float):
-        a = self._nearest_node(self._check(p))
-        b = self._nearest_node(self._check(q))
-        return self.graph.point_on_geodesic(a, b, float(t))
 
 
 # --------------------------------------------------------------------------

@@ -93,9 +93,6 @@ class MappedDisc:
     def n_triangles(self) -> int:
         return self.triangles.shape[0]
 
-    def image_of(self, i: int):
-        return self.images[i]
-
     def edge_faces(self) -> dict[tuple[int, int], list[int]]:
         return _edges_of_triangles(self.triangles)
 

@@ -172,17 +172,6 @@ def cone_distance_oracle(total_angle, r1, phi1, r2, phi2):
     return math.sqrt(r1 * r1 + r2 * r2 - 2.0 * r1 * r2 * math.cos(dphi))
 
 
-def two_face_unfolding_oracle(tri1, tri2, p_bary, q_bary):
-    """Distance between points on two planar triangles sharing edge (0,1).
-
-    ``tri1`` and ``tri2`` are (3, 2) planar coordinates whose first two rows
-    coincide; the quadrilateral they bound is assumed convex so the segment
-    between the points stays inside."""
-    p = p_bary[0] * tri1[0] + p_bary[1] * tri1[1] + p_bary[2] * tri1[2]
-    q = q_bary[0] * tri2[0] + q_bary[1] * tri2[1] + q_bary[2] * tri2[2]
-    return float(np.linalg.norm(p - q))
-
-
 def maximin_direction_oracle(units, n_samples=1_000_000, seed=0):
     """max over sampled unit directions of min_i <d, u_i> (2D or 3D)."""
     units = np.asarray(units, dtype=float)

@@ -239,6 +239,71 @@ def test_cli_validate_command(tmp_path):
     assert run_cli("validate", "--in", str(inst)) == 1
 
 
+def _two_point_face(payload):
+    payload["tri_coords"][0] = payload["tri_coords"][0][:2]
+
+
+def _walk_vertex_outside(payload):
+    payload["boundary_walk"][2] = payload["n_vertices"]
+
+
+def _short_boundary_lengths(payload):
+    payload["boundary_lengths"].pop()
+
+
+def _three_d_coords(payload):
+    payload["tri_coords"] = [[p + [0.0] for p in tri] for tri in payload["tri_coords"]]
+
+
+def _infinite_coord(payload):
+    payload["tri_coords"][1][2][0] = "inf"
+
+
+def _vertex_pair(payload):
+    payload["tri_vertices"][2] = payload["tri_vertices"][2][:2]
+
+
+def _negative_vertex(payload):
+    payload["tri_vertices"][2][1] = -1
+
+
+def _missing_triple(payload):
+    payload["tri_vertices"].pop()
+
+
+def _bridge_outside(payload):
+    payload["bridges"].append([0, payload["n_vertices"], 1.0])
+
+
+@pytest.mark.parametrize(
+    "edit, diagnostic",
+    [
+        pytest.param(_two_point_face, "tri_coords[0]", id="two_point_face"),
+        pytest.param(_walk_vertex_outside, "boundary_walk", id="walk_vertex_outside"),
+        pytest.param(_short_boundary_lengths, "boundary_lengths", id="short_boundary_lengths"),
+        pytest.param(_three_d_coords, "tri_coords[0]", id="three_d_coords"),
+        pytest.param(_infinite_coord, "tri_coords[1]", id="infinite_coord"),
+        pytest.param(_vertex_pair, "tri_vertices[2]", id="vertex_pair"),
+        pytest.param(_negative_vertex, "tri_vertices[2]", id="negative_vertex"),
+        pytest.param(_missing_triple, "one triple per tri_coords entry", id="missing_triple"),
+        pytest.param(_bridge_outside, "bridge (0,7)", id="bridge_outside"),
+    ],
+)
+def test_cli_malformed_polyhedral_disc(tmp_path, capsys, edit, diagnostic):
+    # side lengths and corners cannot be read from any of these payloads:
+    # validate must name the fault first, and commands reject it as input
+    doc = poly_disc_instance(cone_disc(2 * math.pi, 6))
+    edit(doc["payload"])
+    inst = tmp_path / "w.json"
+    save_instance(doc, inst)
+    out = tmp_path / "v.json"
+    assert run_cli("validate", "--in", str(inst), "--out", str(out)) == 1
+    assert any(diagnostic in p for p in load_instance(out)["diagnostics"])
+    capsys.readouterr()
+    assert run_cli("check-cat0", "--nets", "--in", str(inst)) == 2
+    assert capsys.readouterr().err.startswith("input error: invalid instance")
+
+
 def test_svg_outputs(tmp_path):
     from catmin.svgout import svg_parameter_domain, svg_plane_sections
 

@@ -7,7 +7,6 @@ from catmin.graphs import GraphInTarget, rotation_from_positions
 from catmin.majorize import (
     GlueError,
     PolyhedralDisc,
-    PolyhedralTarget,
     boundary_and_area,
     cat0_certificate,
     comparison_triangle,
@@ -21,7 +20,7 @@ from catmin.majorize import (
 )
 from catmin.meshgen import grid_disc, make_mapped_disc
 from catmin.pipeline import run_key_lemma
-from catmin.targets import EuclideanSpace
+from catmin.targets import EuclideanSpace, angle_from_sides
 from scipy.sparse.csgraph import dijkstra
 
 from oracles import (
@@ -249,34 +248,6 @@ def test_strip_distance_matches_planar_unfolding():
     assert math.sqrt(3.0) - 1e-9 <= got2 <= math.sqrt(3.0) + bound2
 
 
-def test_polyhedral_target_interface():
-    disc = strip_disc((1.0, 1.2, 1.1), (0.9, 1.3, 1.1))
-    target = PolyhedralTarget(disc, subdiv=8)
-    a = target.graph.vertex_node(2)
-    b = target.graph.vertex_node(3)
-    assert target.distance(a, a) == 0.0
-    d = target.distance(a, b)
-    assert d > 0
-    mid = target.geodesic_eval(a, b, 0.5)
-    half = target.distance(a, mid)
-    assert abs(half - d / 2) <= 3 * target.approximation_gap
-    ang = target.comparison_angle(a, b, target.graph.vertex_node(0))
-    assert 0.0 <= ang <= math.pi
-
-
-def test_midpoint_convexity_on_flat_target():
-    disc = strip_disc((1.0, 1.0, 1.0), (1.0, 1.0, 1.0))
-    target = PolyhedralTarget(disc, subdiv=12)
-    rng = np.random.default_rng(8)
-    tol = 4 * target.approximation_gap
-    n = target.graph.n_nodes
-    for _ in range(40):
-        p, q, r = (int(x) for x in rng.integers(0, n, size=3))
-        mid_pq = target.geodesic_eval(p, q, 0.5)
-        mid_pr = target.geodesic_eval(p, r, 0.5)
-        assert target.distance(mid_pq, mid_pr) <= target.distance(q, r) / 2 + tol
-
-
 # ---------------------------------------------------------- reports
 
 
@@ -350,8 +321,7 @@ def test_fan_angles_majorize_surface_angles_around_cone_point():
     # angles computed by an unfolding oracle
     total = 5 * math.pi / 2
     cone = cone_disc(total, 5)
-    target = PolyhedralTarget(cone, subdiv=48)
-    sg = target.graph
+    sg = cone.surface_graph(subdiv=48)
     corners = [sg.vertex_node(1), sg.vertex_node(3), sg.vertex_node(5)]
     azim = [0.0, 2 * total / 5, 4 * total / 5]
 
@@ -371,7 +341,7 @@ def test_fan_angles_majorize_surface_angles_around_cone_point():
     for j in range(3):
         apex = corners[j]
         p, q = corners[(j - 1) % 3], corners[(j + 1) % 3]
-        comparison = target.comparison_angle(apex, p, q)
+        comparison = angle_from_sides(sg.distance(apex, p), sg.distance(apex, q), sg.distance(p, q))
         actual = intrinsic_corner_angle(j)
         assert comparison > actual + 0.05, (j, comparison, actual)
 
