@@ -90,9 +90,6 @@ class HeightFieldPatch:
     def shape(self) -> tuple[int, int]:
         return self.values.shape[0], self.values.shape[1]
 
-    def with_values(self, values: np.ndarray) -> "HeightFieldPatch":
-        return HeightFieldPatch(self.x, self.y, np.asarray(values, dtype=float))
-
     def crop(self, i0: int, i1: int, j0: int, j1: int) -> "HeightFieldPatch":
         return HeightFieldPatch(self.x[i0:i1], self.y[j0:j1], self.values[i0:i1, j0:j1])
 

@@ -84,6 +84,9 @@ class GraphInTarget:
     def validate(self) -> list[str]:
         problems: list[str] = []
         n = self.n_vertices
+        for v, p in enumerate(self.points):
+            if not self.target.contains(p):
+                problems.append(f"points[{v}] is not a finite point of {self.target!r}")
         for u, v in self.edges:
             if not (0 <= u < n and 0 <= v < n):
                 problems.append(f"edge ({u},{v}) out of range")
@@ -191,11 +194,6 @@ class GraphInTarget:
                 tot += self.edge_length(u, v)
             lengths.append(tot)
         return int(np.argmax(lengths))
-
-    def bounded_faces(self) -> list[list[int]]:
-        walks = self.faces()
-        outer = self.outer_face_index(walks)
-        return [w for k, w in enumerate(walks) if k != outer]
 
     def outer_walk(self) -> list[int]:
         walks = self.faces()

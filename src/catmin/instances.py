@@ -316,8 +316,13 @@ def validate_instance(doc) -> list[str]:
         except KeyError as exc:
             return [f"payload field missing: {exc}"]
         n = len(points)
-        for u, v in edges:
-            if not (0 <= int(u) < n and 0 <= int(v) < n):
+        for edge in edges:
+            if (not isinstance(edge, (list, tuple)) or len(edge) != 2
+                    or not all(isinstance(x, int) for x in edge)):
+                problems.append(f"payload.edges: entry {edge} is not a pair of vertex indices")
+                break
+            u, v = edge
+            if not (0 <= u < n and 0 <= v < n):
                 problems.append(f"payload.edges: index ({u},{v}) out of range")
                 break
         for v in pinned:

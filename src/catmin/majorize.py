@@ -20,11 +20,14 @@ Queries that read most source rows or need paths (the key lemma's
 contraction and shortness checks, ``thin_triangle_test``, node-to-node
 distances and paths) use the graph's all-pairs matrices; queries that read
 a few sources (``eps_net_report``, the refinement study) run Dijkstra
-only from those, through ``SurfaceGraph.rows``.
+only from those, through ``SurfaceGraph.rows``.  ``surface_graph`` keeps
+the graph it built last, so the key lemma, the thin-triangle test and the
+nets on one W share one graph and one all-pairs run.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -183,7 +186,7 @@ def face_majorant(loop_points: list, target: TargetSpace, angle_tol: float = 1e-
 # polyhedral discs
 
 
-@dataclass
+@dataclass(eq=False)
 class PolyhedralDisc:
     """Disc retract glued from planar triangles plus 1-dimensional bridges.
 
@@ -191,6 +194,9 @@ class PolyhedralDisc:
     triangle joins its corners ``s`` and ``(s+1) % 3``.  Sides not listed
     in any gluing are boundary sides.  ``boundary_walk`` is the closed
     vertex walk of the boundary curve with matching segment lengths.
+
+    A disc is immutable once constructed: ``surface_graph`` hands out a
+    graph built from it earlier, and discs compare and hash by identity.
     """
 
     tri_coords: list[np.ndarray]
@@ -298,6 +304,12 @@ class PolyhedralDisc:
                 problems.append(f"boundary_walk vertex {v} outside range({n})")
         if len(self.boundary_lengths) != len(self.boundary_walk):
             problems.append("boundary_lengths must list one length per boundary_walk step")
+        for i, ln in enumerate(self.boundary_lengths):
+            if not (math.isfinite(ln) and ln > 0):
+                problems.append(f"boundary_lengths[{i}] = {ln} is not a finite positive length")
+        for u, v, ln in self.bridges:
+            if not (math.isfinite(ln) and ln > 0):
+                problems.append(f"bridge ({u},{v}) length {ln} is not a finite positive length")
         if problems:
             return problems
         seen_sides = set()
@@ -317,9 +329,6 @@ class PolyhedralDisc:
                 problems.append(
                     f"glued sides ({f1},{s1})~({f2},{s2}) join different vertex pairs"
                 )
-        for u, v, ln in self.bridges:
-            if ln < 0:
-                problems.append(f"bridge ({u},{v}) has negative length")
         euler = len(self.used_vertices()) - self.n_edges() + self.n_triangles
         if euler != 1:
             problems.append(f"Euler characteristic {euler}, expected 1 for a disc retract")
@@ -338,7 +347,18 @@ class PolyhedralDisc:
         return float(sum(self.boundary_lengths))
 
     def surface_graph(self, subdiv: int = 12) -> "SurfaceGraph":
-        return SurfaceGraph(self, subdiv)
+        """Surface graph of this disc at ``subdiv``, with its distance tables.
+
+        The graph built last is kept and returned again for the same disc
+        and ``subdiv``; any other request drops it, so at most one graph
+        and its all-pairs table stay alive.
+        """
+        return _last_surface_graph(self, subdiv)
+
+
+@functools.lru_cache(maxsize=1)
+def _last_surface_graph(disc: PolyhedralDisc, subdiv: int) -> "SurfaceGraph":
+    return SurfaceGraph(disc, subdiv)
 
 
 # --------------------------------------------------------------------------
@@ -566,6 +586,10 @@ class SurfaceGraph:
     ``distance_with_bound`` read it); ``rows(sources)`` runs Dijkstra only
     from sources it has not seen, and reads from all-pairs once that exists.
     Both give bitwise the same distances.
+
+    ``PolyhedralDisc.surface_graph`` keeps the graph it built last, tables
+    included, so every caller asking for the same disc and ``subdiv`` reads
+    the same tables; this relies on the disc being immutable.
     """
 
     def __init__(self, disc: PolyhedralDisc, subdiv: int = 12):

@@ -115,7 +115,7 @@ def svg_disc_layout(w: PolyhedralDisc, path) -> None:
         cell = max(cell, float(span.max()))
     cell = (cell or 1.0) * 1.3
     rows = int(np.ceil(m / cols)) if m else 1
-    label_h = 0.3 * cell + 0.2 * cell * len(w.vertex_angle_sums()) * 0 + 1.0
+    label_h = 0.3 * cell + 1.0
     cv = _Canvas(cols * cell + 0.5, rows * cell + label_h + 0.5)
     centers = []
     for f, coords in enumerate(w.tri_coords):

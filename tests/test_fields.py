@@ -46,9 +46,9 @@ def test_energy_translation_invariant_and_quadratic_scaling():
     patch = bilinear_saddle_patch(0.5, 16, coef=1.3)
     fields = unit_coordinate_fields(patch)
     e0 = energy(patch, fields)
-    shifted = patch.with_values(patch.values + np.array([3.0, -1.0, 2.0]))
+    shifted = HeightFieldPatch(patch.x, patch.y, patch.values + np.array([3.0, -1.0, 2.0]))
     assert energy(shifted, fields) == pytest.approx(e0, rel=1e-12)
-    scaled = patch.with_values(2.5 * patch.values)
+    scaled = HeightFieldPatch(patch.x, patch.y, 2.5 * patch.values)
     assert energy(scaled, fields) == pytest.approx(2.5**2 * e0, rel=1e-12)
 
 

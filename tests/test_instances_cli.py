@@ -275,6 +275,10 @@ def _bridge_outside(payload):
     payload["bridges"].append([0, payload["n_vertices"], 1.0])
 
 
+def _infinite_boundary_length(payload):
+    payload["boundary_lengths"][0] = "inf"
+
+
 @pytest.mark.parametrize(
     "edit, diagnostic",
     [
@@ -287,6 +291,7 @@ def _bridge_outside(payload):
         pytest.param(_negative_vertex, "tri_vertices[2]", id="negative_vertex"),
         pytest.param(_missing_triple, "one triple per tri_coords entry", id="missing_triple"),
         pytest.param(_bridge_outside, "bridge (0,7)", id="bridge_outside"),
+        pytest.param(_infinite_boundary_length, "boundary_lengths[0]", id="infinite_boundary_length"),
     ],
 )
 def test_cli_malformed_polyhedral_disc(tmp_path, capsys, edit, diagnostic):
@@ -301,6 +306,44 @@ def test_cli_malformed_polyhedral_disc(tmp_path, capsys, edit, diagnostic):
     assert any(diagnostic in p for p in load_instance(out)["diagnostics"])
     capsys.readouterr()
     assert run_cli("check-cat0", "--nets", "--in", str(inst)) == 2
+    assert capsys.readouterr().err.startswith("input error: invalid instance")
+
+
+def _edge_triple(payload):
+    payload["edges"][0] = payload["edges"][0] + [2]
+
+
+def _edge_of_names(payload):
+    payload["edges"][0] = ["a", 1]
+
+
+def _planar_point(payload):
+    payload["points"][0] = payload["points"][0][:2]
+
+
+@pytest.mark.parametrize(
+    "edit, diagnostic",
+    [
+        pytest.param(_edge_triple, "[0, 1, 2]", id="edge_triple"),
+        pytest.param(_edge_of_names, "['a', 1]", id="edge_of_names"),
+        pytest.param(_planar_point, "points[0]", id="planar_point"),
+    ],
+)
+def test_cli_malformed_graph(tmp_path, capsys, edit, diagnostic):
+    # none of these payloads can be glued: validate names the entry, and
+    # build-disc rejects it as input instead of failing inside numpy
+    from catmin.saddle import hexagon_graph
+
+    doc = graph_instance(hexagon_graph())
+    assert doc["payload"]["edges"][0] == [0, 1]
+    edit(doc["payload"])
+    inst = tmp_path / "g.json"
+    save_instance(doc, inst)
+    out = tmp_path / "v.json"
+    assert run_cli("validate", "--in", str(inst), "--out", str(out)) == 1
+    assert any(diagnostic in p for p in load_instance(out)["diagnostics"])
+    capsys.readouterr()
+    assert run_cli("build-disc", "--in", str(inst)) == 2
     assert capsys.readouterr().err.startswith("input error: invalid instance")
 
 

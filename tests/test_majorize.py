@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from catmin.graphs import GraphInTarget, rotation_from_positions
 from catmin.majorize import (
     GlueError,
     PolyhedralDisc,
+    SurfaceGraph,
     boundary_and_area,
     cat0_certificate,
     comparison_triangle,
@@ -18,6 +20,7 @@ from catmin.majorize import (
     strip_disc,
     thin_triangle_test,
 )
+from catmin import majorize
 from catmin.meshgen import grid_disc, make_mapped_disc
 from catmin.pipeline import run_key_lemma
 from catmin.targets import EuclideanSpace, angle_from_sides
@@ -472,9 +475,9 @@ def test_surface_graph_bitwise_equal_to_loop_oracle(saddle_w):
 
 def test_rows_bitwise_equal_to_all_pairs(saddle_w):
     for name, disc, subdiv in oracle_cases(saddle_w):
-        n = disc.surface_graph(subdiv).n_nodes
+        sg = SurfaceGraph(disc, subdiv)  # not the kept graph, whose all-pairs may exist
+        n = sg.n_nodes
         picks = [[0], [n - 1, 0, n // 2], [n // 2, n // 3, n // 2], list(range(0, n, 7)), []]
-        sg = disc.surface_graph(subdiv)
         on_demand = [sg.rows(s) for s in picks]  # memoised rows, no all-pairs
         assert sg._dist is None
         dense, _ = disc.surface_graph(subdiv).all_pairs()
@@ -493,3 +496,49 @@ def test_eps_net_report_equals_oracle_all_pairs(saddle_w):
         b_nodes, b_arcs = sg.boundary_node_arcs()
         want = eps_net_oracle(dist, disc.boundary_length(), b_nodes, b_arcs, fracs)
         assert eps_net_report(disc, eps_fracs=fracs, subdiv=subdiv) == want, name
+
+
+def test_key_lemma_thin_test_and_nets_share_one_all_pairs_run(monkeypatch):
+    vertices, triangles = grid_disc(6)
+    x, y = vertices[:, 0], vertices[:, 1]
+    disc = make_mapped_disc(vertices, triangles, np.stack([x, y, 1.2 * x * y], axis=1))
+    all_pairs_runs, dijkstra_runs = [], []
+    all_pairs = SurfaceGraph.all_pairs
+    dijkstra_fn = majorize._dijkstra
+
+    def counting_all_pairs(sg):
+        if sg._dist is None:
+            all_pairs_runs.append(sg)
+        return all_pairs(sg)
+
+    def counting_dijkstra(*args, **kwargs):
+        dijkstra_runs.append(kwargs.get("indices"))
+        return dijkstra_fn(*args, **kwargs)
+
+    monkeypatch.setattr(SurfaceGraph, "all_pairs", counting_all_pairs)
+    monkeypatch.setattr(majorize, "_dijkstra", counting_dijkstra)
+    res = run_key_lemma(disc, [0, 2, 5, 17, 35, 33, 30, 12, 14, 22], refinement=2,
+                        shortness_samples=200)
+    assert res.ok, res.verification
+    w = res.disc
+    thin = thin_triangle_test(w, samples=300, seed=5, subdiv=8)
+    nets = eps_net_report(w, eps_fracs=(0.1, 0.05), subdiv=8)
+    assert len(all_pairs_runs) == 1 and all_pairs_runs[0].disc is w
+    assert dijkstra_runs == [None]  # the one all-pairs run, no row runs for the nets
+
+    # a graph built afresh gives the same reports
+    monkeypatch.setattr(PolyhedralDisc, "surface_graph", lambda self, subdiv=12: SurfaceGraph(self, subdiv))
+    assert thin_triangle_test(w, samples=300, seed=5, subdiv=8) == thin
+    assert eps_net_report(w, eps_fracs=(0.1, 0.05), subdiv=8) == nets
+
+
+def test_surface_graph_keeps_only_the_last_graph():
+    cone, strip = cone_disc(2 * math.pi, 4), strip_disc((1.0, 1.2, 0.9), (0.8, 1.1, 0.9))
+    sg = cone.surface_graph(6)
+    assert cone.surface_graph(6) is sg
+    assert cone.surface_graph(7) is not sg
+    sg = cone.surface_graph(6)
+    kept = weakref.ref(sg)
+    del sg
+    strip.surface_graph(6)
+    assert kept() is None  # dropped as soon as another disc's graph is asked for
