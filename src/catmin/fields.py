@@ -282,18 +282,33 @@ def energy(patch: HeightFieldPatch, fields: FieldArray | list, values: np.ndarra
     Exactly convex in the grid values: every term is a fixed nonnegative
     weight times the square of a linear stencil.
     """
-    vecs = fields.fields if isinstance(fields, FieldArray) else fields
     vals = patch.values if values is None else np.asarray(values, dtype=float)
-    grad = _grad(patch, vals)
     total = 0.0
-    for vec in vecs:
-        deriv = _along(vec, grad)
+    for deriv in _derivatives(fields, _grad(patch, vals)):
         sq = deriv * deriv
         # coordinates added in index order, the order np.sum(sq, axis=-1)
         # takes, without its slow reduction over an axis of length 3
         dens = sq[..., 0] + sq[..., 1] + sq[..., 2]
         total += float(np.trapezoid(np.trapezoid(dens, dx=patch.hy, axis=1), dx=patch.hx))
     return total
+
+
+def _derivatives(fields: FieldArray | list, grad: tuple[np.ndarray, np.ndarray]):
+    """Each field's derivative of a quantity, from the quantity's `_grad`.
+
+    A solved `FieldArray` holds v1, v2, v3 = (lambda1, 0) and
+    v4 = (0, lambda2) (see `_assemble`): v3 and v4 read one partial each,
+    with no product by their zero coordinate.
+    """
+    if not isinstance(fields, FieldArray):
+        for vec in fields:
+            yield _along(vec, grad)
+        return
+    ax, ay = grad
+    yield _along(fields.fields[0], grad)
+    yield _along(fields.fields[1], grad)
+    yield fields.lambda1[..., None] * ax
+    yield fields.lambda2[..., None] * ay
 
 
 def _second_derivatives(patch: HeightFieldPatch, vecs, grad_s) -> list[np.ndarray]:
@@ -442,6 +457,7 @@ def _assemble(patch, frame, w1, w2, shrunk, window) -> FieldArray:
     lam2 = np.sqrt(w2)
     v1 = frame.e1 / np.sqrt(np.abs(frame.kappa1))[..., None]
     v2 = frame.e2 / np.sqrt(np.abs(frame.kappa2))[..., None]
+    # v3 and v4 are axis-aligned; `_derivatives` reads them off lam1, lam2
     v3 = np.stack([lam1, np.zeros_like(lam1)], axis=-1)
     v4 = np.stack([np.zeros_like(lam2), lam2], axis=-1)
     return FieldArray(

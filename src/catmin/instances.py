@@ -315,7 +315,17 @@ def validate_instance(doc) -> list[str]:
             pinned = payload["pinned"]
         except KeyError as exc:
             return [f"payload field missing: {exc}"]
+        for name, value in (("points", points), ("edges", edges), ("rotation", rotation), ("pinned", pinned)):
+            if not isinstance(value, (list, tuple)):
+                return [f"payload.{name} must be a list"]
         n = len(points)
+        coords = []
+        for v, p in enumerate(points):
+            try:
+                coords.append(np.asarray(p, dtype=float))
+            except (TypeError, ValueError):
+                problems.append(f"payload.points: entry {p} of vertex {v} is not a point")
+                break
         for edge in edges:
             if (not isinstance(edge, (list, tuple)) or len(edge) != 2
                     or not all(isinstance(x, int) for x in edge)):
@@ -326,14 +336,24 @@ def validate_instance(doc) -> list[str]:
                 problems.append(f"payload.edges: index ({u},{v}) out of range")
                 break
         for v in pinned:
-            if not (0 <= int(v) < n):
+            if not isinstance(v, int):
+                problems.append(f"payload.pinned: entry {v!r} is not a vertex index")
+                break
+            if not 0 <= v < n:
                 problems.append(f"payload.pinned: index {v} out of range")
                 break
         if len(rotation) != n:
             problems.append("payload.rotation must list every vertex")
+        for v, rot in enumerate(rotation):
+            if not isinstance(rot, (list, tuple)) or not all(isinstance(w, int) for w in rot):
+                problems.append(f"payload.rotation: entry {rot} of vertex {v} is not a list of vertex indices")
+                break
+            if not all(0 <= w < n for w in rot):
+                problems.append(f"payload.rotation: entry {rot} of vertex {v} has an index out of range")
+                break
         if not problems:
             g = GraphInTarget(
-                points=[np.asarray(p, dtype=float) for p in points],
+                points=coords,
                 edges=[(int(u), int(v)) for u, v in edges],
                 pinned=set(int(v) for v in pinned),
                 rotation=[[int(w) for w in rot] for rot in rotation],

@@ -10,6 +10,14 @@ through the whole run.  The move direction solves the small convex program
 whose value equals the norm of the minimum-norm point of the convex hull
 of the unit edge directions u_i.  The value is zero exactly when the
 origin lies in that hull, i.e. when no all-shortening direction exists.
+Wolfe's finite algorithm finds the face of the hull that holds that point,
+and the point is the origin's exact projection onto the face's affine hull
+(see `min_norm_hull_point`).
+
+A vertex star changes only when the vertex or one of its neighbours moves,
+so within one `relax` call each star is solved once per change: a sweep
+reuses the t* and direction of every unchanged star, and so does the
+certificate that `relax` computes on its result.
 
 The certificate records, per free vertex, the program value t*; per edge,
 the deviation of its realization from the geodesic; and per interior
@@ -19,6 +27,7 @@ must reach a full turn at a length-minimizing position.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass, field
 
@@ -43,47 +52,182 @@ def min_norm_hull_point(units: np.ndarray) -> np.ndarray:
     """Minimum-norm point of the convex hull of the given row vectors.
 
     The optimum lies in the relative interior of a face spanned by at most
-    ``dim + 1`` affinely independent points, so all small supports are
-    enumerated and the best feasible affine projection wins.  Exact and
-    deterministic at the degrees this package meets (k <= a few dozen).
+    ``dim + 1`` affinely independent rows, its support.  Wolfe's finite
+    algorithm ("Finding the nearest point in a polytope", Math. Programming
+    11, 1976) walks to that support, and the point is the origin's
+    projection onto the support's affine hull, computed from the rows by a
+    least squares on difference vectors (no Gram squaring, so it stays
+    accurate near degenerate faces).  A support of ``dim + 1`` rows is a
+    simplex around the origin, whose point is the exact zero vector.  Near
+    stationarity (norm below 1e-6) the projection is refined in extended
+    precision.  Supports whose points agree to rounding are a tie, settled
+    by row order (see `_settle_ties`), so the result depends on the rows
+    alone and not on the path of the walk.
     """
     u = np.asarray(units, dtype=float)
-    k, dim = u.shape
-    best = None
-    best_norm = np.inf
-    best_subset = (0,)
-    max_support = min(k, dim + 1)
-    for size in range(1, max_support + 1):
-        for subset in itertools.combinations(range(k), size):
-            pts = u[list(subset)]
-            if size == 1:
-                cand = pts[0]
-            else:
-                # project the origin onto the affine hull through a least
-                # squares on difference vectors (no Gram squaring, so the
-                # value stays accurate near degenerate faces)
-                base = pts[0]
-                diffs = (pts[1:] - base).T
-                s, *_ = np.linalg.lstsq(diffs, -base, rcond=None)
-                lam = np.concatenate([[1.0 - s.sum()], s])
-                if np.any(lam < -1e-10):
-                    continue
-                cand = base + diffs @ s
-            norm = float(np.linalg.norm(cand))
-            if norm < best_norm - 1e-15:
-                best_norm = norm
-                best = cand
-                best_subset = subset
-    if best is None:
-        return u[0]
-    if 0.0 < best_norm < 1e-6 and len(best_subset) >= 2:
+    support, w = _wolfe(u)
+    if len(support) > u.shape[1]:
+        return np.zeros(u.shape[1])
+    if len(support) >= 2 and 0.0 < float(np.linalg.norm(w)) < 1e-6:
         # near stationarity the direction error of a double-precision
         # projection is eps / |w|; one extended-precision pass keeps the
         # direction usable down to values far below the certificates' tol
-        refined = _refine_projection_longdouble(u[list(best_subset)])
+        refined = _refine_projection_longdouble(u[support])
         if refined is not None:
-            best = refined
-    return best
+            w = refined
+    return w
+
+
+# an affine minimum whose weights (they sum to one) are all at least
+# -WOLFE_WEIGHT_TOL lies in the hull up to the rounding of its weights
+WOLFE_WEIGHT_TOL = 1e-10
+# rounding level of a projection's norm, relative to the longest row
+WOLFE_NORM_TOL = 1e-15
+# relative rounding of the first-order test of a row against the point
+WOLFE_GAP_NOISE = 1e-12
+# a support row of smaller weight may leave the support at a tie
+WOLFE_TIE_WEIGHT = 1e-6
+
+
+def _affine_minimum(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The origin's projection onto the rows' affine hull, and its weights."""
+    if len(pts) == 1:
+        return pts[0], np.ones(1)
+    base = pts[0]
+    diffs = (pts[1:] - base).T
+    s, *_ = np.linalg.lstsq(diffs, -base, rcond=None)
+    return base + diffs @ s, np.concatenate([[1.0 - s.sum()], s])
+
+
+def _wolfe(u: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """Wolfe's support (ascending row indices) and the projection onto it.
+
+    A major cycle adds a row that x, the current point, does not separate
+    from the origin; minor cycles move x to the affine minimum of the new
+    support, stepping back into the hull and dropping rows whose weight
+    reaches zero.  Rows are tried most-opposed first.
+
+    Row j lies on the origin's side of the hyperplane through x normal to x
+    iff gap_j = <x, p_s - p_j> > 0 for a support row s.  All s agree in
+    exact arithmetic; the one nearest to p_j keeps the rounding of x out of
+    the test.  Near stationarity |x| is tiny and the test is rounding noise,
+    while the supports' projections still differ by much more than their
+    rounding.  So every row the test cannot rule out is tried, and the
+    projections' norms decide (see `_major_cycle`); a support within
+    rounding, ``WOLFE_NORM_TOL``, of the current point may be stepped to.
+    The walk is finite because no support is visited twice.  It returns
+    the shortest point it visited, where a point within rounding of an
+    earlier one does not count as shorter.
+    """
+    dim = u.shape[1]
+    sq = np.einsum("ij,ij->i", u, u)
+    scale = float(np.sqrt(sq.max()))
+    tol = WOLFE_NORM_TOL * scale
+    diffs = u[None, :, :] - u[:, None, :]  # diffs[j, s] = p_s - p_j
+    dist2 = np.einsum("jsd,jsd->js", diffs, diffs)
+    rows = np.arange(len(u))
+
+    def tests(support, x):
+        """Each row's gap, the gap's rounding bound and the squared distance
+        to the nearest support row."""
+        near = np.asarray(support)[dist2[:, support].argmin(axis=1)]
+        d2 = dist2[rows, near]
+        return diffs[rows, near] @ x, (WOLFE_GAP_NOISE * scale) * np.sqrt(d2), d2
+
+    j = int(sq.argmin())
+    support, weights, x = [j], np.ones(1), u[[j]][0]
+    norm = float(np.linalg.norm(x))
+    visited = {(j,)}
+    best = (norm, support, weights, x)
+    tested = None  # the last support tested, its gaps and their rounding
+    while len(support) < len(u) and len(support) <= dim and norm > tol:
+        gaps, rounding, d2 = tests(support, x)
+        tested = support, gaps, rounding
+        # a row is ruled out when its gap clears the rounding and its weight
+        # in the affine minimum with it, gap / |p_j - q|^2 for q the nearest
+        # point of the support's affine hull, is below -WOLFE_WEIGHT_TOL
+        margin = gaps + rounding + WOLFE_WEIGHT_TOL * d2
+        step = _major_cycle(u, support, weights, margin, norm, tol, visited)
+        if step is None:
+            break
+        support, weights, x, norm = step
+        visited.add(tuple(support))
+        if norm < best[0] - tol:
+            best = (norm, support, weights, x)
+    norm, support, weights, x = best
+    if norm <= tol or len(support) > dim:
+        return support, x  # the origin lies in the hull
+    if len(support) == len(u):
+        tied = support
+    else:
+        if tested is None or tested[0] is not support:
+            tested = support, *tests(support, x)[:2]
+        tied = np.flatnonzero(np.abs(tested[1]) <= tested[2]).tolist()
+    return _settle_ties(u, tol, tied, norm, support, weights, x)
+
+
+def _major_cycle(u, support, weights, margin, norm, tol, visited):
+    """A new support that adding a row of positive ``margin`` reaches
+    (support rows and their duplicates have margin 0): the first in margin
+    order that shortens x by more than ``tol``, else the shortest within
+    ``tol`` of ``norm``; None when there is neither."""
+    tie = None
+    for j in np.argsort(-margin, kind="stable").tolist():
+        if margin[j] <= 0.0:
+            break
+        at = bisect.bisect(support, j)
+        new_support, new_weights, new_x = _wolfe_minor(
+            u, support[:at] + [j] + support[at:], np.concatenate((weights[:at], [0.0], weights[at:]))
+        )
+        if tuple(new_support) in visited:
+            continue
+        new_norm = float(np.linalg.norm(new_x))
+        if new_norm < norm - tol:
+            return new_support, new_weights, new_x, new_norm
+        if new_norm < norm + tol and (tie is None or new_norm < tie[3]):
+            tie = new_support, new_weights, new_x, new_norm
+    return tie
+
+
+def _settle_ties(u, tol, tied, norm, support, weights, x):
+    """Among supports tied with the best one, the first in (size, index) order.
+
+    The best point's face may hold more rows than its support: the ``tied``
+    rows, which the first-order test cannot tell from the face (coplanar
+    rows, duplicates), and support rows of weight below
+    ``WOLFE_TIE_WEIGHT``, without which the point moves by little.  Every
+    feasible subset of those rows whose point is within ``tol`` of the best
+    is a support, and the first in (size, row index) order is taken, so
+    that the result does not depend on the path of the walk.
+    """
+    if len(tied) == len(support) and weights.min() >= WOLFE_TIE_WEIGHT:
+        return support, x
+    for size in range(1, min(len(tied), u.shape[1] + 1) + 1):
+        for subset in itertools.combinations(tied, size):
+            y, v = _affine_minimum(u[list(subset)])
+            if (v >= -WOLFE_WEIGHT_TOL).all() and float(np.linalg.norm(y)) <= norm + tol:
+                return list(subset), y
+    return support, x
+
+
+def _wolfe_minor(u: np.ndarray, support: list[int], weights: np.ndarray):
+    """Minor cycles from hull ``weights`` on ``support``: returns the
+    support, weights and point of the affine minimum they end at."""
+    while True:
+        x, v = _affine_minimum(u[support])
+        low = v < -WOLFE_WEIGHT_TOL
+        if not low.any():
+            return support, v, x
+        # step from the weights toward v until the first weight reaches zero
+        w = np.maximum(weights, 0.0)
+        ratios = np.full(len(v), np.inf)
+        ratios[low] = w[low] / (w[low] - v[low])
+        hit = int(ratios.argmin())
+        w += ratios[hit] * (v - w)
+        w[hit] = 0.0
+        keep = w > 0.0
+        support = [s for s, kept in zip(support, keep.tolist()) if kept]
+        weights = w[keep]
 
 
 def _refine_projection_longdouble(pts64: np.ndarray) -> np.ndarray | None:
@@ -234,6 +378,9 @@ def relax(
     skipped: set[int] = set()
     log: list[str] = []
     t_star: dict[int, float] = {}
+    # (t*, d) of every star unchanged since it was solved: a move drops the
+    # entries of the vertex and its neighbours, whose stars it changes
+    solved: dict[int, tuple[float, np.ndarray | None]] = {}
     iterations = 0
     converged = False
     for sweep in range(max_iter):
@@ -249,7 +396,9 @@ def relax(
                 t_star[v] = 0.0
                 continue
             units = vecs / lens[:, None]
-            t, d = descent_direction(units)
+            if v not in solved:
+                solved[v] = descent_direction(units)
+            t, d = solved[v]
             t_star[v] = t
             worst = max(worst, t)
             if t <= tol_descent or d is None:
@@ -269,13 +418,18 @@ def relax(
                 step *= 0.5
             work.points[v] = work.points[v] + step * d
             moved = True
+            solved.pop(v, None)
+            for w in nbrs[v]:
+                solved.pop(w, None)
         if not moved:
             # a sweep without any accepted move repeats forever; stop here
             converged = worst <= tol_descent
             break
     if not converged:
         log.append(f"stalled after {iterations} sweeps; worst t* = {worst:.3g}")
-    cert = certify_conditions(work, tol_descent=tol_descent)
+    cert = certify_conditions(
+        work, tol_descent=tol_descent, _t_star={v: t for v, (t, _) in solved.items()}
+    )
     cert.iterations = iterations
     cert.converged = converged
     cert.skipped_vertices = sorted(skipped)
@@ -314,6 +468,8 @@ def certify_conditions(
     tol_geo: float = 1e-9,
     tol_descent: float = 1e-8,
     tol_angle: float = 1e-6,
+    *,
+    _t_star: dict[int, float] | None = None,
 ) -> MinimizationCertificate:
     """Check the three necessary conditions of a length-minimizing position.
 
@@ -323,7 +479,11 @@ def certify_conditions(
         rotation order sum to at least a full turn.
     The conditions are necessary only: configurations exist that satisfy
     all three yet still admit a global shortening deformation.
+
+    ``_t_star`` is `relax`'s own: t* of the vertices whose stars it solved
+    and did not change afterwards, which are not solved again.
     """
+    known = _t_star or {}
     g.require_valid()
     nbrs = g.neighbors()
     residuals = {e: _edge_residual(g, *e) for e in g.edges}
@@ -339,8 +499,10 @@ def certify_conditions(
                 skipped.append(v)
                 t_star[v] = 0.0
                 continue
-            t, _ = descent_direction(vecs / lens[:, None])
-            t_star[v] = t
+            if v in known:
+                t_star[v] = known[v]
+            else:
+                t_star[v], _ = descent_direction(vecs / lens[:, None])
     angle_sums: dict[int, float] = {}
     for v in range(g.n_vertices):
         if v in g.pinned:

@@ -188,6 +188,56 @@ def maximin_direction_oracle(units, n_samples=1_000_000, seed=0):
     return float(scores[k]), dirs[k]
 
 
+def min_norm_hull_point_oracle(units):
+    """Minimum-norm hull point by enumerating every support.
+
+    The optimum lies in the relative interior of a face spanned by at most
+    ``dim + 1`` affinely independent points, so all small supports are
+    tried and the best feasible affine projection wins; the point is then
+    refined exactly as the library refines it.  C(k, <= dim + 1) least
+    squares solves: the library finds the support with Wolfe's algorithm.
+    """
+    from catmin.minimize import _refine_projection_longdouble
+
+    u = np.asarray(units, dtype=float)
+    k, dim = u.shape
+    best = None
+    best_norm = np.inf
+    best_subset = (0,)
+    for size in range(1, min(k, dim + 1) + 1):
+        for subset in itertools.combinations(range(k), size):
+            pts = u[list(subset)]
+            if size == 1:
+                cand = pts[0]
+            else:
+                base = pts[0]
+                diffs = (pts[1:] - base).T
+                s, *_ = np.linalg.lstsq(diffs, -base, rcond=None)
+                lam = np.concatenate([[1.0 - s.sum()], s])
+                if np.any(lam < -1e-10):
+                    continue
+                cand = base + diffs @ s
+            norm = float(np.linalg.norm(cand))
+            if norm < best_norm - 1e-15:
+                best_norm = norm
+                best = cand
+                best_subset = subset
+    if 0.0 < best_norm < 1e-6 and len(best_subset) >= 2:
+        refined = _refine_projection_longdouble(u[list(best_subset)])
+        if refined is not None:
+            best = refined
+    return best
+
+
+def descent_direction_oracle(units, tol=1e-12):
+    """`descent_direction` on the enumerated hull point."""
+    w = min_norm_hull_point_oracle(units)
+    t_star = float(np.linalg.norm(w))
+    if t_star <= tol:
+        return 0.0, None
+    return t_star, w / t_star
+
+
 def articulation_oracle(n, edges):
     """Cut vertices found by brute-force removal."""
     def n_components(skip):

@@ -321,12 +321,32 @@ def _planar_point(payload):
     payload["points"][0] = payload["points"][0][:2]
 
 
+def _pinned_name(payload):
+    payload["pinned"][0] = "x"
+
+
+def _rotation_of_names(payload):
+    payload["rotation"][0] = ["a"]
+
+
+def _pinned_number(payload):
+    payload["pinned"] = 3
+
+
+def _point_of_names(payload):
+    payload["points"][0] = ["a", "b", "c"]
+
+
 @pytest.mark.parametrize(
     "edit, diagnostic",
     [
         pytest.param(_edge_triple, "[0, 1, 2]", id="edge_triple"),
         pytest.param(_edge_of_names, "['a', 1]", id="edge_of_names"),
         pytest.param(_planar_point, "points[0]", id="planar_point"),
+        pytest.param(_pinned_name, "'x'", id="pinned_name"),
+        pytest.param(_rotation_of_names, "['a']", id="rotation_of_names"),
+        pytest.param(_pinned_number, "payload.pinned", id="pinned_number"),
+        pytest.param(_point_of_names, "['a', 'b', 'c']", id="point_of_names"),
     ],
 )
 def test_cli_malformed_graph(tmp_path, capsys, edit, diagnostic):

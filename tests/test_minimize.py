@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 from scipy.optimize import nnls
 
+from catmin import minimize
 from catmin.graphs import GraphInTarget, rotation_from_positions
 from catmin.minimize import certify_conditions, descent_direction, relax, straighten
 from catmin.targets import EuclideanSpace
 
-from oracles import maximin_direction_oracle
+from oracles import descent_direction_oracle, maximin_direction_oracle, min_norm_hull_point_oracle
 
 
 def euclidean_graph(points, edges, pinned, positions=None):
@@ -81,6 +82,147 @@ def test_descent_agrees_with_hull_membership_on_random_stars():
         if (t > 1e-9) == zero_in_hull(units):
             disagreements += 1
     assert disagreements == 0
+
+
+def unit_rows(a):
+    a = np.asarray(a, dtype=float)
+    return a / np.linalg.norm(a, axis=1, keepdims=True)
+
+
+def assert_same_descent(units):
+    t, d = descent_direction(units)
+    t_oracle, d_oracle = descent_direction_oracle(units)
+    assert t == t_oracle, (t, t_oracle, units)
+    if d_oracle is None:
+        assert d is None
+    else:
+        assert d is not None and np.array_equal(d, d_oracle), (d, d_oracle, units)
+
+
+def test_descent_bitwise_equals_enumerated_hull_on_random_stars():
+    # Wolfe's support and the enumerated one give the same projection;
+    # stars of degree 9 to 20 (up to C(20, <= 4) enumerated supports) are
+    # one in twenty of the draw to keep the oracle's time in bounds
+    rng = np.random.default_rng(77)
+    for i in range(2000):
+        dim = int(rng.integers(2, 4))
+        deg = int(rng.integers(9, 21)) if i % 20 == 0 else int(rng.integers(1, 9))
+        assert_same_descent(unit_rows(rng.standard_normal((deg, dim))))
+
+
+def _near_stationary_pair(delta):
+    # the hull of two units at angle pi - 2 delta passes delta from the origin
+    a = np.pi / 2 - delta
+    return np.array([[np.cos(a), np.sin(a)], [np.cos(a), -np.sin(a)]])
+
+
+def _degenerate_stars():
+    rng = np.random.default_rng(5)
+    r = rng.standard_normal
+    out = {
+        "duplicate_2d": unit_rows([[1, 0], [1, 0], [0, 1], [0, 1]]),
+        "duplicate_3d": unit_rows([[1, 2, 0], [0, 1, 1], [1, 2, 0], [-1, 0, 1], [0, 1, 1]]),
+        "antipodal_2d": unit_rows([[1, 0], [-1, 0]]),
+        "antipodal_3d": unit_rows([[0, 0, 1], [0, 0, -1], [1, 1, 0]]),
+        "origin_on_edge_2d": unit_rows([[1, 0], [-1, 0], [0, 1], [1, 1]]),
+        "origin_on_face_3d": unit_rows([[1, 0, 0], [-0.5, 0.8, 0], [-0.5, -0.8, 0], [0, 0.3, 1]]),
+        "origin_inside_3d": unit_rows([[1, 0, -0.3], [-0.5, 0.8, -0.3], [-0.5, -0.8, -0.3], [0, 0, 1]]),
+    }
+    for delta in (1e-9, 1e-7):
+        out[f"near_stationary_{delta:.0e}"] = _near_stationary_pair(delta)
+    for k in range(4):
+        # units in a random plane through the origin of R^3
+        basis = np.linalg.qr(r((3, 2)))[0].T
+        out[f"planar_in_3d_{k}"] = unit_rows(r((3 + k, 2)) @ basis)
+        # near stationarity in R^3: a nearly flat star whose hull passes
+        # ~1e-9 from the origin (extended-precision refinement)
+        flat = unit_rows(np.column_stack([r((4, 2)), np.zeros(4)]))
+        out[f"near_stationary_3d_{k}"] = unit_rows(flat + [0.0, 0.0, 1e-9 * (k + 1)])
+    return out
+
+
+def _near_duplicate_antipodal_stars(n):
+    # two rows a hair apart and nearly antipodal to a third, as at a vertex
+    # between an almost collapsed edge and its neighbour: the projections
+    # onto the candidate supports differ by far less than their norms
+    rng = np.random.default_rng(9)
+    r = rng.standard_normal
+    for eps_dup, eps_anti in ((1e-9, 1e-6), (1e-10, 1e-6), (1e-9, 1e-8), (1e-9, 1e-9)):
+        for _ in range(n):
+            v = unit_rows(r((1, 3)))[0]
+            yield unit_rows([v + eps_dup * r(3), v + eps_dup * r(3), -v + eps_anti * r(3)])
+
+
+@pytest.mark.parametrize("name", sorted(_degenerate_stars()))
+def test_descent_bitwise_equals_enumerated_hull_on_degenerate_stars(name):
+    assert_same_descent(_degenerate_stars()[name])
+
+
+def test_descent_bitwise_equals_enumerated_hull_on_near_duplicate_stars():
+    for units in _near_duplicate_antipodal_stars(50):
+        assert_same_descent(units)
+
+
+# Stars at which a walk that left out one of Wolfe's safeguards against
+# rounding (named by the key) picked another support than the enumeration.
+# All but the last were met while relaxing key-lemma sweep instances 1-36
+# (bench/workloads.py::sweep_instance): near-collapsed edges make rows a
+# hair apart or nearly antipodal.  The last is a near-duplicate triple.
+RECORDED_STARS = {
+    "weight_tie": [
+        [0.319715203353771, -0.9009544329952971, -0.29336546901532146],
+        [-0.31957101912906577, 0.9009455448788444, 0.2935498064992932],
+        [0.31957316498385474, -0.9009442864321291, -0.29355133276397144],
+        [0.18544790289369112, -0.8700847872727417, -0.45668538214933024],
+    ],
+    "clear_first": [
+        [0.31958838481593393, -0.9009459368655667, -0.2935296971963299],
+        [0.3210987462960741, -0.9010661750434864, -0.29150530581721945],
+        [0.3195724945826679, -0.9009446795933977, -0.29355085593225677],
+        [-0.3195724951296646, 0.9009446792725809, 0.29355085632139893],
+    ],
+    "weight_margin": [
+        [0.7714561807869948, 0.2867331266424214, -0.5680136223818973],
+        [0.3419492406483181, 0.7669147000503839, 0.5430585232428162],
+        [0.07051075341849189, -0.7372555964096575, -0.671924414807943],
+        [-0.34194924064130033, -0.7669147000469128, -0.5430585232521372],
+    ],
+    "nearest_row": [
+        [0.31971274749449025, -0.9009558721198122, -0.2933637257439181],
+        [-0.31957269832608504, 0.9009445601069893, 0.2935510008468863],
+        [0.319572816125017, -0.9009444910231075, -0.29355108463270874],
+        [0.18544588878910898, -0.87008596846022, -0.4566839495973758],
+    ],
+    "rounding_margin": [
+        [0.9029532927807415, -0.07475084638983454, -0.42318750220253415],
+        [0.1385310354838498, 0.41839430323651466, -0.8976387687856423],
+        [-0.6321921119538642, -0.21558280093595428, 0.7442158218715332],
+        [-0.9101398496180638, 0.398424872635434, -0.113591703053728],
+        [-0.7654067391761135, -0.10212053721634823, 0.635392728556468],
+    ],
+    "best_hysteresis": [
+        [0.27024956678017303, -0.10460233316360702, -0.9570911782854644],
+        [0.2702495668802292, -0.10460233310518692, -0.9570911782635968],
+        [-0.27024927175418184, 0.10460177376463634, 0.9570913227282056],
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDED_STARS))
+def test_descent_bitwise_equals_enumerated_hull_on_recorded_stars(name):
+    assert_same_descent(np.array(RECORDED_STARS[name]))
+
+
+def test_degenerate_star_values():
+    stars = _degenerate_stars()
+    for name in ("antipodal_2d", "origin_on_edge_2d", "origin_on_face_3d", "origin_inside_3d"):
+        assert descent_direction(stars[name]) == (0.0, None), name
+    # a full simplex around the origin gives the exact zero vector
+    assert not minimize.min_norm_hull_point(stars["origin_inside_3d"]).any()
+    for delta in (1e-9, 1e-7):
+        t, d = descent_direction(stars[f"near_stationary_{delta:.0e}"])
+        assert t == pytest.approx(np.sin(delta), rel=1e-6)
+        assert np.allclose(d, [1.0, 0.0], atol=1e-12)
 
 
 # ------------------------------------------------------------- straighten
@@ -206,6 +348,83 @@ def test_relax_commutes_with_rigid_motion():
     out2, _ = relax(g2)
     for p1, p2 in zip(out1.points, out2.points):
         assert np.linalg.norm(rot @ p1 + shift - p2) < 1e-6
+
+
+# ------------------------------------------------------------- star memo
+
+
+def grid_geodesic_graph():
+    """Straightened geodesic graph of the 8x8 z = 1.2xy grid disc with 8
+    evenly spread boundary and 3 random interior sample vertices."""
+    from catmin.meshgen import grid_disc, make_mapped_disc
+    from catmin.pipeline import geodesic_graph
+
+    vertices, triangles = grid_disc(8)
+    x, y = vertices[:, 0], vertices[:, 1]
+    disc = make_mapped_disc(vertices, triangles, np.stack([x, y, 1.2 * x * y], axis=1))
+    loop = list(disc.boundary_loop)
+    interior = sorted(set(range(disc.n_vertices)) - set(loop))
+    sample = [loop[(j * len(loop)) // 8] for j in range(8)]
+    sample += [int(v) for v in np.random.default_rng(8).choice(interior, size=3, replace=False)]
+    return straighten(geodesic_graph(disc, sample)[0])
+
+
+def sweep_geodesic_graph(s):
+    """Straightened geodesic graph of key-lemma sweep instance ``s``."""
+    from catmin.meshgen import random_height_disc
+    from catmin.pipeline import geodesic_graph
+
+    disc = random_height_disc(9000 + s, max_vertices=60, jitter=0.05 if s % 2 else 0.3)
+    rng = np.random.default_rng(s)
+    k = int(rng.integers(3, min(disc.n_vertices, 12) + 1))
+    sample = [int(v) for v in rng.choice(disc.n_vertices, k, replace=False)]
+    return straighten(geodesic_graph(disc, sample)[0])
+
+
+MEMO_GRAPHS = {"grid8": grid_geodesic_graph, **{f"sweep{s}": (lambda s=s: sweep_geodesic_graph(s)) for s in (1, 2, 3)}}
+
+
+@pytest.mark.parametrize("name", sorted(MEMO_GRAPHS))
+def test_relax_certificate_reuses_exact_t_star(name):
+    # t* kept from the last sweep for unchanged stars is what a fresh
+    # certification computes on the relaxed graph
+    out, cert = relax(MEMO_GRAPHS[name]())
+    fresh = certify_conditions(out)
+    assert cert.t_star == fresh.t_star
+    assert cert.angle_sums == fresh.angle_sums
+    assert cert.residuals == fresh.residuals
+
+
+@pytest.mark.parametrize("name", ["grid8", "sweep1", "sweep3"])
+def test_relax_on_enumerated_hull_is_bitwise_equal(monkeypatch, name):
+    # sweep2 reaches degree 9, where the enumeration alone takes seconds
+    g = MEMO_GRAPHS[name]()
+    out, cert = relax(g)
+    monkeypatch.setattr(minimize, "min_norm_hull_point", min_norm_hull_point_oracle)
+    out_oracle, cert_oracle = relax(g)
+    assert len(out.points) == len(out_oracle.points)
+    for p, q in zip(out.points, out_oracle.points):
+        assert np.array_equal(p, q)
+    assert cert.summary() == cert_oracle.summary()
+    assert cert.t_star == cert_oracle.t_star
+    assert cert.log == cert_oracle.log
+
+
+def test_relax_solves_each_unchanged_star_once(monkeypatch):
+    g = grid_geodesic_graph()
+    calls = []
+
+    def counted(units, *args, **kwargs):
+        calls.append(len(units))
+        return descent_direction(units, *args, **kwargs)
+
+    monkeypatch.setattr(minimize, "descent_direction", counted)
+    _, cert = relax(g)
+    free = [v for v in range(g.n_vertices) if v not in g.pinned and g.neighbors()[v]]
+    # every free star is visited once per sweep and once by the certificate
+    visited = (cert.iterations + 1) * len(free)
+    assert cert.converged and not cert.skipped_vertices
+    assert len(free) <= len(calls) < visited / 2
 
 
 # ------------------------------------------------------------- certify
