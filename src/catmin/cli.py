@@ -11,6 +11,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from . import induced, instances
 from .fields import FieldSystemError, field_system_report, perturbation_evidence, solve_field_system
 from .majorize import GlueError, boundary_and_area, cat0_certificate, cut_vertices, eps_net_report, glue_disc
@@ -29,10 +31,10 @@ def _load(path, want_kind):
         doc = instances.load_instance(path)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read instance {path}: {exc}") from exc
-    problems = instances.validate_instance(doc)
-    if problems:
-        raise InputError(f"invalid instance {path}: " + "; ".join(problems))
-    kind, obj, doc = instances.parse_instance(doc)
+    try:
+        kind, obj, doc = instances.parse_instance(doc)
+    except instances.InstanceError as exc:
+        raise InputError(f"invalid instance {path}: " + "; ".join(exc.problems)) from exc
     if kind != want_kind:
         raise InputError(f"{path}: expected a {want_kind} instance, found {kind}")
     return obj, doc
@@ -56,19 +58,22 @@ def cmd_metrics(args) -> int:
     zero_tol = doc["tolerances"].get("zero", 1e-9)
     rep = induced.ordering_chain_report(disc, refinement=args.refine, zero_tol=zero_tol)
     chain_ok = rep["chain_holds"]
-    matrices_ok = all(
-        not verify_pseudometric(rep[name].d)
-        for name in ("length", "intrinsic")
-    ) and not verify_pseudometric(rep["connecting"].matrix.d)
+    conn = rep["connecting"]
+    length, intrinsic = rep["length"].d, rep["intrinsic"].d
+    # when no vertices collapse, the intrinsic matrix is a copy of the length one
+    matrices_ok = (
+        not verify_pseudometric(length)
+        and (np.array_equal(intrinsic, length) or not verify_pseudometric(intrinsic))
+        and not verify_pseudometric(conn.matrix.d)
+    )
     report = {
         "command": "metrics",
         "refinement": args.refine,
         "zero_tol": zero_tol,
-        "length": rep["length"].d,
-        "intrinsic": rep["intrinsic"].d,
-        "connecting_upper": rep["connecting"].upper.d,
-        "connecting_lower": rep["connecting"].lower,
-        "connecting_exact": rep["connecting"].exact,
+        "length": length,
+        "intrinsic": intrinsic,
+        "connecting_upper": conn.upper.d,
+        "connecting_exact": conn.exact,
         "chain": {
             "holds": chain_ok,
             "worst_length_vs_intrinsic": rep["worst_length_vs_intrinsic"],
@@ -78,6 +83,9 @@ def cmd_metrics(args) -> int:
         "matrices_verify": matrices_ok,
         "pass": bool(chain_ok and matrices_ok),
     }
+    if not conn.exact:
+        # an exact connecting matrix is its own lower bound
+        report["connecting_lower"] = conn.lower
     _emit(report, args.out)
     return 0 if report["pass"] else 1
 

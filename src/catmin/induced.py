@@ -8,22 +8,25 @@ Three pullbacks of the target metric to the mesh vertices, ordered
 * the *connecting* pseudometric is the infimal image diameter of a
   connected 1-skeleton vertex subset containing both;
 * the *intrinsic* pseudometric re-runs the length computation after
-  collapsing the zero classes of the connecting pseudometric.
+  collapsing the zero classes of the connecting pseudometric; when every
+  class is a single vertex it is the length pseudometric itself.
 
 The connecting minimum over connected subsets is exact only at desk scale
-(``n <= 14`` by default, exhaustive over all connected subsets).  Beyond
-that a factor-2 bracket is computed by growing components inside metric
-balls around each candidate center.  Per center, a union-find pass records
-the merges as a binary merge tree; in a depth-first leaf order of that
-forest every merge is a contiguous block, so one permutation of the image
-distance matrix turns each merge's cross diameter and its update into
-slices.  The bracket's ``upper`` is the metric (min-plus) closure of the
-raw grown-component diameters: the connecting pseudometric obeys the
-triangle inequality and lies below the raw values, so it lies below their
-closure too, and the closure is itself a pseudometric.  ``lower`` is
-``max(raw / 2, image distance)``.  Entries ``<= zero_tol`` are joined by
-chains of raw entries ``<= zero_tol``, so the closure keeps the zero
-classes.
+(``n <= 14`` by default): array passes over all 2^n vertex subsets give
+each subset's image diameter and connectivity, and a superset-minimum
+transform gives each pair's least connected diameter.  Beyond that a
+factor-2 bracket is computed by growing components inside metric balls
+around each candidate center.  Per center, a union-find pass records the
+merges as a binary merge tree; in a depth-first leaf order of that forest
+every merge is a contiguous block, so in one permutation of the image
+distance matrix every merge's diameter and every pair's entry are
+cumulative maxima.  The bracket's ``upper`` is the metric (min-plus)
+closure of the raw grown-component diameters: the connecting pseudometric
+obeys the triangle inequality and lies below the raw values, so it lies
+below their closure too, and the closure is itself a pseudometric.
+``lower`` is ``max(raw / 2, image distance)``; an exact result is its own
+lower bound.  Entries ``<= zero_tol`` are joined by chains of raw entries
+``<= zero_tol``, so the closure keeps the zero classes.
 """
 
 from __future__ import annotations
@@ -87,7 +90,10 @@ def length_pseudometric(
 
 @dataclass
 class ConnectingResult:
-    """Connecting pseudometric, exact or bracketed between lower and upper."""
+    """Connecting pseudometric, exact or bracketed between lower and upper.
+
+    When ``exact``, ``lower`` is the same array as ``upper.d``.
+    """
 
     upper: PseudometricMatrix
     lower: np.ndarray
@@ -98,60 +104,45 @@ class ConnectingResult:
         return self.upper
 
 
-def _subset_connected(mask: int, adj: list[int]) -> bool:
-    low = mask & (-mask)
-    reached = low
-    while True:
-        grow = reached
-        m = reached
-        while m:
-            b = m & (-m)
-            grow |= adj[b.bit_length() - 1] & mask
-            m ^= b
-        if grow == reached:
-            break
-        reached = grow
-    return reached == mask
-
-
 def _exact_connecting(n: int, edges: list[tuple[int, int]], dimg: np.ndarray) -> np.ndarray:
-    adj = [0] * n
+    """Exact connecting pseudometric by array passes over all 2^n subsets.
+
+    A subset's image diameter comes from the subset without its top vertex;
+    a subset is connected when the component of its lowest vertex, grown
+    one neighbourhood at a time inside it, is all of it; and a pair's value
+    is the least diameter of a connected subset holding it, read off a
+    superset-minimum transform.  Every step is a max or a min of image
+    distances, so the result does not depend on the order of the passes.
+    """
+    size = 1 << n
+    adj = np.zeros(n, dtype=np.int64)
     for u, v in edges:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    size = 1 << n
     diam = np.zeros(size)
-    connected = np.zeros(size, dtype=bool)
-    members: list[list[int]] = [[] for _ in range(size)]
-    for s in range(1, size):
-        low = s & (-s)
-        i = low.bit_length() - 1
-        rest = s ^ low
-        if rest == 0:
-            diam[s] = 0.0
-            connected[s] = True
-            members[s] = [i]
-            continue
-        mem = members[rest]
-        row = dimg[i]
-        best = diam[rest]
-        for j in mem:
-            if row[j] > best:
-                best = row[j]
-        diam[s] = best
-        members[s] = [i] + mem
-        connected[s] = _subset_connected(s, adj)
-    subsets = np.arange(size, dtype=np.int64)
-    out = np.full((n, n), np.inf)
+    reach_of = np.zeros(size, dtype=np.int64)   # neighbours of a subset's vertices
+    for top in range(n):
+        lo, hi = 1 << top, 2 << top
+        farthest = np.zeros(lo)                  # max over a subset of dimg[top]
+        for j in range(top):
+            b = 1 << j
+            farthest[b:2 * b] = np.maximum(farthest[:b], dimg[top, j])
+        diam[lo:hi] = np.maximum(diam[:lo], farthest)
+        reach_of[lo:hi] = reach_of[:lo] | adj[top]
+    masks = np.arange(size, dtype=np.int64)
+    grown = masks & -masks
+    while True:
+        more = grown | (reach_of[grown] & masks)
+        if np.array_equal(more, grown):
+            break
+        grown = more
+    best = np.where(grown == masks, diam, np.inf)
+    for j in range(n):                           # min over supersets
+        pairs = best.reshape(-1, 2, 1 << j)
+        np.minimum(pairs[:, 0], pairs[:, 1], out=pairs[:, 0])
+    bits = 1 << np.arange(n, dtype=np.int64)
+    out = best[bits[:, None] | bits[None, :]]
     np.fill_diagonal(out, 0.0)
-    conn_idx = subsets[connected]
-    conn_diam = diam[connected]
-    for i in range(n):
-        for j in range(i + 1, n):
-            pair = (1 << i) | (1 << j)
-            sel = (conn_idx & pair) == pair
-            if sel.any():
-                out[i, j] = out[j, i] = float(conn_diam[sel].min())
     return out
 
 
@@ -220,8 +211,16 @@ def _bracket_connecting(
     diameter <= 2 diam K; hence upper/2 <= true value <= upper.
 
     Per center, the components' merge tree puts every merge on a contiguous
-    block of the leaf order, so a merge's cross diameter and its update of
-    ``upper`` are slices of the once-permuted distance matrix.
+    block of the leaf order.  In the once-permuted distance matrix, a
+    merge's diameter is the largest entry above the diagonal inside its
+    block; two cumulative maxima give that for every block at once.  A
+    pair's entry is the diameter at its lowest common merge; diameters only
+    grow up the tree, and the merges whose split lies between the pair's
+    leaf positions are that merge and its descendants, so the entry is the
+    range max of the split diameters (infinite between trees and at the
+    vertices never reached), a cumulative max along each row.  Both are
+    maxima of the same entries the merge-by-merge construction reads, so
+    the result is bitwise the same.
     """
     nbrs: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
@@ -229,18 +228,27 @@ def _bracket_connecting(
         nbrs[v].append(u)
     upper = np.full((n, n), np.inf)
     np.fill_diagonal(upper, 0.0)
+    after = np.triu(np.ones((n, n), dtype=bool), 1)   # position t after position s
     for c in range(n):
         p, merges = _merge_forest(nbrs, dimg[c])
-        sub = np.ix_(p, p)
-        dp = dimg[sub]
-        block = np.full(dp.shape, np.inf)
-        diam = [0.0] * n             # per merge-tree node; vertices are 0
-        for lo, mid, hi, a, b in merges:
-            d_new = max(diam[a], diam[b], float(dp[lo:mid, mid:hi].max()))
-            diam.append(d_new)
-            block[lo:mid, mid:hi] = d_new
-            block[mid:hi, lo:mid] = d_new
-        upper[sub] = np.minimum(upper[sub], block)
+        k = len(p)
+        entered = np.zeros(n, dtype=bool)
+        entered[p] = True
+        order = np.concatenate([np.asarray(p, dtype=np.int64), np.flatnonzero(~entered)])
+        split = np.full(n, np.inf)   # split[q]: the merge between positions q-1 and q
+        if merges:
+            dp = dimg.take(order[:k], axis=0).take(order[:k], axis=1)
+            # span[s, t]: largest dp[s', t'] with s <= s' < t' <= t
+            span = np.maximum.accumulate(np.where(after[:k, :k], dp, 0.0), axis=1)
+            span = np.maximum.accumulate(span[::-1], axis=0)[::-1]
+            lo, mid, hi = np.asarray(merges, dtype=np.int64)[:, :3].T
+            split[mid] = span[lo, hi - 1]
+        # reach[s, t]: largest split[q] with s < q <= t (0 where t <= s)
+        reach = np.maximum.accumulate(np.where(after, split, 0.0), axis=1)
+        block = np.maximum(reach, reach.T)
+        position = np.empty(n, dtype=np.int64)
+        position[order] = np.arange(n)
+        np.minimum(upper, block.take(position, axis=0).take(position, axis=1), out=upper)
     lower = np.maximum(upper / 2.0, dimg)
     np.fill_diagonal(lower, 0.0)
     return lower, upper
@@ -269,7 +277,7 @@ def connecting_on_graph(
     edges = [(int(u), int(v)) for u, v in edges]
     if n <= exact_limit:
         d = _exact_connecting(n, edges, dimg)
-        return ConnectingResult(upper=PseudometricMatrix(d), lower=d.copy(), exact=True)
+        return ConnectingResult(upper=PseudometricMatrix(d), lower=d, exact=True)
     lower, upper = _bracket_connecting(n, edges, dimg)
     return ConnectingResult(
         upper=PseudometricMatrix(_metric_closure(upper)), lower=lower, exact=False
@@ -305,17 +313,24 @@ def intrinsic_pseudometric(
     refinement: int = 1,
     graph: RefinedGraph | None = None,
     connecting: ConnectingResult | None = None,
+    length: PseudometricMatrix | None = None,
 ) -> PseudometricMatrix:
     """Length pseudometric after collapsing connecting-zero vertex classes.
 
     Vertices whose connecting distance is ``<= zero_tol`` become a single
     routing node, so paths may teleport within a collapsed class.  Lies
     entrywise between the connecting and length pseudometrics up to the
-    identification slack.  ``connecting``, when given, is the disc's
-    connecting pseudometric and is not computed again.
+    identification slack.  ``connecting`` and ``length``, when given, are
+    the disc's connecting and length pseudometrics and are not computed
+    again.  When no class has two vertices nothing collapses, and the
+    result is a copy of the length pseudometric.
     """
     disc.require_valid()
     uf = _connecting_classes(disc, zero_tol, connecting)
+    if all(root == i for i, root in enumerate(uf.parent)):
+        if length is None:
+            length = length_pseudometric(disc, refinement, graph=graph)
+        return PseudometricMatrix(length.d.copy())
     g = graph if graph is not None else build_refined_graph(disc, refinement)
     n = disc.n_vertices
     canon = np.arange(g.n_nodes)
@@ -473,7 +488,9 @@ def ordering_chain_report(
     graph = build_refined_graph(disc, refinement)
     length = length_pseudometric(disc, refinement, graph=graph)
     conn = connecting_pseudometric(disc)
-    intrinsic = intrinsic_pseudometric(disc, zero_tol, refinement, graph=graph, connecting=conn)
+    intrinsic = intrinsic_pseudometric(
+        disc, zero_tol, refinement, graph=graph, connecting=conn, length=length
+    )
     allowed = slack + zero_tol
     gap1 = intrinsic.d - length.d
     gap1 = gap1[np.isfinite(gap1)]

@@ -31,6 +31,7 @@ __all__ = [
     "poly_disc_instance",
     "parse_instance",
     "validate_instance",
+    "InstanceError",
     "instance_to_json",
     "load_instance",
     "save_instance",
@@ -190,60 +191,25 @@ def poly_disc_instance(w: PolyhedralDisc, tolerances=None, metadata=None) -> dic
     return doc
 
 
+class InstanceError(ValueError):
+    """A malformed instance document; ``problems`` lists the diagnostics."""
+
+    def __init__(self, problems: list[str]):
+        super().__init__("invalid instance: " + "; ".join(problems))
+        self.problems = problems
+
+
 def parse_instance(doc: dict):
     """Typed payload of an instance document.
 
-    Returns (kind, object, doc); raises ValueError on malformed input.
+    Returns (kind, object, doc); raises `InstanceError`, a ValueError, on
+    malformed input.  The object is the one `validate_instance` checked:
+    each document is checked once.
     """
-    problems = validate_instance(doc)
+    problems, obj = _check_instance(doc)
     if problems:
-        raise ValueError("invalid instance: " + "; ".join(problems))
-    kind = doc["kind"]
-    payload = doc["payload"]
-    if kind == "mapped_disc":
-        target = _target_from(doc["target"])
-        disc = MappedDisc(
-            vertices=np.asarray(payload["vertices"], dtype=float),
-            triangles=np.asarray(payload["triangles"], dtype=int),
-            boundary_loop=[int(v) for v in payload["boundary_loop"]],
-            images=np.asarray(payload["images"], dtype=float),
-            target=target,
-        )
-        return kind, disc, doc
-    if kind == "graph":
-        target = _target_from(doc["target"])
-        positions = payload.get("positions")
-        g = GraphInTarget(
-            points=[np.asarray(p, dtype=float) for p in payload["points"]],
-            edges=[(int(u), int(v)) for u, v in payload["edges"]],
-            pinned=set(int(v) for v in payload["pinned"]),
-            rotation=[[int(w) for w in rot] for rot in payload["rotation"]],
-            target=target,
-            positions=np.asarray(positions, dtype=float) if positions is not None else None,
-        )
-        return kind, g, doc
-    if kind == "patch":
-        patch = HeightFieldPatch(
-            x=np.asarray(_parse_floats(payload["x"]), dtype=float),
-            y=np.asarray(_parse_floats(payload["y"]), dtype=float),
-            values=np.asarray(_parse_floats(payload["values"]), dtype=float),
-        )
-        return kind, patch, doc
-    if kind == "polyhedral_disc":
-        w = PolyhedralDisc(
-            tri_coords=[np.asarray(c, dtype=float) for c in payload["tri_coords"]],
-            tri_vertices=[tuple(int(a) for a in tri) for tri in payload["tri_vertices"]],
-            gluings=[
-                ((int(p[0][0]), int(p[0][1])), (int(p[1][0]), int(p[1][1])))
-                for p in payload["gluings"]
-            ],
-            bridges=[(int(u), int(v), float(ln)) for u, v, ln in payload["bridges"]],
-            boundary_walk=[int(v) for v in payload["boundary_walk"]],
-            boundary_lengths=[float(x) for x in payload["boundary_lengths"]],
-            n_vertices=int(payload["n_vertices"]),
-        )
-        return kind, w, doc
-    raise ValueError(f"unknown kind {kind!r}")
+        raise InstanceError(problems)
+    return doc["kind"], obj, doc
 
 
 _KINDS = {"mapped_disc", "graph", "patch", "polyhedral_disc"}
@@ -252,15 +218,22 @@ _TARGET_KINDS = {"mapped_disc", "graph"}
 
 def validate_instance(doc) -> list[str]:
     """Schema and invariant diagnostics in deterministic order."""
+    return _check_instance(doc)[0]
+
+
+def _check_instance(doc) -> tuple[list[str], object]:
+    """Diagnostics of ``doc`` and the typed object they were read from
+    (None when the payload cannot be read)."""
     problems: list[str] = []
+    obj = None
     if not isinstance(doc, dict):
-        return ["instance must be a JSON object"]
+        return ["instance must be a JSON object"], None
     if doc.get("format_version") != FORMAT_VERSION:
         problems.append(f"format_version must be {FORMAT_VERSION}")
     kind = doc.get("kind")
     if kind not in _KINDS:
         problems.append(f"kind must be one of {sorted(_KINDS)}")
-        return problems
+        return problems, None
     tols = doc.get("tolerances", {})
     if not isinstance(tols, dict):
         problems.append("tolerances must be an object")
@@ -278,9 +251,9 @@ def validate_instance(doc) -> list[str]:
     payload = doc.get("payload")
     if not isinstance(payload, dict):
         problems.append("payload missing")
-        return problems
+        return problems, None
     if problems:
-        return problems
+        return problems, None
 
     if kind == "mapped_disc":
         try:
@@ -289,7 +262,7 @@ def validate_instance(doc) -> list[str]:
             images = np.asarray(payload["images"], dtype=float)
             loop = [int(v) for v in payload["boundary_loop"]]
         except (KeyError, ValueError, TypeError) as exc:
-            return [f"payload field error: {exc}"]
+            return [f"payload field error: {exc}"], None
         n = len(vertices)
         if triangles.size and (triangles.min() < 0 or triangles.max() >= n):
             problems.append("payload.triangles: vertex index out of range")
@@ -298,9 +271,8 @@ def validate_instance(doc) -> list[str]:
         if len(images) != n:
             problems.append("payload.images: one image per vertex required")
         if not problems:
-            disc = MappedDisc(vertices, triangles, loop, images,
-                              _target_from(doc["target"]))
-            problems.extend("payload: " + p for p in disc.validate())
+            obj = MappedDisc(vertices, triangles, loop, images, _target_from(doc["target"]))
+            problems.extend("payload: " + p for p in obj.validate())
         sample = doc.get("sample")
         if sample is not None:
             for v in sample:
@@ -314,10 +286,10 @@ def validate_instance(doc) -> list[str]:
             rotation = payload["rotation"]
             pinned = payload["pinned"]
         except KeyError as exc:
-            return [f"payload field missing: {exc}"]
+            return [f"payload field missing: {exc}"], None
         for name, value in (("points", points), ("edges", edges), ("rotation", rotation), ("pinned", pinned)):
             if not isinstance(value, (list, tuple)):
-                return [f"payload.{name} must be a list"]
+                return [f"payload.{name} must be a list"], None
         n = len(points)
         coords = []
         for v, p in enumerate(points):
@@ -352,7 +324,7 @@ def validate_instance(doc) -> list[str]:
                 problems.append(f"payload.rotation: entry {rot} of vertex {v} has an index out of range")
                 break
         if not problems:
-            g = GraphInTarget(
+            obj = GraphInTarget(
                 points=coords,
                 edges=[(int(u), int(v)) for u, v in edges],
                 pinned=set(int(v) for v in pinned),
@@ -362,10 +334,10 @@ def validate_instance(doc) -> list[str]:
                 if payload.get("positions") is not None
                 else None,
             )
-            problems.extend("payload: " + p for p in g.validate())
+            problems.extend("payload: " + p for p in obj.validate())
     elif kind == "patch":
         try:
-            HeightFieldPatch(
+            obj = HeightFieldPatch(
                 x=np.asarray(_parse_floats(payload["x"]), dtype=float),
                 y=np.asarray(_parse_floats(payload["y"]), dtype=float),
                 values=np.asarray(_parse_floats(payload["values"]), dtype=float),
@@ -374,7 +346,7 @@ def validate_instance(doc) -> list[str]:
             problems.append(f"payload: {exc}")
     elif kind == "polyhedral_disc":
         try:
-            w = PolyhedralDisc(
+            obj = PolyhedralDisc(
                 tri_coords=[np.asarray(c, dtype=float) for c in payload["tri_coords"]],
                 tri_vertices=[tuple(int(a) for a in tri) for tri in payload["tri_vertices"]],
                 gluings=[
@@ -386,7 +358,7 @@ def validate_instance(doc) -> list[str]:
                 boundary_lengths=[float(x) for x in payload["boundary_lengths"]],
                 n_vertices=int(payload["n_vertices"]),
             )
-            problems.extend("payload: " + p for p in w.validate())
+            problems.extend("payload: " + p for p in obj.validate())
         except (KeyError, ValueError, TypeError) as exc:
             problems.append(f"payload: {exc}")
-    return problems
+    return problems, obj

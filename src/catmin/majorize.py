@@ -31,7 +31,6 @@ import functools
 import math
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as _dijkstra
@@ -552,13 +551,64 @@ def boundary_and_area(w: PolyhedralDisc, slack: float = 1e-9) -> dict:
 
 def cut_vertices(w: PolyhedralDisc) -> dict:
     """Articulation vertices of the 1-skeleton and its 2-connected blocks."""
-    gr = nx.Graph()
-    gr.add_nodes_from(sorted(w.used_vertices()))
-    gr.add_edges_from(w.skeleton_edges())
-    return {
-        "cut_vertices": sorted(nx.articulation_points(gr)),
-        "blocks": sorted(sorted(b) for b in nx.biconnected_components(gr)),
-    }
+    cuts, blocks = _biconnected(sorted(w.used_vertices()), w.skeleton_edges())
+    return {"cut_vertices": sorted(cuts), "blocks": sorted(sorted(b) for b in blocks)}
+
+
+def _biconnected(vertices: list[int], edges: list[tuple[int, int]]) -> tuple[set[int], list[list[int]]]:
+    """Cut vertices and blocks (2-connected components, bridges included)
+    of a simple graph, by Hopcroft and Tarjan's depth-first search
+    ("Algorithm 447", CACM 16(6), 1973), run with an explicit stack.
+
+    ``low[v]`` is the earliest discovery time reachable from v's subtree by
+    one back edge.  When a child v of u has ``low[v] >= disc[u]``, u
+    separates v's subtree from the rest: the vertices stacked since v,
+    with u, form a block, and u is a cut vertex unless it is a root with a
+    single child.  Isolated vertices lie in no block.
+    """
+    nbrs: dict[int, list[int]] = {v: [] for v in vertices}
+    for u, v in edges:
+        if u != v:
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+    disc: dict[int, int] = {}
+    low: dict[int, int] = {}
+    cuts: set[int] = set()
+    blocks: list[list[int]] = []
+    for root in vertices:
+        if root in disc:
+            continue
+        disc[root] = low[root] = len(disc)
+        stacked = [root]
+        todo = [(root, -1, iter(nbrs[root]))]
+        root_children = 0
+        while todo:
+            v, parent, rest = todo[-1]
+            w = next(rest, None)
+            if w is not None:
+                if w not in disc:
+                    disc[w] = low[w] = len(disc)
+                    stacked.append(w)
+                    todo.append((w, v, iter(nbrs[w])))
+                elif w != parent:
+                    low[v] = min(low[v], disc[w])
+                continue
+            todo.pop()
+            if parent < 0:
+                continue
+            low[parent] = min(low[parent], low[v])
+            if low[v] >= disc[parent]:
+                block = [parent]
+                while block[-1] != v:
+                    block.append(stacked.pop())
+                blocks.append(block)
+                if parent == root:
+                    root_children += 1
+                else:
+                    cuts.add(parent)
+        if root_children > 1:
+            cuts.add(root)
+    return cuts, blocks
 
 
 # --------------------------------------------------------------------------

@@ -78,6 +78,9 @@ class MappedDisc:
     boundary_loop: list[int]          # cyclic vertex index list
     images: np.ndarray | list         # per-vertex target points
     target: TargetSpace
+    # worked out once: nothing changes a disc after it is built
+    _edge_faces: dict | None = field(default=None, init=False, repr=False, compare=False)
+    _problems: list | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=float)
@@ -94,13 +97,23 @@ class MappedDisc:
         return self.triangles.shape[0]
 
     def edge_faces(self) -> dict[tuple[int, int], list[int]]:
-        return _edges_of_triangles(self.triangles)
+        """Each undirected edge's faces, built on the first call and kept."""
+        if self._edge_faces is None:
+            self._edge_faces = _edges_of_triangles(self.triangles)
+        return self._edge_faces
 
     def skeleton_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edge_faces().keys())
 
     def validate(self) -> list[str]:
-        """Invariant check; returns diagnostics, empty when the disc is valid."""
+        """Invariant check; returns diagnostics, empty when the disc is valid.
+
+        The verdict is kept, so `require_valid` does not check again.
+        """
+        self._problems = self._diagnose()
+        return list(self._problems)
+
+    def _diagnose(self) -> list[str]:
         problems: list[str] = []
         n, m = self.n_vertices, self.n_triangles
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
@@ -152,9 +165,10 @@ class MappedDisc:
         return problems
 
     def require_valid(self) -> "MappedDisc":
-        problems = self.validate()
-        if problems:
-            raise ValueError("invalid MappedDisc: " + "; ".join(problems))
+        if self._problems is None:
+            self.validate()
+        if self._problems:
+            raise ValueError("invalid MappedDisc: " + "; ".join(self._problems))
         return self
 
     def boundary_vertex_set(self) -> set[int]:
@@ -198,6 +212,28 @@ class RefinedGraph:
         )
 
 
+def _lattice(r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One face's refinement lattice, in the order the builder visits it.
+
+    Returns the points ``(a, b, c)``, a + b + c = r, weights of the corners
+    (i, j, k), with ``a`` then ``b`` descending; the visit sequence (each
+    point, then its neighbours towards the later points); and the
+    sub-edges as point index pairs in that sequence's order.
+    """
+    pts = [(a, b, r - a - b) for a in range(r, -1, -1) for b in range(r - a, -1, -1)]
+    index = {p: q for q, p in enumerate(pts)}
+    visits: list[int] = []
+    pairs: list[tuple[int, int]] = []
+    for a, b, c in pts:
+        here = index[(a, b, c)]
+        visits.append(here)
+        for nb in ((a - 1, b + 1, c), (a - 1, b, c + 1), (a, b - 1, c + 1)):
+            if min(nb) >= 0:
+                visits.append(index[nb])
+                pairs.append((here, index[nb]))
+    return np.asarray(pts, dtype=int), np.asarray(visits, dtype=int), np.asarray(pairs, dtype=int)
+
+
 def build_refined_graph(disc: MappedDisc, refinement: int = 1) -> RefinedGraph:
     """Subdivide every face into ``refinement^2`` sub-triangles.
 
@@ -205,6 +241,12 @@ def build_refined_graph(disc: MappedDisc, refinement: int = 1) -> RefinedGraph:
     Euclidean targets this is exactly the length of the affine image of the
     parameter segment, so graph paths are genuine image lengths of
     piecewise-straight parameter paths.
+
+    Nodes are numbered in order of first appearance in a face-by-face walk
+    of the lattice (`_lattice`).  Every lattice point first gets a canonical
+    id (mesh vertices, then ``r - 1`` points per skeleton edge counted from
+    its lower end, then each face's interior points), and one pass over
+    the walk's ids gives the numbering.
     """
     disc.require_valid()
     r = int(refinement)
@@ -212,104 +254,102 @@ def build_refined_graph(disc: MappedDisc, refinement: int = 1) -> RefinedGraph:
         raise ValueError("refinement must be >= 1")
     target = disc.target
     euclidean = isinstance(target, EuclideanSpace)
+    n, m = disc.n_vertices, disc.n_triangles
+    tri = disc.triangles
+    skeleton = np.asarray(disc.skeleton_edges(), dtype=int).reshape(-1, 2)
+    n_edges = len(skeleton)
+    edge_code = skeleton[:, 0] * n + skeleton[:, 1]   # sorted, as the edges are
 
-    node_ids: dict[tuple, int] = {}
-    params: list[np.ndarray] = []
-    images: list = []
+    pts, visits, pairs = _lattice(r)
+    a, b, c = pts.T
+    n_inner = (r - 1) * (r - 2) // 2
+    inner_base = n + n_edges * (r - 1)
+    canon = np.empty((m, len(pts)), dtype=np.int64)
+    for corner, at in enumerate((a == r, b == r, c == r)):
+        canon[:, at] = tri[:, [corner]]
+    # side (i, j) has c = 0, (j, k) has a = 0, (i, k) has b = 0; a side
+    # point's step counts from the side's lower vertex
+    for (x, y), on, step_x, step_y in (((0, 1), c == 0, b, a), ((1, 2), a == 0, c, b),
+                                       ((0, 2), b == 0, c, a)):
+        on = on & (step_x > 0) & (step_y > 0)
+        u, v = tri[:, x], tri[:, y]
+        eid = np.searchsorted(edge_code, np.minimum(u, v) * n + np.maximum(u, v))
+        step = np.where((u < v)[:, None], step_x[on], step_y[on])
+        canon[:, on] = n + eid[:, None] * (r - 1) + step - 1
+    inner = (a > 0) & (b > 0) & (c > 0)
+    canon[:, inner] = inner_base + np.arange(m)[:, None] * n_inner + np.arange(n_inner)
+    n_nodes = inner_base + m * n_inner
 
-    def vertex_node(i: int) -> int:
-        key = ("v", int(i))
-        if key not in node_ids:
-            node_ids[key] = len(params)
-            params.append(disc.vertices[i])
-            images.append(disc.images[i])
-        return node_ids[key]
+    seq = canon[:, visits].ravel()
+    first = np.full(n_nodes, seq.size)
+    np.minimum.at(first, seq, np.arange(seq.size))
+    canon_of_node = np.argsort(first, kind="stable")
+    node_of = np.empty(n_nodes, dtype=np.int64)
+    node_of[canon_of_node] = np.arange(n_nodes)
 
-    def edge_node(u: int, v: int, k: int) -> int:
-        # k steps from min(u,v) towards max(u,v), 0 < k < r
-        a, b = (u, v) if u < v else (v, u)
-        key = ("e", a, b, k)
-        if key not in node_ids:
-            t = k / r
-            node_ids[key] = len(params)
-            params.append((1 - t) * disc.vertices[a] + t * disc.vertices[b])
-            images.append(target.geodesic_eval(disc.images[a], disc.images[b], t))
-        return node_ids[key]
+    # parameter points and images in canonical order
+    t = (np.arange(1, r) / r)[None, :, None]
+    lo, hi = skeleton[:, 0], skeleton[:, 1]
+    w_a, w_b, w_c = (w[inner][None, :, None] for w in (a, b, c))
 
-    def face_node(f: int, abc: tuple[int, int, int]) -> int:
-        key = ("f", f, abc)
-        if key not in node_ids:
-            a, b, c = abc
-            i, j, k = disc.triangles[f]
-            node_ids[key] = len(params)
-            params.append((a * disc.vertices[i] + b * disc.vertices[j] + c * disc.vertices[k]) / r)
-            if euclidean:
-                images.append((a * disc.images[i] + b * disc.images[j] + c * disc.images[k]) / r)
-            else:
-                # rule through the corner i: corner -> point on the opposite edge
-                t = c / (b + c)
-                x = target.geodesic_eval(disc.images[j], disc.images[k], t)
-                images.append(target.geodesic_eval(disc.images[i], x, (b + c) / r))
-        return node_ids[key]
+    def lattice_points(vals):
+        vals = np.asarray(vals, dtype=float)
+        on_edges = (1 - t) * vals[lo][:, None, :] + t * vals[hi][:, None, :]
+        in_faces = (w_a * vals[tri[:, 0]][:, None, :] + w_b * vals[tri[:, 1]][:, None, :]
+                    + w_c * vals[tri[:, 2]][:, None, :]) / r
+        dim = vals.shape[1]
+        return np.concatenate([vals, on_edges.reshape(-1, dim), in_faces.reshape(-1, dim)])
 
-    def grid_node(f: int, a: int, b: int, c: int) -> int:
-        i, j, k = (int(x) for x in disc.triangles[f])
-        if b == 0 and c == 0:
-            return vertex_node(i)
-        if a == 0 and c == 0:
-            return vertex_node(j)
-        if a == 0 and b == 0:
-            return vertex_node(k)
-        if c == 0:
-            return edge_node(i, j, b if i < j else a)
-        if a == 0:
-            return edge_node(j, k, c if j < k else b)
-        if b == 0:
-            return edge_node(i, k, c if i < k else a)
-        return face_node(f, (a, b, c))
-
-    edge_set: dict[tuple[int, int], int] = {}
-    for f in range(disc.n_triangles):
-        for a in range(r, -1, -1):
-            for b in range(r - a, -1, -1):
-                c = r - a - b
-                here = grid_node(f, a, b, c)
-                for da, db, dc in ((-1, 1, 0), (-1, 0, 1), (0, -1, 1)):
-                    na, nb, nc = a + da, b + db, c + dc
-                    if min(na, nb, nc) < 0:
-                        continue
-                    there = grid_node(f, na, nb, nc)
-                    key = (min(here, there), max(here, there))
-                    edge_set.setdefault(key, f)
-
-    n_nodes = len(params)
-    node_param = np.asarray(params)
-    edges = np.asarray(sorted(edge_set.keys()), dtype=int)
-    edge_face = np.asarray([edge_set[tuple(e)] for e in edges], dtype=int)
+    node_param = lattice_points(disc.vertices)[canon_of_node]
     if euclidean:
-        img = np.asarray(images)
+        img = lattice_points(disc.images)[canon_of_node]
+        images = list(img)
+    else:
+        ruled = _ruled_images(disc, r, skeleton, pts[inner])
+        images = [ruled[k] for k in canon_of_node.tolist()]
+
+    here = node_of[canon[:, pairs[:, 0]]].ravel()
+    there = node_of[canon[:, pairs[:, 1]]].ravel()
+    code = np.minimum(here, there) * n_nodes + np.maximum(here, there)
+    code, first_pair = np.unique(code, return_index=True)
+    edges = np.stack([code // n_nodes, code % n_nodes], axis=1)
+    edge_face = first_pair // len(pairs)
+    if euclidean:
         weights = np.linalg.norm(img[edges[:, 0]] - img[edges[:, 1]], axis=1)
     else:
         weights = np.asarray(
             [target.distance(images[u], images[v]) for u, v in edges], dtype=float
         )
 
+    bl = np.asarray(disc.boundary_loop, dtype=int)
+    bu, bv = bl, np.roll(bl, -1)
+    beid = np.searchsorted(edge_code, np.minimum(bu, bv) * n + np.maximum(bu, bv))
+    on_boundary = np.concatenate([bl, (n + beid[:, None] * (r - 1) + np.arange(r - 1)).ravel()])
     boundary = np.zeros(n_nodes, dtype=bool)
-    bl = disc.boundary_loop
-    for idx in range(len(bl)):
-        u, v = int(bl[idx]), int(bl[(idx + 1) % len(bl)])
-        boundary[vertex_node(u)] = True
-        for k in range(1, r):
-            boundary[edge_node(u, v, k)] = True
+    boundary[node_of[on_boundary]] = True
 
-    orig_index = np.asarray([vertex_node(i) for i in range(disc.n_vertices)], dtype=int)
     return RefinedGraph(
         node_param=node_param,
         node_images=images,
         edges=edges,
         weights=np.asarray(weights, dtype=float),
-        orig_index=orig_index,
+        orig_index=node_of[:n],
         refinement=r,
         edge_face=edge_face,
         node_on_boundary=boundary,
     )
+
+
+def _ruled_images(disc: MappedDisc, r: int, skeleton: np.ndarray, inner: np.ndarray) -> list:
+    """Lattice images in canonical order, for any target: side points on
+    the side's geodesic, face points ruled through the face's first corner
+    (corner -> point on the opposite side)."""
+    target, img = disc.target, disc.images
+    out = [img[v] for v in range(disc.n_vertices)]
+    out += [target.geodesic_eval(img[lo], img[hi], s / r) for lo, hi in skeleton.tolist()
+            for s in range(1, r)]
+    for i, j, k in disc.triangles.tolist():
+        for _, b, c in inner.tolist():
+            x = target.geodesic_eval(img[j], img[k], c / (b + c))
+            out.append(target.geodesic_eval(img[i], x, (b + c) / r))
+    return out

@@ -24,6 +24,8 @@ __all__ = [
 
 #: slack used whenever a matrix is checked for the pseudometric axioms
 VERIFY_TOL = 1e-9
+#: detour entries built at once by the triangle check (a few MB)
+PIVOT_BLOCK_ENTRIES = 1 << 19
 
 
 class UnionFind:
@@ -82,7 +84,9 @@ def verify_pseudometric(d: np.ndarray, tol: float = VERIFY_TOL) -> list[str]:
     Checks nonnegativity, zero diagonal, symmetry and the triangle
     inequality.  The triangle inequality is checked with infinity-aware
     arithmetic: two points at finite distance from a common third point must
-    themselves be at finite distance.
+    themselves be at finite distance.  Pivots are taken in order and the
+    check stops at the first such violation; the reported slack is the
+    worst over the pivots up to it.
     """
     d = np.asarray(d, dtype=float)
     problems: list[str] = []
@@ -100,23 +104,49 @@ def verify_pseudometric(d: np.ndarray, tol: float = VERIFY_TOL) -> list[str]:
         problems.append(f"asymmetric (max {asym.max():.3g})")
     if np.any(np.isfinite(d) != np.isfinite(d.T)):
         problems.append("asymmetric infinity pattern")
-    n = d.shape[0]
-    worst = 0.0
-    for k in range(n):
-        # d[i,j] <= d[i,k] + d[k,j]; inf on the right never violates
-        detour = d[:, k, None] + d[None, k, :]
-        with np.errstate(invalid="ignore"):
-            slack = d - detour
-        finite = np.isfinite(slack)
-        if finite.any():
-            worst = max(worst, float(slack[finite].max()))
-        bad_inf = np.isinf(d) & np.isfinite(detour)
-        if bad_inf.any():
-            problems.append(f"infinite distance with finite detour via {k}")
-            break
+    worst, bad_pivot = _worst_triangle_slack(d)
+    if bad_pivot is not None:
+        problems.append(f"infinite distance with finite detour via {bad_pivot}")
     if worst > tol:
         problems.append(f"triangle inequality violated by {worst:.3g}")
     return problems
+
+
+def _worst_triangle_slack(d: np.ndarray) -> tuple[float, int | None]:
+    """Largest finite ``d[i,j] - (d[i,k] + d[k,j])`` (at least 0) over the
+    pivots k up to the first whose detour is finite across an infinite
+    entry, and that pivot (None when there is none).
+
+    Pivots go in blocks: a block's detours are one array, and a pair's
+    least finite detour gives its largest finite slack, because subtracting
+    is monotone under rounding.
+    """
+    n = d.shape[0]
+    infinite = ~np.isfinite(d)
+    any_infinite = bool(infinite.any())
+    # detours of finite entries are finite or +inf, unless negative entries
+    # sum to -inf; only then are non-finite detours set to +inf (no detour)
+    sanitize = any_infinite or bool((d < 0.0).any())
+    block = max(1, PIVOT_BLOCK_ENTRIES // max(n * n, 1))
+    least = np.full(d.shape, np.inf)
+    bad_pivot = None
+    for k0 in range(0, n, block):
+        with np.errstate(invalid="ignore"):   # inf + -inf
+            detour = d[:, k0:k0 + block].T[:, :, None] + d[k0:k0 + block, None, :]
+        if sanitize:
+            finite = np.isfinite(detour)
+            bad = (infinite & finite).any(axis=(1, 2))
+            if bad.any():
+                bad_pivot = k0 + int(bad.argmax())
+                detour, finite = detour[: bad_pivot - k0 + 1], finite[: bad_pivot - k0 + 1]
+            detour = np.where(finite, detour, np.inf)
+        np.minimum(least, detour.min(axis=0), out=least)
+        if bad_pivot is not None:
+            break
+    with np.errstate(invalid="ignore"):
+        slack = d - least
+    slack = slack[np.isfinite(slack)]
+    return max(0.0, float(slack.max())) if slack.size else 0.0, bad_pivot
 
 
 @dataclass

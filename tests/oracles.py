@@ -1,8 +1,10 @@
 """Independent brute-force oracles used to pin expected values.
 
-Everything here is deliberately written with different machinery than the
+Most of these are deliberately written with different machinery than the
 library (heapq instead of scipy, frozenset recursion instead of bitmask
-DP) so the two sides cannot share a bug.
+DP) so the two sides cannot share a bug.  The others are the library's
+former loop-by-loop paths, kept as the reference its array passes must
+equal bit for bit.
 """
 
 from __future__ import annotations
@@ -512,3 +514,285 @@ def is_saddle_oracle(disc, extra_planes=200, seed=0, tol=1e-9, nudge=1e-7):
         if violations:
             return False, len(planes), violations[0]
     return True, len(planes), None
+
+
+def _subset_connected_oracle(mask, adj):
+    low = mask & (-mask)
+    reached = low
+    while True:
+        grow = reached
+        m = reached
+        while m:
+            b = m & (-m)
+            grow |= adj[b.bit_length() - 1] & mask
+            m ^= b
+        if grow == reached:
+            break
+        reached = grow
+    return reached == mask
+
+
+def exact_connecting_oracle(n, edges, dimg):
+    """The exact connecting pseudometric, subset by subset: each subset's
+    diameter from the subset without its lowest vertex, its connectivity
+    by a search, and each pair's minimum over the connected subsets."""
+    adj = [0] * n
+    for u, v in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    size = 1 << n
+    diam = np.zeros(size)
+    connected = np.zeros(size, dtype=bool)
+    members: list[list[int]] = [[] for _ in range(size)]
+    for s in range(1, size):
+        low = s & (-s)
+        i = low.bit_length() - 1
+        rest = s ^ low
+        if rest == 0:
+            diam[s] = 0.0
+            connected[s] = True
+            members[s] = [i]
+            continue
+        mem = members[rest]
+        row = dimg[i]
+        best = diam[rest]
+        for j in mem:
+            if row[j] > best:
+                best = row[j]
+        diam[s] = best
+        members[s] = [i] + mem
+        connected[s] = _subset_connected_oracle(s, adj)
+    subsets = np.arange(size, dtype=np.int64)
+    out = np.full((n, n), np.inf)
+    np.fill_diagonal(out, 0.0)
+    conn_idx = subsets[connected]
+    conn_diam = diam[connected]
+    for i in range(n):
+        for j in range(i + 1, n):
+            pair = (1 << i) | (1 << j)
+            sel = (conn_idx & pair) == pair
+            if sel.any():
+                out[i, j] = out[j, i] = float(conn_diam[sel].min())
+    return out
+
+
+def intrinsic_quotient_oracle(disc, zero_tol=1e-9, refinement=1):
+    """The intrinsic pseudometric, always through the quotient graph: every
+    connecting-zero class is one routing node, even a class of one vertex."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import dijkstra
+
+    from catmin.induced import connecting_pseudometric
+    from catmin.mesh import build_refined_graph
+    from catmin.pseudometric import UnionFind
+
+    uf = UnionFind(disc.n_vertices)
+    ii, jj = np.where(connecting_pseudometric(disc).upper.d <= zero_tol)
+    for i, j in zip(ii.tolist(), jj.tolist()):
+        if i < j:
+            uf.union(i, j)
+    g = build_refined_graph(disc, refinement)
+    n = disc.n_vertices
+    canon = np.arange(g.n_nodes)
+    for i in range(n):
+        canon[g.orig_index[i]] = g.orig_index[uf.find(i)]
+    relabel: dict[int, int] = {}
+    node_of = np.empty(g.n_nodes, dtype=int)
+    for node in range(g.n_nodes):
+        c = int(canon[node])
+        if c not in relabel:
+            relabel[c] = len(relabel)
+        node_of[node] = relabel[c]
+    best: dict[tuple[int, int], float] = {}
+    for (u, v), w in zip(g.edges.tolist(), g.weights.tolist()):
+        a, b = node_of[u], node_of[v]
+        if a == b:
+            continue
+        key = (min(a, b), max(a, b))
+        if w < best.get(key, np.inf):
+            best[key] = w
+    m = len(relabel)
+    if best:
+        e = np.asarray(list(best.keys()), dtype=int)
+        w = np.asarray(list(best.values()), dtype=float)
+        mat = csr_matrix(
+            (np.concatenate([w, w]), (np.concatenate([e[:, 0], e[:, 1]]),
+                                      np.concatenate([e[:, 1], e[:, 0]]))),
+            shape=(m, m),
+        )
+    else:
+        mat = csr_matrix((m, m))
+    sources = node_of[g.orig_index]
+    dist = dijkstra(mat, directed=False, indices=np.asarray(sorted(set(sources.tolist()))))
+    row_of = {s: k for k, s in enumerate(sorted(set(sources.tolist())))}
+    d = np.empty((n, n))
+    for i in range(n):
+        d[i] = dist[row_of[sources[i]]][sources]
+    d = np.minimum(d, d.T)
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
+def verify_pseudometric_oracle(d, tol=1e-9):
+    """`verify_pseudometric` with the triangle inequality checked one pivot
+    at a time.
+
+    Checks nonnegativity, zero diagonal, symmetry and the triangle
+    inequality.  The triangle inequality is checked with infinity-aware
+    arithmetic: two points at finite distance from a common third point must
+    themselves be at finite distance.
+    """
+    d = np.asarray(d, dtype=float)
+    problems: list[str] = []
+    if np.any(np.isnan(d)):
+        return ["matrix contains NaN"]
+    if np.any(d < -tol):
+        problems.append("negative entries")
+    diag = np.abs(np.diagonal(d))
+    if np.any(diag > tol):
+        problems.append(f"nonzero diagonal (max {diag.max():.3g})")
+    with np.errstate(invalid="ignore"):
+        asym = np.abs(d - d.T)
+    asym = asym[np.isfinite(asym)]
+    if asym.size and asym.max() > tol:
+        problems.append(f"asymmetric (max {asym.max():.3g})")
+    if np.any(np.isfinite(d) != np.isfinite(d.T)):
+        problems.append("asymmetric infinity pattern")
+    n = d.shape[0]
+    worst = 0.0
+    for k in range(n):
+        # d[i,j] <= d[i,k] + d[k,j]; inf on the right never violates
+        with np.errstate(invalid="ignore"):
+            detour = d[:, k, None] + d[None, k, :]
+            slack = d - detour
+        finite = np.isfinite(slack)
+        if finite.any():
+            worst = max(worst, float(slack[finite].max()))
+        bad_inf = np.isinf(d) & np.isfinite(detour)
+        if bad_inf.any():
+            problems.append(f"infinite distance with finite detour via {k}")
+            break
+    if worst > tol:
+        problems.append(f"triangle inequality violated by {worst:.3g}")
+    return problems
+
+
+def refined_graph_oracle(disc, refinement=1):
+    """`build_refined_graph` one lattice point at a time: every face is
+    subdivided into ``refinement^2`` sub-triangles and each node is keyed
+    in a dict on first sight.
+
+    Sub-edge weights are target distances between node images; for
+    Euclidean targets this is exactly the length of the affine image of the
+    parameter segment, so graph paths are genuine image lengths of
+    piecewise-straight parameter paths.
+    """
+    from catmin.mesh import RefinedGraph
+    from catmin.targets import EuclideanSpace
+
+    r = int(refinement)
+    if r < 1:
+        raise ValueError("refinement must be >= 1")
+    target = disc.target
+    euclidean = isinstance(target, EuclideanSpace)
+
+    node_ids: dict[tuple, int] = {}
+    params: list[np.ndarray] = []
+    images: list = []
+
+    def vertex_node(i: int) -> int:
+        key = ("v", int(i))
+        if key not in node_ids:
+            node_ids[key] = len(params)
+            params.append(disc.vertices[i])
+            images.append(disc.images[i])
+        return node_ids[key]
+
+    def edge_node(u: int, v: int, k: int) -> int:
+        # k steps from min(u,v) towards max(u,v), 0 < k < r
+        a, b = (u, v) if u < v else (v, u)
+        key = ("e", a, b, k)
+        if key not in node_ids:
+            t = k / r
+            node_ids[key] = len(params)
+            params.append((1 - t) * disc.vertices[a] + t * disc.vertices[b])
+            images.append(target.geodesic_eval(disc.images[a], disc.images[b], t))
+        return node_ids[key]
+
+    def face_node(f: int, abc: tuple[int, int, int]) -> int:
+        key = ("f", f, abc)
+        if key not in node_ids:
+            a, b, c = abc
+            i, j, k = disc.triangles[f]
+            node_ids[key] = len(params)
+            params.append((a * disc.vertices[i] + b * disc.vertices[j] + c * disc.vertices[k]) / r)
+            if euclidean:
+                images.append((a * disc.images[i] + b * disc.images[j] + c * disc.images[k]) / r)
+            else:
+                # rule through the corner i: corner -> point on the opposite edge
+                t = c / (b + c)
+                x = target.geodesic_eval(disc.images[j], disc.images[k], t)
+                images.append(target.geodesic_eval(disc.images[i], x, (b + c) / r))
+        return node_ids[key]
+
+    def grid_node(f: int, a: int, b: int, c: int) -> int:
+        i, j, k = (int(x) for x in disc.triangles[f])
+        if b == 0 and c == 0:
+            return vertex_node(i)
+        if a == 0 and c == 0:
+            return vertex_node(j)
+        if a == 0 and b == 0:
+            return vertex_node(k)
+        if c == 0:
+            return edge_node(i, j, b if i < j else a)
+        if a == 0:
+            return edge_node(j, k, c if j < k else b)
+        if b == 0:
+            return edge_node(i, k, c if i < k else a)
+        return face_node(f, (a, b, c))
+
+    edge_set: dict[tuple[int, int], int] = {}
+    for f in range(disc.n_triangles):
+        for a in range(r, -1, -1):
+            for b in range(r - a, -1, -1):
+                c = r - a - b
+                here = grid_node(f, a, b, c)
+                for da, db, dc in ((-1, 1, 0), (-1, 0, 1), (0, -1, 1)):
+                    na, nb, nc = a + da, b + db, c + dc
+                    if min(na, nb, nc) < 0:
+                        continue
+                    there = grid_node(f, na, nb, nc)
+                    key = (min(here, there), max(here, there))
+                    edge_set.setdefault(key, f)
+
+    n_nodes = len(params)
+    node_param = np.asarray(params)
+    edges = np.asarray(sorted(edge_set.keys()), dtype=int)
+    edge_face = np.asarray([edge_set[tuple(e)] for e in edges], dtype=int)
+    if euclidean:
+        img = np.asarray(images)
+        weights = np.linalg.norm(img[edges[:, 0]] - img[edges[:, 1]], axis=1)
+    else:
+        weights = np.asarray(
+            [target.distance(images[u], images[v]) for u, v in edges], dtype=float
+        )
+
+    boundary = np.zeros(n_nodes, dtype=bool)
+    bl = disc.boundary_loop
+    for idx in range(len(bl)):
+        u, v = int(bl[idx]), int(bl[(idx + 1) % len(bl)])
+        boundary[vertex_node(u)] = True
+        for k in range(1, r):
+            boundary[edge_node(u, v, k)] = True
+
+    orig_index = np.asarray([vertex_node(i) for i in range(disc.n_vertices)], dtype=int)
+    return RefinedGraph(
+        node_param=node_param,
+        node_images=images,
+        edges=edges,
+        weights=np.asarray(weights, dtype=float),
+        orig_index=orig_index,
+        refinement=r,
+        edge_face=edge_face,
+        node_on_boundary=boundary,
+    )

@@ -13,11 +13,19 @@ from catmin.induced import (
     no_bubble_check,
     ordering_chain_report,
 )
-from catmin.mesh import build_refined_graph
+from catmin.mesh import MappedDisc, build_refined_graph
 from catmin.meshgen import fan_disc, grid_disc, make_mapped_disc, random_height_disc
 from catmin.pseudometric import verify_pseudometric
+from catmin.targets import TargetSpace
 
-from oracles import all_pairs_dijkstra_oracle, bracket_connecting_oracle, connecting_matrix_oracle
+from oracles import (
+    all_pairs_dijkstra_oracle,
+    bracket_connecting_oracle,
+    connecting_matrix_oracle,
+    exact_connecting_oracle,
+    intrinsic_quotient_oracle,
+    refined_graph_oracle,
+)
 
 
 def flat_grid_disc(k):
@@ -147,6 +155,56 @@ def test_connecting_bracket_is_sound_on_larger_graph():
     assert np.all(res.lower <= exact.matrix.d + 1e-12)
     assert np.all(exact.matrix.d <= res.upper.d + 1e-12)
     assert verify_pseudometric(res.upper.d) == []
+
+
+def random_graph(rng, n, extra):
+    """A random graph on n vertices: a spanning path unless ``rng`` says
+    otherwise, plus up to ``extra`` random edges."""
+    edges = [(i - 1, i) for i in range(1, n)] if rng.random() < 0.8 else []
+    for u, v in rng.integers(0, n, size=(extra, 2)).tolist():
+        if u != v:
+            edges.append((min(u, v), max(u, v)))
+    return sorted(set(edges))
+
+
+def test_exact_connecting_bitwise_equals_subset_loop_on_random_graphs():
+    # disconnected graphs leave infinite pairs; rounded points make ties
+    rng = np.random.default_rng(41)
+    for trial in range(150):
+        n = int(rng.integers(1, 12))
+        edges = random_graph(rng, n, int(rng.integers(0, 2 * n)))
+        pts = rng.standard_normal((n, 3))
+        if trial % 4 == 0:
+            pts = np.round(pts)
+        dimg = np.linalg.norm(pts[:, None] - pts[None, :], axis=2)
+        got = induced._exact_connecting(n, edges, dimg)
+        assert got.tobytes() == exact_connecting_oracle(n, edges, dimg).tobytes(), trial
+
+
+def test_exact_connecting_bitwise_equals_subset_loop_on_acceptance_discs():
+    checked = 0
+    for s in range(23):
+        disc = random_height_disc(1000 + s, max_vertices=30)
+        n = disc.n_vertices
+        if n > induced.EXACT_CONNECTING_LIMIT:
+            continue
+        dimg = induced.vertex_image_distances(disc)
+        got = induced._exact_connecting(n, disc.skeleton_edges(), dimg)
+        assert got.tobytes() == exact_connecting_oracle(n, disc.skeleton_edges(), dimg).tobytes()
+        checked += 1
+    assert checked == 13
+
+
+def test_bracket_bitwise_equals_oracle_on_random_graphs():
+    rng = np.random.default_rng(43)
+    for trial in range(60):
+        n = int(rng.integers(1, 30))
+        edges = random_graph(rng, n, int(rng.integers(0, 2 * n)))
+        pts = rng.standard_normal((n, 3))
+        if trial % 4 == 0:
+            pts = np.round(pts)
+        dimg = np.linalg.norm(pts[:, None] - pts[None, :], axis=2)
+        assert_bracket_is_oracle(n, edges, dimg)
 
 
 def smooth_grid_disc(k):
@@ -330,6 +388,40 @@ def test_intrinsic_routes_through_collapsed_class():
             assert it[a, b] == pytest.approx(want[remap[a]][remap[b]], abs=1e-12)
 
 
+def _count_quotient_solves(monkeypatch):
+    """Counter of the Dijkstra runs on the intrinsic quotient graph."""
+    calls = []
+    real = induced._dijkstra
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(induced, "_dijkstra", counted)
+    return calls
+
+
+def test_intrinsic_collapsed_class_builds_the_quotient(monkeypatch):
+    calls = _count_quotient_solves(monkeypatch)
+    disc = collapsed_interior_disc()
+    got = intrinsic_pseudometric(disc, zero_tol=1e-9, refinement=1).d
+    assert len(calls) == 1
+    assert got.tobytes() == intrinsic_quotient_oracle(disc, 1e-9, 1).tobytes()
+
+
+def test_intrinsic_without_zero_classes_is_the_length_matrix(monkeypatch):
+    # no two vertices collapse: the quotient graph is the refined graph, and
+    # its distances are the length matrix, which is returned as a copy
+    calls = _count_quotient_solves(monkeypatch)
+    for disc in [random_height_disc(1000 + s, max_vertices=30) for s in range(6)] + [saddle_grid_disc(5)]:
+        length = length_pseudometric(disc, refinement=2)
+        got = intrinsic_pseudometric(disc, refinement=2, length=length).d
+        assert got is not length.d
+        assert got.tobytes() == length.d.tobytes()
+        assert got.tobytes() == intrinsic_quotient_oracle(disc, 1e-9, 2).tobytes()
+    assert calls == []
+
+
 def test_ordering_chain_on_random_instances():
     for seed in range(10):
         disc = random_height_disc(seed + 50, max_vertices=13)
@@ -431,3 +523,37 @@ def test_all_induced_matrices_verify_as_pseudometrics():
         assert verify_pseudometric(intrinsic_pseudometric(disc, refinement=2).d) == []
         conn = connecting_pseudometric(disc)
         assert verify_pseudometric(conn.matrix.d) == []
+
+
+# ---------------------------------------------------------------- refined graph
+
+
+class RuledEuclidean(TargetSpace):
+    """R^3 seen only through the target primitives, so the refined graph
+    takes its path for general targets (side points on geodesics, face
+    points ruled through a corner)."""
+
+    def distance(self, p, q):
+        return float(np.linalg.norm(np.asarray(p) - np.asarray(q)))
+
+    def geodesic_eval(self, p, q, t):
+        return (1.0 - t) * np.asarray(p) + t * np.asarray(q)
+
+
+@pytest.mark.parametrize("refinement", [1, 2, 3, 4])
+def test_refined_graph_arrays_equal_pointwise_builder(refinement):
+    # same node numbering (first appearance in the face walk), same edges,
+    # weights, owning faces and boundary flags, bit for bit
+    discs = [random_height_disc(s, max_vertices=30) for s in range(4)] + [saddle_grid_disc(4)]
+    general = discs[0]
+    discs.append(MappedDisc(general.vertices, general.triangles, general.boundary_loop,
+                            list(general.images), RuledEuclidean()))
+    for disc in discs:
+        got = build_refined_graph(disc, refinement)
+        want = refined_graph_oracle(disc, refinement)
+        for name in ("node_param", "edges", "weights", "orig_index", "edge_face", "node_on_boundary"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
+        assert np.asarray(got.node_images).tobytes() == np.asarray(want.node_images).tobytes()
+        assert got.refinement == want.refinement

@@ -1,5 +1,8 @@
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -442,9 +445,50 @@ def test_cli_metrics_bracketed_disc_passes(tmp_path):
     assert run_cli("metrics", "--in", str(inst), "--out", str(out)) == 0
     rep = load_instance(out)
     assert rep["connecting_exact"] is False
+    assert len(rep["connecting_lower"]) == 25
     assert rep["matrices_verify"] is True
     assert rep["chain"]["holds"] is True
     assert rep["pass"] is True
+
+
+def test_cli_metrics_exact_report_has_one_connecting_matrix(tmp_path):
+    # an exact connecting matrix is its own lower bound: written once
+    disc = random_height_disc(1020, max_vertices=30)
+    assert disc.n_vertices == 13
+    inst = tmp_path / "acc1020.json"
+    save_instance(mapped_disc_instance(disc), inst)
+    out = tmp_path / "report.json"
+    assert run_cli("metrics", "--in", str(inst), "--out", str(out)) == 0
+    rep = load_instance(out)
+    assert rep["connecting_exact"] is True
+    assert "connecting_lower" not in rep
+    assert len(rep["connecting_upper"]) == 13
+
+
+@pytest.mark.parametrize("seed", [1002, 1020])
+def test_cli_metrics_validates_the_disc_once(tmp_path, monkeypatch, seed):
+    from catmin.mesh import MappedDisc
+
+    calls = []
+    validate = MappedDisc.validate
+
+    def counted(self):
+        calls.append(1)
+        return validate(self)
+
+    monkeypatch.setattr(MappedDisc, "validate", counted)
+    inst = tmp_path / "disc.json"
+    save_instance(mapped_disc_instance(random_height_disc(seed, max_vertices=30)), inst)
+    calls.clear()
+    assert run_cli("metrics", "--in", str(inst), "--out", str(tmp_path / "r.json")) == 0
+    assert len(calls) == 1
+
+
+def test_cli_import_leaves_networkx_out():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import sys, catmin.cli; sys.exit(int('networkx' in sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr or "networkx was imported"
 
 
 def _jsonable_samples():

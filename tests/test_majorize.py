@@ -309,6 +309,50 @@ def test_cut_vertices_bowtie_chain():
     assert len(out["blocks"]) == 3
 
 
+def _blocks_of(nx, vertices, edges):
+    g = nx.Graph()
+    g.add_nodes_from(vertices)
+    g.add_edges_from(edges)
+    return sorted(sorted(b) for b in nx.biconnected_components(g))
+
+
+def test_cut_vertices_and_blocks_match_oracles_on_random_graphs():
+    # forests, cycles with chords, isolated vertices, several components
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(47)
+    for trial in range(300):
+        n = int(rng.integers(1, 16))
+        pairs = rng.integers(0, n, size=(int(rng.integers(0, 2 * n + 2)), 2)).tolist()
+        edges = sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v})
+        cuts, blocks = majorize._biconnected(list(range(n)), edges)
+        assert sorted(cuts) == articulation_oracle(n, edges), trial
+        assert sorted(sorted(b) for b in blocks) == _blocks_of(nx, range(n), edges), trial
+
+
+def test_cut_vertices_and_blocks_match_oracles_on_glued_discs():
+    nx = pytest.importorskip("networkx")
+    tri = comparison_triangle(1.0, 1.0, 1.0)
+    chain = PolyhedralDisc(
+        tri_coords=[tri.coords] * 3,
+        tri_vertices=[(0, 1, 2), (2, 3, 4), (4, 5, 6)],
+        gluings=[],
+        bridges=[],
+        boundary_walk=[0, 1, 2, 3, 4, 5, 6, 4, 2],
+        boundary_lengths=[1.0] * 9,
+        n_vertices=7,
+    )
+    vertices, triangles = grid_disc(6)
+    x, y = vertices[:, 0], vertices[:, 1]
+    grid = make_mapped_disc(vertices, triangles, np.stack([x, y, 1.2 * x * y], axis=1))
+    loop = list(grid.boundary_loop)
+    w = run_key_lemma(grid, [loop[0], loop[5], loop[10], loop[15], 14]).disc
+    for disc in (chain, strip_disc((1.0, 1.0, 1.0), (1.0, 1.0, 1.0)), cone_disc(5 * math.pi / 2, 5), w):
+        used, edges = sorted(disc.used_vertices()), disc.skeleton_edges()
+        out = cut_vertices(disc)
+        assert out["cut_vertices"] == [v for v in articulation_oracle(disc.n_vertices, edges) if v in used]
+        assert out["blocks"] == _blocks_of(nx, used, edges)
+
+
 def test_eps_net_bounds_on_flat_and_cone():
     for disc in (strip_disc((1.0, 1.0, 1.0), (1.0, 1.0, 1.0)), cone_disc(5 * math.pi / 2, 5)):
         rep = eps_net_report(disc, eps_fracs=(0.1, 0.05), subdiv=10)
