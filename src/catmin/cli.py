@@ -8,6 +8,7 @@ byte-identical output files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -284,7 +285,10 @@ def cmd_validate(args) -> int:
     return 0 if not problems else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged and none of its defaults is mutable."""
     ap = argparse.ArgumentParser(
         prog="catmin",
         description="induced pseudometrics, graph relaxation, comparison-triangle "

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .targets import EuclideanSpace, TargetSpace
+from .targets import TargetSpace
 
 __all__ = ["GraphInTarget", "rotation_from_positions"]
 
@@ -53,8 +53,7 @@ class GraphInTarget:
     def __post_init__(self):
         self.edges = sorted((min(int(u), int(v)), max(int(u), int(v))) for u, v in self.edges)
         self.pinned = {int(v) for v in self.pinned}
-        if isinstance(self.target, EuclideanSpace):
-            self.points = [np.asarray(p, dtype=float) for p in self.points]
+        self.points = [np.asarray(p, dtype=float) for p in self.points]
         if self.positions is not None:
             self.positions = np.asarray(self.positions, dtype=float)
 

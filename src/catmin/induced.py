@@ -39,7 +39,6 @@ from scipy.sparse.csgraph import dijkstra as _dijkstra
 
 from .mesh import MappedDisc, RefinedGraph, build_refined_graph
 from .pseudometric import PseudometricMatrix, UnionFind
-from .targets import EuclideanSpace
 
 __all__ = [
     "length_pseudometric",
@@ -60,16 +59,8 @@ EXACT_CONNECTING_LIMIT = 14
 
 def vertex_image_distances(disc: MappedDisc) -> np.ndarray:
     """Pairwise target distances between vertex images."""
-    if isinstance(disc.target, EuclideanSpace):
-        img = np.asarray(disc.images, dtype=float)
-        diff = img[:, None, :] - img[None, :, :]
-        return np.linalg.norm(diff, axis=2)
-    n = disc.n_vertices
-    d = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            d[i, j] = d[j, i] = disc.target.distance(disc.images[i], disc.images[j])
-    return d
+    img = disc.images
+    return disc.target.distances(img[:, None, :], img[None, :, :])
 
 
 def length_pseudometric(

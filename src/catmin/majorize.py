@@ -398,10 +398,7 @@ def _excise_spurs(walk: list[int]) -> tuple[list[int], list[tuple[int, int]]]:
 
 @dataclass
 class GlueReport:
-    majorants: list[FaceMajorant]
     witness_ok: bool
-    angle_sums: dict[int, float]
-    interior_vertices: list[int]
     max_length_drift: float
 
 
@@ -422,7 +419,7 @@ def glue_disc(g: GraphInTarget) -> tuple[PolyhedralDisc, GlueReport]:
     tri_coords: list[np.ndarray] = []
     tri_vertices: list[tuple[int, int, int]] = []
     gluings: list[tuple[tuple[int, int], tuple[int, int]]] = []
-    majorants: list[FaceMajorant] = []
+    witness_ok = True
     owners_by_edge: dict[tuple[int, int], list[tuple[int, int]]] = {}
     polygon_edges: set[tuple[int, int]] = set()
     bridge_set: set[tuple[int, int]] = set()
@@ -437,7 +434,7 @@ def glue_disc(g: GraphInTarget) -> tuple[PolyhedralDisc, GlueReport]:
             continue
         k = len(cycle)
         maj = face_majorant([g.points[v] for v in cycle], g.target)
-        majorants.append(maj)
+        witness_ok = witness_ok and maj.witness_ok
         base = len(tri_coords)
         for i, tri in enumerate(maj.triangles):
             tri_coords.append(tri.coords.copy())
@@ -491,14 +488,7 @@ def glue_disc(g: GraphInTarget) -> tuple[PolyhedralDisc, GlueReport]:
     if max_drift > GLUE_TOL:
         raise GlueError(f"gluing length mismatch {max_drift:.3g} beyond {GLUE_TOL}")
     disc.require_valid()
-    report = GlueReport(
-        majorants=majorants,
-        witness_ok=all(m.witness_ok for m in majorants),
-        angle_sums=disc.vertex_angle_sums(),
-        interior_vertices=disc.interior_vertices(),
-        max_length_drift=max_drift,
-    )
-    return disc, report
+    return disc, GlueReport(witness_ok=witness_ok, max_length_drift=max_drift)
 
 
 # --------------------------------------------------------------------------
@@ -615,12 +605,6 @@ def _biconnected(vertices: list[int], edges: list[tuple[int, int]]) -> tuple[set
 # intrinsic distances via an edge-subdivided surface graph
 
 
-@dataclass
-class _Node:
-    kind: str       # "vertex" | "edge" | "bridge"
-    ref: tuple
-
-
 class SurfaceGraph:
     """Subdivided surface graph with complete chord connections per face.
 
@@ -647,7 +631,9 @@ class SurfaceGraph:
             raise ValueError("subdiv must be >= 1")
         self.disc = disc
         self.subdiv = int(subdiv)
-        self.nodes: list[_Node] = []
+        # each node lies at fraction t of a segment (u, v) between disc
+        # vertices: a side, a bridge, or (v, v) for a vertex itself
+        self.nodes: list[tuple[int, int, float]] = []
         self._vertex_node: dict[int, int] = {}
         self._side_chain: dict[tuple[int, int], list[int]] = {}
         self._bridge_chain: list[list[int]] = []
@@ -656,8 +642,8 @@ class SurfaceGraph:
         self._rows: dict[int, np.ndarray] = {}
         self._build()
 
-    def _new_node(self, kind: str, ref: tuple) -> int:
-        self.nodes.append(_Node(kind, ref))
+    def _new_node(self, u: int, v: int, t: float) -> int:
+        self.nodes.append((u, v, t))
         return len(self.nodes) - 1
 
     def _build(self):
@@ -670,7 +656,7 @@ class SurfaceGraph:
 
         def vertex_node(v: int) -> int:
             if v not in self._vertex_node:
-                self._vertex_node[v] = self._new_node("vertex", (v,))
+                self._vertex_node[v] = self._new_node(v, v, 0.0)
             return self._vertex_node[v]
 
         max_gap = 0.0
@@ -681,7 +667,7 @@ class SurfaceGraph:
             if (f, s) in self._side_chain:
                 return self._side_chain[(f, s)]
             u, v = disc.side_corners(f, s)
-            interior = [self._new_node("edge", (f, s, k)) for k in range(1, r)]
+            interior = [self._new_node(u, v, k / r) for k in range(1, r)]
             chain = [vertex_node(u)] + interior + [vertex_node(v)]
             self._side_chain[(f, s)] = chain
             partner = glue_partner.get((f, s))
@@ -716,7 +702,7 @@ class SurfaceGraph:
         for b_idx, (u, v, length) in enumerate(disc.bridges):
             chain = [vertex_node(u)]
             for k in range(1, r):
-                chain.append(self._new_node("bridge", (b_idx, k)))
+                chain.append(self._new_node(u, v, k / r))
             chain.append(vertex_node(v))
             pair_a.append(np.asarray(chain[:-1]))
             pair_b.append(np.asarray(chain[1:]))

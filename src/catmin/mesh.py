@@ -2,8 +2,9 @@
 
 A :class:`MappedDisc` is the discrete carrier of a disc-spanning map: a
 simplicial disc in the parameter plane plus one target point per vertex.
-The map is affine on each parameter triangle (for Euclidean targets) or
-ruled through geodesics (for general ones).
+The map on each parameter triangle is the target's
+`~catmin.targets.TargetSpace.triangle_points`: affine for Euclidean
+targets, ruled through geodesics for general ones.
 
 Path-based quantities are computed on a *refined graph*: every face is
 subdivided into ``r^2`` sub-triangles and the sub-edges form a planar graph
@@ -76,7 +77,7 @@ class MappedDisc:
     vertices: np.ndarray              # (n, 2) parameter coordinates
     triangles: np.ndarray             # (m, 3) vertex index triples
     boundary_loop: list[int]          # cyclic vertex index list
-    images: np.ndarray | list         # per-vertex target points
+    images: np.ndarray                # (n, dim) per-vertex target points
     target: TargetSpace
     # worked out once: nothing changes a disc after it is built
     _edge_faces: dict | None = field(default=None, init=False, repr=False, compare=False)
@@ -85,8 +86,7 @@ class MappedDisc:
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=float)
         self.triangles = np.asarray(self.triangles, dtype=int)
-        if isinstance(self.target, EuclideanSpace):
-            self.images = np.asarray(self.images, dtype=float)
+        self.images = np.asarray(self.images, dtype=float)
 
     @property
     def n_vertices(self) -> int:
@@ -252,8 +252,6 @@ def build_refined_graph(disc: MappedDisc, refinement: int = 1) -> RefinedGraph:
     r = int(refinement)
     if r < 1:
         raise ValueError("refinement must be >= 1")
-    target = disc.target
-    euclidean = isinstance(target, EuclideanSpace)
     n, m = disc.n_vertices, disc.n_triangles
     tri = disc.triangles
     skeleton = np.asarray(disc.skeleton_edges(), dtype=int).reshape(-1, 2)
@@ -287,26 +285,21 @@ def build_refined_graph(disc: MappedDisc, refinement: int = 1) -> RefinedGraph:
     node_of = np.empty(n_nodes, dtype=np.int64)
     node_of[canon_of_node] = np.arange(n_nodes)
 
-    # parameter points and images in canonical order
-    t = (np.arange(1, r) / r)[None, :, None]
-    lo, hi = skeleton[:, 0], skeleton[:, 1]
-    w_a, w_b, w_c = (w[inner][None, :, None] for w in (a, b, c))
+    # parameter points and images in canonical order: a side point at t
+    # is the point at weights (1 - t, t, 0) of the triangle (lo, hi, hi);
+    # those weights sum to exactly 1, so in a Euclidean space it is
+    # (1 - t) lo + t hi bit for bit
+    t = np.tile(np.arange(1, r) / r, n_edges)
+    corners = np.concatenate([np.repeat(skeleton[:, [0, 1, 1]], r - 1, axis=0),
+                              np.repeat(tri, n_inner, axis=0)]).T
+    weights = np.concatenate([np.stack([1 - t, t, 0 * t]), np.tile(pts[inner], (m, 1)).T], axis=1)
 
-    def lattice_points(vals):
-        vals = np.asarray(vals, dtype=float)
-        on_edges = (1 - t) * vals[lo][:, None, :] + t * vals[hi][:, None, :]
-        in_faces = (w_a * vals[tri[:, 0]][:, None, :] + w_b * vals[tri[:, 1]][:, None, :]
-                    + w_c * vals[tri[:, 2]][:, None, :]) / r
-        dim = vals.shape[1]
-        return np.concatenate([vals, on_edges.reshape(-1, dim), in_faces.reshape(-1, dim)])
+    def lattice_points(space, vals):
+        inside = space.triangle_points(*vals[corners], *weights)
+        return np.concatenate([vals, inside])[canon_of_node]
 
-    node_param = lattice_points(disc.vertices)[canon_of_node]
-    if euclidean:
-        img = lattice_points(disc.images)[canon_of_node]
-        images = list(img)
-    else:
-        ruled = _ruled_images(disc, r, skeleton, pts[inner])
-        images = [ruled[k] for k in canon_of_node.tolist()]
+    node_param = lattice_points(EuclideanSpace(2), disc.vertices)
+    img = lattice_points(disc.target, disc.images)
 
     here = node_of[canon[:, pairs[:, 0]]].ravel()
     there = node_of[canon[:, pairs[:, 1]]].ravel()
@@ -314,12 +307,7 @@ def build_refined_graph(disc: MappedDisc, refinement: int = 1) -> RefinedGraph:
     code, first_pair = np.unique(code, return_index=True)
     edges = np.stack([code // n_nodes, code % n_nodes], axis=1)
     edge_face = first_pair // len(pairs)
-    if euclidean:
-        weights = np.linalg.norm(img[edges[:, 0]] - img[edges[:, 1]], axis=1)
-    else:
-        weights = np.asarray(
-            [target.distance(images[u], images[v]) for u, v in edges], dtype=float
-        )
+    lengths = disc.target.distances(img[edges[:, 0]], img[edges[:, 1]])
 
     bl = np.asarray(disc.boundary_loop, dtype=int)
     bu, bv = bl, np.roll(bl, -1)
@@ -330,26 +318,12 @@ def build_refined_graph(disc: MappedDisc, refinement: int = 1) -> RefinedGraph:
 
     return RefinedGraph(
         node_param=node_param,
-        node_images=images,
+        node_images=list(img),
         edges=edges,
-        weights=np.asarray(weights, dtype=float),
+        weights=lengths,
         orig_index=node_of[:n],
         refinement=r,
         edge_face=edge_face,
         node_on_boundary=boundary,
     )
 
-
-def _ruled_images(disc: MappedDisc, r: int, skeleton: np.ndarray, inner: np.ndarray) -> list:
-    """Lattice images in canonical order, for any target: side points on
-    the side's geodesic, face points ruled through the face's first corner
-    (corner -> point on the opposite side)."""
-    target, img = disc.target, disc.images
-    out = [img[v] for v in range(disc.n_vertices)]
-    out += [target.geodesic_eval(img[lo], img[hi], s / r) for lo, hi in skeleton.tolist()
-            for s in range(1, r)]
-    for i, j, k in disc.triangles.tolist():
-        for _, b, c in inner.tolist():
-            x = target.geodesic_eval(img[j], img[k], c / (b + c))
-            out.append(target.geodesic_eval(img[i], x, (b + c) / r))
-    return out

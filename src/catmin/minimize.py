@@ -345,6 +345,15 @@ class MinimizationCertificate:
         }
 
 
+def _require_euclidean(g: GraphInTarget) -> None:
+    """Relaxation and the descent test (condition (b)) read vertex stars as
+    difference vectors, which only a Euclidean target has."""
+    if not isinstance(g.target, EuclideanSpace):
+        raise NotImplementedError(
+            "relaxation and certification are implemented for Euclidean targets"
+        )
+
+
 def _vertex_star(g: GraphInTarget, nbrs: list[list[int]], v: int):
     p = g.points
     vecs = np.asarray([p[w] - p[v] for w in nbrs[v]])
@@ -365,10 +374,7 @@ def relax(
     when no free vertex admits a shortening direction above ``tol_descent``
     or when ``max_iter`` sweeps have run.
     """
-    if not isinstance(g.target, EuclideanSpace):
-        raise NotImplementedError(
-            "relaxation moves vertices freely and is implemented for Euclidean targets"
-        )
+    _require_euclidean(g)
     g.require_valid()
     if g.edge_paths:
         g = straighten(g)
@@ -484,25 +490,24 @@ def certify_conditions(
     and did not change afterwards, which are not solved again.
     """
     known = _t_star or {}
+    _require_euclidean(g)
     g.require_valid()
     nbrs = g.neighbors()
     residuals = {e: _edge_residual(g, *e) for e in g.edges}
     t_star: dict[int, float] = {}
     skipped: list[int] = []
-    euclidean = isinstance(g.target, EuclideanSpace)
     for v in range(g.n_vertices):
         if v in g.pinned or not nbrs[v]:
             continue
-        if euclidean:
-            vecs, lens = _vertex_star(g, nbrs, v)
-            if np.any(lens <= ZERO_EDGE_TOL):
-                skipped.append(v)
-                t_star[v] = 0.0
-                continue
-            if v in known:
-                t_star[v] = known[v]
-            else:
-                t_star[v], _ = descent_direction(vecs / lens[:, None])
+        vecs, lens = _vertex_star(g, nbrs, v)
+        if np.any(lens <= ZERO_EDGE_TOL):
+            skipped.append(v)
+            t_star[v] = 0.0
+            continue
+        if v in known:
+            t_star[v] = known[v]
+        else:
+            t_star[v], _ = descent_direction(vecs / lens[:, None])
     angle_sums: dict[int, float] = {}
     for v in range(g.n_vertices):
         if v in g.pinned:

@@ -304,7 +304,7 @@ def run_key_lemma(
 
     # sampled shortness of the ruled correspondence q
     rng = np.random.default_rng(seed)
-    q_point = _ruled_points(w_disc, sg, gamma)
+    q_point = _ruled_points(sg, gamma)
     n_nodes = sg.n_nodes
     worst_shortness = -np.inf
     pairs_done = 0
@@ -360,28 +360,12 @@ def run_key_lemma(
     )
 
 
-def _ruled_points(w_disc: PolyhedralDisc, sg, gamma: GraphInTarget) -> list:
-    """Target point of every surface-graph node under the ruled map q.
-
-    Graph vertices carry their relaxed target points; nodes interior to a
-    side map onto the geodesic between the side's endpoint images; bridge
-    nodes map onto the bridge geodesic.
-    """
-    target = gamma.target
-    r = sg.subdiv
-    out = [None] * sg.n_nodes
-    for node_id, node in enumerate(sg.nodes):
-        if node.kind == "vertex":
-            out[node_id] = gamma.points[node.ref[0]]
-        elif node.kind == "edge":
-            f, s, k = node.ref
-            u, v = w_disc.side_corners(f, s)
-            out[node_id] = target.geodesic_eval(gamma.points[u], gamma.points[v], k / r)
-        else:
-            b_idx, k = node.ref
-            u, v, _ = w_disc.bridges[b_idx]
-            out[node_id] = target.geodesic_eval(gamma.points[u], gamma.points[v], k / r)
-    return out
+def _ruled_points(sg, gamma: GraphInTarget) -> list:
+    """Target point of every surface-graph node under the ruled map q: the
+    point at the node's fraction of the geodesic between the images of its
+    segment's ends (a vertex is the segment (v, v) at 0)."""
+    p = gamma.points
+    return [gamma.target.geodesic_eval(p[u], p[v], t) for u, v, t in sg.nodes]
 
 
 def refinement_study(

@@ -1,9 +1,22 @@
 """Geodesic target spaces: the interface and the Euclidean model.
 
-A target space provides three primitives: a distance, constant-speed
-geodesic evaluation, and the comparison angle read off side lengths by the
-planar law of cosines.  Everything downstream (graph relaxation, triangle
-majorants, disc gluing) consumes targets only through these primitives.
+Points are float vectors (1-d ``np.ndarray``).  A target space provides
+five primitives:
+
+- ``distance(p, q)``: the distance between two points;
+- ``distances(P, Q)``: row-wise distances between two arrays of points;
+- ``geodesic_eval(p, q, t)``: the point at parameter ``t`` on a
+  constant-speed geodesic p->q;
+- ``triangle_points(A, B, C, a, b, c)``: the point of each triangle
+  (A, B, C) at weights proportional to (a, b, c);
+- ``comparison_angle(apex, p, q)``: the angle of the planar triangle with
+  matching side lengths.
+
+A new model needs only ``distance`` and ``geodesic_eval``: the defaults of
+the other three are built on them, and `EuclideanSpace` overrides the two
+batched ones with array expressions.  Everything downstream (refined graphs,
+graph relaxation, triangle majorants, disc gluing) consumes targets only
+through these primitives.
 """
 
 from __future__ import annotations
@@ -34,6 +47,27 @@ class TargetSpace:
     def geodesic_eval(self, p, q, t: float):
         """Point at parameter ``t`` in [0, 1] on a constant-speed geodesic p->q."""
         raise NotImplementedError
+
+    def distances(self, P, Q) -> np.ndarray:
+        """Distances between the rows of ``P`` and ``Q`` (broadcast against
+        each other), one `distance` call per row."""
+        P, Q = np.broadcast_arrays(np.asarray(P, dtype=float), np.asarray(Q, dtype=float))
+        rows = zip(P.reshape(-1, P.shape[-1]), Q.reshape(-1, Q.shape[-1]))
+        return np.asarray([self.distance(p, q) for p, q in rows], dtype=float).reshape(P.shape[:-1])
+
+    def triangle_points(self, A, B, C, a, b, c) -> np.ndarray:
+        """Point of each triangle (rows of A, B, C) at weights proportional
+        to (a, b, c), ruled through ``A``: the point at weights (b, c) on
+        the geodesic B->C, then the point at ``(b + c) / (a + b + c)`` on
+        the geodesic from A to it."""
+        A, B, C = (np.asarray(x, dtype=float) for x in (A, B, C))
+        a, b, c = (np.broadcast_to(np.asarray(w, dtype=float), A.shape[:1]) for w in (a, b, c))
+        out = np.empty_like(A)
+        for k, (wa, wb, wc) in enumerate(zip(a.tolist(), b.tolist(), c.tolist())):
+            bc = wb + wc
+            x = self.geodesic_eval(B[k], C[k], wc / bc if bc else 0.0)
+            out[k] = self.geodesic_eval(A[k], x, bc / (wa + bc))
+        return out
 
     def comparison_angle(self, apex, p, q) -> float:
         """Angle at ``apex`` of the planar triangle with matching side lengths."""
@@ -69,10 +103,18 @@ class EuclideanSpace(TargetSpace):
     def distance(self, p, q) -> float:
         return float(np.linalg.norm(np.asarray(p, float) - np.asarray(q, float)))
 
+    def distances(self, P, Q) -> np.ndarray:
+        return np.linalg.norm(np.asarray(P, float) - np.asarray(Q, float), axis=-1)
+
     def geodesic_eval(self, p, q, t: float) -> np.ndarray:
         p = np.asarray(p, float)
         q = np.asarray(q, float)
         return (1.0 - t) * p + t * q
+
+    def triangle_points(self, A, B, C, a, b, c) -> np.ndarray:
+        A, B, C = (np.asarray(x, float) for x in (A, B, C))
+        a, b, c = (np.asarray(w, float)[..., None] for w in (a, b, c))
+        return (a * A + b * B + c * C) / (a + b + c)
 
     def __repr__(self):
         return f"EuclideanSpace({self.dimension})"

@@ -15,6 +15,21 @@ import math
 
 import numpy as np
 
+from catmin.targets import TargetSpace
+
+
+class RuledEuclidean(TargetSpace):
+    """Euclidean space seen only through `distance` and `geodesic_eval`, so
+    every other primitive takes its general `TargetSpace` default (the
+    refined graph puts side points on geodesics and rules face points
+    through a corner)."""
+
+    def distance(self, p, q):
+        return float(np.linalg.norm(np.asarray(p) - np.asarray(q)))
+
+    def geodesic_eval(self, p, q, t):
+        return (1.0 - t) * np.asarray(p) + t * np.asarray(q)
+
 
 def dijkstra_oracle(n_nodes, weighted_edges, source):
     """Textbook heap Dijkstra over an undirected weighted edge list."""

@@ -16,9 +16,9 @@ from catmin.induced import (
 from catmin.mesh import MappedDisc, build_refined_graph
 from catmin.meshgen import fan_disc, grid_disc, make_mapped_disc, random_height_disc
 from catmin.pseudometric import verify_pseudometric
-from catmin.targets import TargetSpace
 
 from oracles import (
+    RuledEuclidean,
     all_pairs_dijkstra_oracle,
     bracket_connecting_oracle,
     connecting_matrix_oracle,
@@ -526,18 +526,6 @@ def test_all_induced_matrices_verify_as_pseudometrics():
 
 
 # ---------------------------------------------------------------- refined graph
-
-
-class RuledEuclidean(TargetSpace):
-    """R^3 seen only through the target primitives, so the refined graph
-    takes its path for general targets (side points on geodesics, face
-    points ruled through a corner)."""
-
-    def distance(self, p, q):
-        return float(np.linalg.norm(np.asarray(p) - np.asarray(q)))
-
-    def geodesic_eval(self, p, q, t):
-        return (1.0 - t) * np.asarray(p) + t * np.asarray(q)
 
 
 @pytest.mark.parametrize("refinement", [1, 2, 3, 4])

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.optimize import nnls
@@ -7,7 +9,7 @@ from catmin.graphs import GraphInTarget, rotation_from_positions
 from catmin.minimize import certify_conditions, descent_direction, relax, straighten
 from catmin.targets import EuclideanSpace
 
-from oracles import descent_direction_oracle, maximin_direction_oracle, min_norm_hull_point_oracle
+from oracles import RuledEuclidean, descent_direction_oracle, maximin_direction_oracle, min_norm_hull_point_oracle
 
 
 def euclidean_graph(points, edges, pinned, positions=None):
@@ -450,6 +452,19 @@ def test_certify_flat_wheel_full_turn():
     assert cert.t_star[0] == 0.0
     assert cert.interior_vertices == [0]
     assert cert.valid
+
+
+def test_certify_does_not_pass_a_shortenable_graph_on_a_general_target():
+    # the free vertex can move down and shorten both edges (t* = 0.894 on
+    # EuclideanSpace); a general target must not skip that condition
+    points, edges = [(0.0, 0.0), (0.5, 1.0), (1.0, 0.0)], [(0, 1), (1, 2)]
+    euclid = euclidean_graph(points, edges, pinned=[0, 2])
+    assert certify_conditions(euclid).t_star[1] == pytest.approx(2 / np.sqrt(5))
+    try:
+        cert = certify_conditions(replace(euclid, target=RuledEuclidean()))
+    except NotImplementedError:
+        return
+    assert not cert.valid
 
 
 def test_certify_on_relax_outputs():

@@ -29,3 +29,27 @@ def test_package_reexports_resolve():
     ]
     assert names
     assert [n for n in names if not hasattr(catmin, n)] == []
+
+
+def _euclidean_checks(tree) -> int:
+    return sum(
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "isinstance"
+        and len(node.args) == 2
+        and isinstance(node.args[1], ast.Name)
+        and node.args[1].id == "EuclideanSpace"
+        for node in ast.walk(tree)
+    )
+
+
+def test_target_model_is_decided_in_three_guards():
+    # array fast paths live in the targets' own primitives; a module asks
+    # whether the target is Euclidean only to refuse what it cannot do:
+    # relaxation and certification, the R^3 saddle predicate, and the
+    # instance format's target declaration
+    checks = {
+        name: _euclidean_checks(ast.parse(inspect.getsource(importlib.import_module(f"catmin.{name}"))))
+        for name in MODULES
+    }
+    assert {name: k for name, k in checks.items() if k} == {"minimize": 1, "saddle": 1, "instances": 1}

@@ -5,6 +5,8 @@ import pytest
 
 from catmin.targets import EuclideanSpace, angle_from_sides
 
+from oracles import RuledEuclidean
+
 
 def test_euclidean_distance_345():
     sp = EuclideanSpace(3)
@@ -79,3 +81,35 @@ def test_comparison_angle_finite_difference_continuity():
             delta *= h / np.linalg.norm(delta)
             moved = sp.comparison_angle(apex, p + delta, q)
             assert abs(moved - base) < 1e-3  # bounded difference quotient
+
+
+def test_default_distances_match_euclidean_override():
+    rng = np.random.default_rng(5)
+    P, Q = rng.standard_normal((2, 40, 3))
+    want = EuclideanSpace(3).distances(P, Q)
+    assert want.shape == (40,)
+    np.testing.assert_allclose(RuledEuclidean().distances(P, Q), want, rtol=1e-12, atol=0)
+    # rows broadcast against each other: all pairs of a point set
+    pairs = RuledEuclidean().distances(P[:, None, :], P[None, :, :])
+    assert pairs.shape == (40, 40)
+    np.testing.assert_allclose(pairs, EuclideanSpace(3).distances(P[:, None, :], P[None, :, :]),
+                               rtol=1e-12, atol=0)
+
+
+def test_default_triangle_points_match_euclidean_override():
+    rng = np.random.default_rng(6)
+    A, B, C = rng.standard_normal((3, 50, 3))
+    a, b, c = rng.uniform(0.0, 2.0, (3, 50))
+    want = EuclideanSpace(3).triangle_points(A, B, C, a, b, c)
+    assert want.shape == (50, 3)
+    got = RuledEuclidean().triangle_points(A, B, C, a, b, c)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("space", [EuclideanSpace(3), RuledEuclidean()], ids=["euclidean", "default"])
+def test_triangle_points_at_unit_weights_are_the_corners(space):
+    rng = np.random.default_rng(7)
+    A, B, C = rng.standard_normal((3, 10, 3))
+    for weights, corner in (((1, 0, 0), A), ((0, 1, 0), B), ((0, 0, 1), C)):
+        np.testing.assert_allclose(space.triangle_points(A, B, C, *weights), corner,
+                                   rtol=1e-12, atol=1e-15)
