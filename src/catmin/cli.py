@@ -96,7 +96,7 @@ def cmd_minimize_graph(args) -> int:
     tols = doc["tolerances"]
     out, cert = relax(
         straighten(g),
-        tol_descent=args.tol_descent or tols.get("descent", 1e-8),
+        tol_descent=args.tol_descent if args.tol_descent is not None else tols.get("descent", 1e-8),
         max_iter=args.max_iter,
     )
     report = {

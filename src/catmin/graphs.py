@@ -4,6 +4,11 @@ The rotation system (counterclockwise cyclic neighbor order per vertex)
 determines the faces by the usual directed-edge tracing; for graphs that
 come with parameter-plane positions the outer face is the clockwise walk.
 Faces are what the disc-gluing stage fills with comparison triangles.
+
+:class:`PathGraph` is catmin's one shortest-path backend: the refined mesh
+graph, the intrinsic quotient of the refined mesh and the surface graph of
+a glued disc W are all path graphs, and this module is the only one that
+runs Dijkstra.
 """
 
 from __future__ import annotations
@@ -11,10 +16,98 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra as _dijkstra
 
 from .targets import TargetSpace
 
-__all__ = ["GraphInTarget", "rotation_from_positions"]
+__all__ = ["GraphInTarget", "PathGraph", "path_from", "rotation_from_positions"]
+
+
+def path_from(pred_row: np.ndarray, a: int, b: int) -> list[int]:
+    """Nodes of the shortest path from ``a`` to ``b``, read backwards off
+    the predecessor row of source ``a``; ``[]`` when ``b`` is unreachable."""
+    path = [int(b)]
+    while path[-1] != a:
+        prev = int(pred_row[path[-1]])
+        if prev < 0:
+            return []
+        path.append(prev)
+    return path[::-1]
+
+
+class PathGraph:
+    """Undirected weighted graph on ``range(n)`` with its Dijkstra tables.
+
+    The edges ``(a[k], b[k])`` of weight ``w[k]`` go into one symmetric CSR
+    ``matrix``: loops are dropped, and of parallel edges the shortest is
+    kept.  Dijkstra runs directed on that matrix, which gives the
+    undirected result while scanning each edge once.
+
+    Two distance backends share the matrix: ``all_pairs()`` runs Dijkstra
+    from every node once and keeps distances and predecessors (``distance``
+    and ``path_nodes`` read it); ``rows(sources)`` runs Dijkstra only from
+    sources it has not seen, and reads from all-pairs once that exists.
+    Both give bitwise the same distances.
+    """
+
+    def __init__(self, n: int, a, b, w):
+        a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+        w = np.asarray(w, dtype=float)
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        key = lo * n + hi
+        # shortest connection per node pair: sort by pair, then by length
+        order = np.lexsort((w, key))
+        order = order[lo[order] != hi[order]]
+        first = np.ones(order.size, dtype=bool)
+        first[1:] = key[order[1:]] != key[order[:-1]]
+        keep = order[first]
+        lo, hi, w = lo[keep], hi[keep], w[keep]
+        self.matrix = csr_matrix(
+            (np.concatenate([w, w]), (np.concatenate([lo, hi]), np.concatenate([hi, lo]))),
+            shape=(n, n),
+        )
+        self._dist = None
+        self._pred = None
+        self._rows: dict[int, np.ndarray] = {}
+
+    @property
+    def n_nodes(self) -> int:
+        return self.matrix.shape[0]
+
+    def shortest_paths(self, sources, return_predecessors: bool = False):
+        """Dijkstra from the given node ids (every node for ``None``)."""
+        return _dijkstra(
+            self.matrix, directed=True, indices=sources, return_predecessors=return_predecessors
+        )
+
+    def all_pairs(self):
+        """Distance and predecessor matrices from every node, computed once."""
+        if self._dist is None:
+            self._dist, self._pred = self.shortest_paths(None, return_predecessors=True)
+        return self._dist, self._pred
+
+    def rows(self, sources) -> np.ndarray:
+        """Distance rows of the given source nodes, one per source.
+
+        Each source runs Dijkstra at most once per graph; once all-pairs
+        exists the rows are read from it.
+        """
+        sources = [int(s) for s in sources]
+        if self._dist is not None:
+            return self._dist[sources]
+        new = [s for s in dict.fromkeys(sources) if s not in self._rows]
+        if new:
+            self._rows.update(zip(new, self.shortest_paths(new)))
+        return np.array([self._rows[s] for s in sources]).reshape(len(sources), self.n_nodes)
+
+    def distance(self, a: int, b: int) -> float:
+        dist, _ = self.all_pairs()
+        return float(dist[a, b])
+
+    def path_nodes(self, a: int, b: int) -> list[int]:
+        _, pred = self.all_pairs()
+        return path_from(pred[a], a, b)
 
 
 def rotation_from_positions(

@@ -11,6 +11,12 @@ Three pullbacks of the target metric to the mesh vertices, ordered
   collapsing the zero classes of the connecting pseudometric; when every
   class is a single vertex it is the length pseudometric itself.
 
+Both path metrics are `~catmin.graphs.PathGraph` distances: the length
+pseudometric on the refined graph, the intrinsic one on its quotient, whose
+nodes are the refined nodes with each zero class made one node, and whose
+edges are the refined edges between different nodes, the shortest of
+parallel ones kept.
+
 The connecting minimum over connected subsets is exact only at desk scale
 (``n <= 14`` by default): array passes over all 2^n vertex subsets give
 each subset's image diameter and connectivity, and a superset-minimum
@@ -34,9 +40,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra as _dijkstra
 
+from .graphs import PathGraph
 from .mesh import MappedDisc, RefinedGraph, build_refined_graph
 from .pseudometric import PseudometricMatrix, UnionFind
 
@@ -325,40 +330,12 @@ def intrinsic_pseudometric(
     g = graph if graph is not None else build_refined_graph(disc, refinement)
     n = disc.n_vertices
     canon = np.arange(g.n_nodes)
-    for i in range(n):
-        canon[g.orig_index[i]] = g.orig_index[uf.find(i)]
-    relabel: dict[int, int] = {}
-    node_of = np.empty(g.n_nodes, dtype=int)
-    for node in range(g.n_nodes):
-        c = int(canon[node])
-        if c not in relabel:
-            relabel[c] = len(relabel)
-        node_of[node] = relabel[c]
-    best: dict[tuple[int, int], float] = {}
-    for (u, v), w in zip(g.edges.tolist(), g.weights.tolist()):
-        a, b = node_of[u], node_of[v]
-        if a == b:
-            continue
-        key = (min(a, b), max(a, b))
-        if w < best.get(key, np.inf):
-            best[key] = w
-    m = len(relabel)
-    if best:
-        e = np.asarray(list(best.keys()), dtype=int)
-        w = np.asarray(list(best.values()), dtype=float)
-        mat = csr_matrix(
-            (np.concatenate([w, w]), (np.concatenate([e[:, 0], e[:, 1]]),
-                                      np.concatenate([e[:, 1], e[:, 0]]))),
-            shape=(m, m),
-        )
-    else:
-        mat = csr_matrix((m, m))
+    canon[g.orig_index] = g.orig_index[[uf.find(i) for i in range(n)]]
+    labels, node_of = np.unique(canon, return_inverse=True)
+    quotient = PathGraph(len(labels), node_of[g.edges[:, 0]], node_of[g.edges[:, 1]], g.weights)
     sources = node_of[g.orig_index]
-    dist = _dijkstra(mat, directed=False, indices=np.asarray(sorted(set(sources.tolist()))))
-    row_of = {s: k for k, s in enumerate(sorted(set(sources.tolist())))}
-    d = np.empty((n, n))
-    for i in range(n):
-        d[i] = dist[row_of[sources[i]]][sources]
+    used = np.unique(sources)
+    d = quotient.shortest_paths(used)[np.searchsorted(used, sources)][:, sources]
     d = np.minimum(d, d.T)
     np.fill_diagonal(d, 0.0)
     return PseudometricMatrix(d)

@@ -14,8 +14,9 @@ to a metric tree, which is a legitimate degenerate disc retract.
 
 Intrinsic distances on W are overestimated by Dijkstra runs on an
 edge-subdivided surface graph whose faces carry complete chord
-connections; every query can report a conservative error bound derived
-from the subdivision gap and the edge crossings of the returned path.
+connections, a `~catmin.graphs.PathGraph`; every query can report a
+conservative error bound derived from the subdivision gap and the edge
+crossings of the returned path.
 Queries that read most source rows or need paths (the key lemma's
 contraction and shortness checks, ``thin_triangle_test``, node-to-node
 distances and paths) use the graph's all-pairs matrices; queries that read
@@ -32,10 +33,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra as _dijkstra
 
-from .graphs import GraphInTarget
+from .graphs import GraphInTarget, PathGraph
 from .targets import TargetSpace, angle_from_sides
 
 __all__ = [
@@ -519,6 +518,8 @@ class Cat0Report:
 def cat0_certificate(w: PolyhedralDisc, tol_angle: float = 1e-6) -> Cat0Report:
     """Nonpositive-curvature certificate: at least a full turn around every
     interior vertex, plus simple connectivity of the complex."""
+    if tol_angle < 0:
+        raise ValueError("tol_angle must be >= 0")
     problems = w.validate()
     sums = w.vertex_angle_sums()
     interior = w.interior_vertices()
@@ -605,7 +606,7 @@ def _biconnected(vertices: list[int], edges: list[tuple[int, int]]) -> tuple[set
 # intrinsic distances via an edge-subdivided surface graph
 
 
-class SurfaceGraph:
+class SurfaceGraph(PathGraph):
     """Subdivided surface graph with complete chord connections per face.
 
     Dijkstra distances overestimate the intrinsic metric; the conservative
@@ -614,12 +615,9 @@ class SurfaceGraph:
     crossings (the thin-triangle allowance relies on the calibrated value
     ``THIN_ALLOWANCE_GAPS * max_gap``).
 
-    Two distance backends share one symmetric weight ``matrix``:
-    ``all_pairs()`` runs Dijkstra from every node once and keeps distances
-    and predecessors (``distance``, ``path_nodes`` and
-    ``distance_with_bound`` read it); ``rows(sources)`` runs Dijkstra only
-    from sources it has not seen, and reads from all-pairs once that exists.
-    Both give bitwise the same distances.
+    Its distances come from the `~catmin.graphs.PathGraph` tables:
+    all-pairs for ``distance``, ``path_nodes`` and ``distance_with_bound``,
+    per-source rows for queries that read a few sources.
 
     ``PolyhedralDisc.surface_graph`` keeps the graph it built last, tables
     included, so every caller asking for the same disc and ``subdiv`` reads
@@ -637,16 +635,15 @@ class SurfaceGraph:
         self._vertex_node: dict[int, int] = {}
         self._side_chain: dict[tuple[int, int], list[int]] = {}
         self._bridge_chain: list[list[int]] = []
-        self._dist = None
-        self._pred = None
-        self._rows: dict[int, np.ndarray] = {}
-        self._build()
+        PathGraph.__init__(self, *self._build())
 
     def _new_node(self, u: int, v: int, t: float) -> int:
         self.nodes.append((u, v, t))
         return len(self.nodes) - 1
 
     def _build(self):
+        """Create the nodes; return ``(n, a, b, w)``, every chord and
+        bridge segment as an edge (a, b) of length w."""
         disc = self.disc
         r = self.subdiv
         glue_partner: dict[tuple[int, int], tuple[int, int]] = {}
@@ -680,9 +677,9 @@ class SurfaceGraph:
         # chords of every face ring, then bridge segments, as parallel arrays
         tri_u, tri_v = np.triu_indices(3 * r, k=1)
         t = np.arange(r) / r
-        pair_a: list[np.ndarray] = []
-        pair_b: list[np.ndarray] = []
-        pair_w: list[np.ndarray] = []
+        pair_a: list[np.ndarray] = [np.empty(0, dtype=int)]
+        pair_b: list[np.ndarray] = [np.empty(0, dtype=int)]
+        pair_w: list[np.ndarray] = [np.empty(0)]
         for f in range(disc.n_triangles):
             coords = disc.tri_coords[f]
             ring: list[int] = []
@@ -710,31 +707,10 @@ class SurfaceGraph:
             self._bridge_chain.append(chain)
             max_gap = max(max_gap, length / r)
 
-        n = len(self.nodes)
-        if pair_w:
-            a, b, w = np.concatenate(pair_a), np.concatenate(pair_b), np.concatenate(pair_w)
-            lo, hi = np.minimum(a, b), np.maximum(a, b)
-            key = lo * n + hi
-            # shortest connection per node pair: sort by pair, then by length
-            order = np.lexsort((w, key))
-            order = order[lo[order] != hi[order]]
-            first = np.ones(order.size, dtype=bool)
-            first[1:] = key[order[1:]] != key[order[:-1]]
-            keep = order[first]
-            lo, hi, w = lo[keep], hi[keep], w[keep]
-            self.matrix = csr_matrix(
-                (np.concatenate([w, w]), (np.concatenate([lo, hi]), np.concatenate([hi, lo]))),
-                shape=(n, n),
-            )
-        else:
-            self.matrix = csr_matrix((n, n))
         self.max_gap = max_gap
+        return len(self.nodes), np.concatenate(pair_a), np.concatenate(pair_b), np.concatenate(pair_w)
 
     # ---------------- queries
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self.nodes)
 
     def vertex_node(self, v: int) -> int:
         return self._vertex_node[v]
@@ -744,49 +720,6 @@ class SurfaceGraph:
 
     def bridge_chain(self, b_idx: int) -> list[int]:
         return self._bridge_chain[b_idx]
-
-    def all_pairs(self):
-        """Distance and predecessor matrices from every node, computed once.
-
-        The matrix is symmetric, so a directed run gives the undirected
-        result while scanning each edge once.
-        """
-        if self._dist is None:
-            self._dist, self._pred = _dijkstra(
-                self.matrix, directed=True, return_predecessors=True
-            )
-        return self._dist, self._pred
-
-    def rows(self, sources) -> np.ndarray:
-        """Distance rows of the given source nodes, one per source.
-
-        Each source runs Dijkstra at most once per graph; once all-pairs
-        exists the rows are read from it.
-        """
-        sources = [int(s) for s in sources]
-        if self._dist is not None:
-            return self._dist[sources]
-        new = [s for s in dict.fromkeys(sources) if s not in self._rows]
-        if new:
-            self._rows.update(zip(new, _dijkstra(self.matrix, directed=True, indices=new)))
-        return np.array([self._rows[s] for s in sources]).reshape(len(sources), self.n_nodes)
-
-    def distance(self, a: int, b: int) -> float:
-        dist, _ = self.all_pairs()
-        return float(dist[a, b])
-
-    def path_nodes(self, a: int, b: int) -> list[int]:
-        _, pred = self.all_pairs()
-        if a == b:
-            return [a]
-        path = [b]
-        cur = b
-        while cur != a:
-            cur = int(pred[a, cur])
-            if cur < 0:
-                return []
-            path.append(cur)
-        return path[::-1]
 
     def distance_with_bound(self, a: int, b: int) -> tuple[float, float]:
         """Distance overestimate with a conservative error bound:

@@ -10,7 +10,9 @@ Path-based quantities are computed on a *refined graph*: every face is
 subdivided into ``r^2`` sub-triangles and the sub-edges form a planar graph
 whose edge weights are the target lengths of their image segments.  Path
 lengths over this graph decrease towards the induced length pseudometric as
-``r`` grows (along nested refinements ``r, 2r, 4r, ...``).
+``r`` grows (along nested refinements ``r, 2r, 4r, ...``).  The refined
+graph is a `~catmin.graphs.PathGraph`, which holds its weight matrix and
+runs its Dijkstra.
 """
 
 from __future__ import annotations
@@ -18,9 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra as _dijkstra
 
+from .graphs import PathGraph
 from .pseudometric import UnionFind
 from .targets import EuclideanSpace, TargetSpace
 
@@ -176,7 +177,7 @@ class MappedDisc:
 
 
 @dataclass
-class RefinedGraph:
+class RefinedGraph(PathGraph):
     """Planar subdivision graph of a mapped disc with image-length weights."""
 
     node_param: np.ndarray            # (N, 2)
@@ -187,29 +188,9 @@ class RefinedGraph:
     refinement: int
     edge_face: np.ndarray             # (E,) mesh face owning each sub-edge
     node_on_boundary: np.ndarray      # (N,) bool
-    matrix: csr_matrix = field(repr=False, default=None)
 
-    @property
-    def n_nodes(self) -> int:
-        return self.node_param.shape[0]
-
-    def csgraph(self) -> csr_matrix:
-        if self.matrix is None:
-            n = self.n_nodes
-            i = np.concatenate([self.edges[:, 0], self.edges[:, 1]])
-            j = np.concatenate([self.edges[:, 1], self.edges[:, 0]])
-            w = np.concatenate([self.weights, self.weights])
-            self.matrix = csr_matrix((w, (i, j)), shape=(n, n))
-        return self.matrix
-
-    def shortest_paths(self, sources: np.ndarray, return_predecessors: bool = False):
-        """Dijkstra from the given node ids over the weighted subdivision graph."""
-        return _dijkstra(
-            self.csgraph(),
-            directed=False,
-            indices=sources,
-            return_predecessors=return_predecessors,
-        )
+    def __post_init__(self):
+        PathGraph.__init__(self, len(self.node_param), self.edges[:, 0], self.edges[:, 1], self.weights)
 
 
 def _lattice(r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

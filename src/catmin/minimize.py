@@ -374,6 +374,10 @@ def relax(
     when no free vertex admits a shortening direction above ``tol_descent``
     or when ``max_iter`` sweeps have run.
     """
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
+    if tol_descent < 0:
+        raise ValueError("tol_descent must be >= 0")
     _require_euclidean(g)
     g.require_valid()
     if g.edge_paths:

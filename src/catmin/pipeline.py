@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import GraphInTarget
+from .graphs import GraphInTarget, path_from
 from .majorize import Cat0Report, PolyhedralDisc, boundary_and_area, cat0_certificate, glue_disc
 from .mesh import MappedDisc, RefinedGraph, build_refined_graph
 from .minimize import MinimizationCertificate, relax, straighten
@@ -39,17 +39,10 @@ def _union_paths(sources: list[int], dist: np.ndarray, pred: np.ndarray) -> set[
     """
     edges: set[tuple[int, int]] = set()
     for a_row, a_node in enumerate(sources):
-        for b_row in range(a_row + 1, len(sources)):
-            b_node = sources[b_row]
-            if not np.isfinite(dist[a_row, b_node]):
-                continue
-            cur = b_node
-            while cur != a_node:
-                nxt = int(pred[a_row, cur])
-                if nxt < 0:
-                    break
-                edges.add((min(cur, nxt), max(cur, nxt)))
-                cur = nxt
+        for b_node in sources[a_row + 1:]:
+            if np.isfinite(dist[a_row, b_node]):
+                path = path_from(pred[a_row], a_node, b_node)
+                edges.update((min(u, v), max(u, v)) for u, v in zip(path, path[1:]))
     return edges
 
 
@@ -187,6 +180,29 @@ class KeyLemmaResult:
         return bool(self.verification.get("ok", False))
 
 
+def _one_point_result(sample, boundary_sample, collapsed, note) -> KeyLemmaResult:
+    """The factorization through a one-point space, which needs no check."""
+    return KeyLemmaResult(
+        sample=sample,
+        boundary_sample=boundary_sample,
+        collapsed=collapsed,
+        graph_initial=None,
+        graph=None,
+        certificate=None,
+        disc=None,
+        cat0=None,
+        one_point=True,
+        p_map={v: 0 for v in sample},
+        verification={
+            "ok": True,
+            "note": note,
+            "contraction_max_excess": 0.0,
+            "boundary_max_distance": 0.0,
+            "shortness_max_excess": 0.0,
+        },
+    )
+
+
 def run_key_lemma(
     disc: MappedDisc,
     sample: list[int],
@@ -213,25 +229,7 @@ def run_key_lemma(
 
     if not boundary_sample:
         # nothing pins the graph: a single point factors everything
-        return KeyLemmaResult(
-            sample=sample,
-            boundary_sample=[],
-            collapsed=[],
-            graph_initial=None,
-            graph=None,
-            certificate=None,
-            disc=None,
-            cat0=None,
-            one_point=True,
-            p_map={v: 0 for v in sample},
-            verification={
-                "ok": True,
-                "note": "no boundary sample: one-point space",
-                "contraction_max_excess": 0.0,
-                "boundary_max_distance": 0.0,
-                "shortness_max_excess": 0.0,
-            },
-        )
+        return _one_point_result(sample, [], [], "no boundary sample: one-point space")
 
     g = build_refined_graph(disc, refinement)
     source_nodes = [int(g.orig_index[v]) for v in sample]
@@ -247,24 +245,8 @@ def run_key_lemma(
     if len(kept) <= 1:
         # a single usable vertex: the one-point space already satisfies
         # the contraction and carries the constant short map
-        return KeyLemmaResult(
-            sample=sample,
-            boundary_sample=boundary_sample,
-            collapsed=collapsed,
-            graph_initial=None,
-            graph=None,
-            certificate=None,
-            disc=None,
-            cat0=None,
-            one_point=True,
-            p_map={v: 0 for v in sample},
-            verification={
-                "ok": True,
-                "note": "single usable sample vertex: one-point space",
-                "contraction_max_excess": 0.0,
-                "boundary_max_distance": 0.0,
-                "shortness_max_excess": 0.0,
-            },
+        return _one_point_result(
+            sample, boundary_sample, collapsed, "single usable sample vertex: one-point space"
         )
 
     kept_rows = [i for i, keep in enumerate(finite_mask) if keep]

@@ -389,15 +389,16 @@ def test_intrinsic_routes_through_collapsed_class():
 
 
 def _count_quotient_solves(monkeypatch):
-    """Counter of the Dijkstra runs on the intrinsic quotient graph."""
+    """Counter of the Dijkstra runs on the intrinsic quotient graph: the
+    path graphs `induced` builds, not the refined graphs it reads."""
     calls = []
-    real = induced._dijkstra
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    class CountedPathGraph(induced.PathGraph):
+        def shortest_paths(self, *args, **kwargs):
+            calls.append(1)
+            return super().shortest_paths(*args, **kwargs)
 
-    monkeypatch.setattr(induced, "_dijkstra", counted)
+    monkeypatch.setattr(induced, "PathGraph", CountedPathGraph)
     return calls
 
 

@@ -169,14 +169,15 @@ def test_cli_key_lemma_and_determinism(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_cli_minimize_and_build_disc(tmp_path):
+def square_graph():
+    """A unit square's corners pinned, with one free centre vertex."""
     from catmin.graphs import GraphInTarget, rotation_from_positions
     from catmin.targets import EuclideanSpace
 
     pts = [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (1.0, 1.0, 0.4), (0.0, 1.0, 0.0), (0.5, 0.5, 0.3)]
     edges = [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (1, 4), (2, 4), (3, 4)]
     positions = np.asarray([p[:2] for p in pts])
-    g = GraphInTarget(
+    return GraphInTarget(
         points=[np.asarray(p) for p in pts],
         edges=edges,
         pinned={0, 1, 2, 3},
@@ -184,8 +185,15 @@ def test_cli_minimize_and_build_disc(tmp_path):
         target=EuclideanSpace(3),
         positions=positions,
     )
-    inst = tmp_path / "graph.json"
-    save_instance(graph_instance(g), inst)
+
+
+def square_graph_instance(path):
+    save_instance(graph_instance(square_graph()), path)
+    return path
+
+
+def test_cli_minimize_and_build_disc(tmp_path):
+    inst = square_graph_instance(tmp_path / "graph.json")
     relaxed = tmp_path / "relaxed.json"
     assert run_cli("minimize-graph", "--in", str(inst), "--out", str(relaxed)) == 0
     rep = load_instance(relaxed)
@@ -198,6 +206,52 @@ def test_cli_minimize_and_build_disc(tmp_path):
     assert svg.exists()
     built = load_instance(disc_out)
     assert "disc" in built
+
+
+@pytest.mark.parametrize("flags", [
+    ("--max-iter", "0"),
+    ("--max-iter", "-3"),
+    ("--tol-descent", "-1"),
+])
+def test_cli_minimize_graph_bad_flag_is_malformed(tmp_path, capsys, flags):
+    # no sweep limit below one and no negative tolerance is a well-formed
+    # request: exit 2 with an input error, not a stack trace or a verdict
+    inst = square_graph_instance(tmp_path / "graph.json")
+    out = tmp_path / "r.json"
+    assert run_cli("minimize-graph", "--in", str(inst), "--out", str(out), *flags) == 2
+    assert capsys.readouterr().err.startswith("input error: ")
+    assert not out.exists()
+
+
+def test_cli_minimize_graph_reads_a_zero_tol_descent(tmp_path):
+    # 0 is a tolerance like any other, not a request for the instance's
+    inst = square_graph_instance(tmp_path / "graph.json")
+    out = tmp_path / "r.json"
+    assert run_cli("minimize-graph", "--in", str(inst), "--out", str(out), "--tol-descent", "0") == 0
+    assert load_instance(out)["certificate"]["tolerances"]["descent"] == 0.0
+
+
+def test_cli_check_cat0_negative_tol_angle_is_malformed(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    code = run_cli("check-cat0", "--in", str(fixture_path("cone_5pi2.json")),
+                   "--tol-angle", "-1", "--out", str(out))
+    assert code == 2
+    assert capsys.readouterr().err.startswith("input error: ")
+    assert not out.exists()
+
+
+def test_relax_and_cat0_reject_bad_limits():
+    from catmin.majorize import cat0_certificate
+    from catmin.minimize import relax
+
+    g = square_graph()
+    for max_iter in (0, -3):
+        with pytest.raises(ValueError, match="max_iter"):
+            relax(g, max_iter=max_iter)
+    with pytest.raises(ValueError, match="tol_descent"):
+        relax(g, tol_descent=-1.0)
+    with pytest.raises(ValueError, match="tol_angle"):
+        cat0_certificate(cone_disc(2 * math.pi, 4), tol_angle=-1.0)
 
 
 def test_cli_solve_fields_and_perturb(tmp_path):

@@ -548,19 +548,20 @@ def test_key_lemma_thin_test_and_nets_share_one_all_pairs_run(monkeypatch):
     disc = make_mapped_disc(vertices, triangles, np.stack([x, y, 1.2 * x * y], axis=1))
     all_pairs_runs, dijkstra_runs = [], []
     all_pairs = SurfaceGraph.all_pairs
-    dijkstra_fn = majorize._dijkstra
+    shortest_paths = SurfaceGraph.shortest_paths
 
     def counting_all_pairs(sg):
         if sg._dist is None:
             all_pairs_runs.append(sg)
         return all_pairs(sg)
 
-    def counting_dijkstra(*args, **kwargs):
-        dijkstra_runs.append(kwargs.get("indices"))
-        return dijkstra_fn(*args, **kwargs)
+    def counting_dijkstra(sg, sources, *args, **kwargs):
+        # W's runs only: the refined mesh graph's runs are not counted
+        dijkstra_runs.append(sources)
+        return shortest_paths(sg, sources, *args, **kwargs)
 
     monkeypatch.setattr(SurfaceGraph, "all_pairs", counting_all_pairs)
-    monkeypatch.setattr(majorize, "_dijkstra", counting_dijkstra)
+    monkeypatch.setattr(SurfaceGraph, "shortest_paths", counting_dijkstra)
     res = run_key_lemma(disc, [0, 2, 5, 17, 35, 33, 30, 12, 14, 22], refinement=2,
                         shortness_samples=200)
     assert res.ok, res.verification

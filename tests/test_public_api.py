@@ -53,3 +53,25 @@ def test_target_model_is_decided_in_three_guards():
         for name in MODULES
     }
     assert {name: k for name, k in checks.items() if k} == {"minimize": 1, "saddle": 1, "instances": 1}
+
+
+def _shortest_path_backend(tree: ast.AST) -> list[str]:
+    """scipy's Dijkstra and CSR constructor, as imported or read off a module."""
+    wanted = {"dijkstra", "csr_matrix"}
+    imported = {
+        alias.name
+        for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        for alias in node.names if alias.name in wanted
+    }
+    attributes = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr in wanted}
+    return sorted(imported | attributes)
+
+
+def test_only_graphs_runs_dijkstra():
+    # the refined mesh, the intrinsic quotient and W's surface graph are all
+    # catmin.graphs.PathGraph: one module builds the matrix and runs Dijkstra
+    uses = {
+        name: _shortest_path_backend(ast.parse(inspect.getsource(importlib.import_module(f"catmin.{name}"))))
+        for name in MODULES
+    }
+    assert {name: u for name, u in uses.items() if u} == {"graphs": ["csr_matrix", "dijkstra"]}
