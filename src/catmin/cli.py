@@ -158,12 +158,7 @@ def cmd_key_lemma(args) -> int:
     sample = args.sample or doc.get("sample")
     if not sample:
         raise InputError("key-lemma needs a vertex sample (instance 'sample' or --sample)")
-    result = run_key_lemma(
-        disc,
-        [int(v) for v in sample],
-        refinement=args.refine,
-        seed=args.seed,
-    )
+    result = run_key_lemma(disc, [int(v) for v in sample], refinement=args.refine)
     report = {
         "command": "key-lemma",
         "sample": result.sample,
@@ -324,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("key-lemma", cmd_key_lemma, help="factor a sampled disc map through a glued disc")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--refine", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sample", type=int, nargs="*")
     p.add_argument("--svg", help="draw the embedded graph")
     p.add_argument("--svg-disc", help="draw the glued disc layout")

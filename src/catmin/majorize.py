@@ -17,13 +17,13 @@ edge-subdivided surface graph whose faces carry complete chord
 connections, a `~catmin.graphs.PathGraph`; every query can report a
 conservative error bound derived from the subdivision gap and the edge
 crossings of the returned path.
-Queries that read most source rows or need paths (the key lemma's
-contraction and shortness checks, ``thin_triangle_test``, node-to-node
-distances and paths) use the graph's all-pairs matrices; queries that read
-a few sources (``eps_net_report``, the refinement study) run Dijkstra
-only from those, through ``SurfaceGraph.rows``.  ``surface_graph`` keeps
-the graph it built last, so the key lemma, the thin-triangle test and the
-nets on one W share one graph and one all-pairs run.
+Queries that read most source rows or need paths (``thin_triangle_test``,
+node-to-node distances and paths) use the graph's all-pairs matrices;
+queries that read a few sources (``eps_net_report``, the refinement study)
+run Dijkstra only from those, through ``SurfaceGraph.rows``.
+``surface_graph`` keeps the graph it built last, so the thin-triangle test
+and the nets on one W share one graph and one all-pairs run.  The key
+lemma reads no distances on W: it certifies its maps side by side.
 """
 
 from __future__ import annotations

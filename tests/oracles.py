@@ -811,3 +811,57 @@ def refined_graph_oracle(disc, refinement=1):
         edge_face=edge_face,
         node_on_boundary=boundary,
     )
+
+
+def key_lemma_sampled_oracle(result, disc, samples=2000, seed=0, subdiv=8, refinement=2):
+    """The key lemma's former sampled checks, on W's chord graph.
+
+    Contraction: d_W(p x, p y) - d_mesh(x, y) over every pair of kept sample
+    vertices, d_W read off the all-pairs table of ``W.surface_graph(subdiv)``
+    and d_mesh off the refined mesh.  Shortness: d(q a, q b) - d_W(a, b) over
+    ``samples`` random pairs of surface-graph nodes, q ruling each node to
+    its fraction of the geodesic between the images of its segment's ends.
+    Returns the two worst excesses and the number of pairs sampled.  The
+    chord graph overestimates d_W, so these are evidence, not certificates.
+    """
+    from catmin.mesh import build_refined_graph
+
+    w, gamma, target = result.disc, result.graph, disc.target
+    kept = [v for v in result.sample if v not in result.collapsed]
+    g = build_refined_graph(disc, refinement)
+    nodes = [int(g.orig_index[v]) for v in kept]
+    d_mesh = g.shortest_paths(np.asarray(nodes))[:, nodes]
+    sg = w.surface_graph(subdiv)
+    dist_w, _ = sg.all_pairs()
+
+    worst_contraction = -math.inf
+    for i, x in enumerate(kept):
+        for j in range(i + 1, len(kept)):
+            dw = dist_w[sg.vertex_node(result.p_map[x]), sg.vertex_node(result.p_map[kept[j]])]
+            worst_contraction = max(worst_contraction, float(dw - d_mesh[i, j]))
+
+    p = gamma.points
+    q_point = [target.geodesic_eval(p[u], p[v], t) for u, v, t in sg.nodes]
+    rng = np.random.default_rng(seed)
+    n_nodes = sg.n_nodes
+    worst_shortness = -math.inf
+    pairs_done = 0
+    while n_nodes >= 2 and pairs_done < samples:
+        need = samples - pairs_done
+        a_idx = rng.integers(0, n_nodes, size=2 * need + 8)
+        b_idx = rng.integers(0, n_nodes, size=2 * need + 8)
+        for a, b in zip(a_idx.tolist(), b_idx.tolist()):
+            if a == b:
+                continue
+            dy = target.distance(q_point[a], q_point[b])
+            worst_shortness = max(worst_shortness, float(dy - dist_w[a, b]))
+            pairs_done += 1
+            if pairs_done >= samples:
+                break
+    if pairs_done == 0:
+        worst_shortness = 0.0
+    return {
+        "contraction_max_excess": worst_contraction,
+        "shortness_max_excess": worst_shortness,
+        "shortness_pairs": pairs_done,
+    }

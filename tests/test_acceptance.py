@@ -22,7 +22,7 @@ from catmin.pipeline import run_key_lemma
 from catmin.saddle import HEXAGON_PARAMS, hexagon_counterexample, is_saddle_pl, shorten_by_rotation
 from catmin.targets import EuclideanSpace
 
-from oracles import connecting_matrix_oracle
+from oracles import connecting_matrix_oracle, key_lemma_sampled_oracle
 
 
 def report(idx, ok, elapsed, detail=""):
@@ -165,7 +165,8 @@ def test_criterion_4_gordan_duality():
 
 @pytest.fixture(scope="module")
 def key_lemma_runs():
-    runs = []
+    """The 20 runs, the time they took, and each run's disc and seed."""
+    runs, inputs = [], []
     t0 = time.monotonic()
     for seed in range(20):
         disc = random_height_disc(3000 + seed, max_vertices=20)
@@ -179,36 +180,44 @@ def key_lemma_runs():
             if interior
             else []
         )
-        res = run_key_lemma(
-            disc, pick_b + pick_i, refinement=2, shortness_samples=500, seed=seed
-        )
-        runs.append(res)
-    return runs, time.monotonic() - t0
+        runs.append(run_key_lemma(disc, pick_b + pick_i, refinement=2))
+        inputs.append((disc, seed))
+    return runs, time.monotonic() - t0, inputs
 
 
 def test_criterion_5_key_lemma_contraction(key_lemma_runs):
-    runs, build_time = key_lemma_runs
+    # the certificates over every run, and the former sampled checks as the
+    # oracle: 500 random node pairs per W, so >= 9000 pairs over the 20 runs
+    runs, build_time, inputs = key_lemma_runs
     t0 = time.monotonic()
     worst_contraction = max(r.verification["contraction_max_excess"] for r in runs)
     worst_short = max(r.verification["shortness_max_excess"] for r in runs)
-    pairs = sum(r.verification.get("shortness_pairs", 0) for r in runs)
+    sampled = [
+        key_lemma_sampled_oracle(r, disc, samples=500, seed=seed)
+        for r, (disc, seed) in zip(runs, inputs) if r.disc is not None
+    ]
+    sampled_contraction = max(o["contraction_max_excess"] for o in sampled)
+    sampled_short = max(o["shortness_max_excess"] for o in sampled)
+    pairs = sum(o["shortness_pairs"] for o in sampled)
     ok = (
         all(r.ok for r in runs)
         and worst_contraction <= 1e-6
         and worst_short <= 1e-6
+        and sampled_contraction <= 1e-6
+        and sampled_short <= 1e-6
         and pairs >= 10_000 * 0.9
     )
     elapsed = build_time + (time.monotonic() - t0)
     ok = ok and elapsed < 120.0
     assert report(
         5, ok, elapsed,
-        f"20 runs, contraction excess {worst_contraction:.2e}, "
-        f"shortness excess {worst_short:.2e} over {pairs} pairs",
+        f"20 runs, contraction excess {worst_contraction:.2e} (sampled {sampled_contraction:.2e}), "
+        f"shortness excess {worst_short:.2e} (sampled {sampled_short:.2e} over {pairs} pairs)",
     )
 
 
 def test_criterion_6_cat0_certificates(key_lemma_runs):
-    runs, _ = key_lemma_runs
+    runs, _, _ = key_lemma_runs
     t0 = time.monotonic()
     ok = all(r.cat0.ok for r in runs if r.cat0 is not None)
     flat = thin_triangle_test(cone_disc(5 * math.pi / 2, 5), samples=10_000, seed=0, subdiv=24)
@@ -224,7 +233,7 @@ def test_criterion_6_cat0_certificates(key_lemma_runs):
 
 
 def test_criterion_7_isoperimetric_and_nets(key_lemma_runs):
-    runs, _ = key_lemma_runs
+    runs, _, _ = key_lemma_runs
     t0 = time.monotonic()
     ok = True
     for r in runs:

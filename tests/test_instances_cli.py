@@ -164,9 +164,26 @@ def test_cli_key_lemma_and_determinism(tmp_path):
     inst = tmp_path / "disc.json"
     save_instance(mapped_disc_instance(disc, sample=boundary[:4]), inst)
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
-    assert run_cli("key-lemma", "--in", str(inst), "--out", str(out1), "--seed", "3") == 0
-    assert run_cli("key-lemma", "--in", str(inst), "--out", str(out2), "--seed", "3") == 0
+    assert run_cli("key-lemma", "--in", str(inst), "--out", str(out1)) == 0
+    assert run_cli("key-lemma", "--in", str(inst), "--out", str(out2)) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("bad", ["999", "-1"])
+def test_cli_key_lemma_sample_out_of_range_exit_2(tmp_path, capsys, bad):
+    # a --sample vertex outside the 144-vertex grid is malformed input; it
+    # must neither crash (999) nor wrap round to vertex 143 and pass (-1)
+    vertices, triangles = grid_disc(12)
+    x, y = vertices[:, 0], vertices[:, 1]
+    disc = make_mapped_disc(vertices, triangles, np.stack([x, y, 1.2 * x * y], axis=1))
+    assert disc.n_vertices == 144
+    inst = tmp_path / "grid12.json"
+    save_instance(mapped_disc_instance(disc), inst)
+    out = tmp_path / "r.json"
+    assert run_cli("key-lemma", "--in", str(inst), "--out", str(out), "--sample", "0", "5", bad) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and f"vertex {bad} " in err
+    assert not out.exists()
 
 
 def square_graph():

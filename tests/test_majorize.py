@@ -477,8 +477,7 @@ def saddle_w():
     vertices, triangles = grid_disc(6)
     x, y = vertices[:, 0], vertices[:, 1]
     disc = make_mapped_disc(vertices, triangles, np.stack([x, y, x * y], axis=1))
-    res = run_key_lemma(disc, [0, 2, 5, 17, 35, 33, 30, 12, 14, 22], refinement=2,
-                        shortness_samples=200)
+    res = run_key_lemma(disc, [0, 2, 5, 17, 35, 33, 30, 12, 14, 22], refinement=2)
     assert res.ok, res.verification
     return res.disc
 
@@ -546,9 +545,14 @@ def test_key_lemma_thin_test_and_nets_share_one_all_pairs_run(monkeypatch):
     vertices, triangles = grid_disc(6)
     x, y = vertices[:, 0], vertices[:, 1]
     disc = make_mapped_disc(vertices, triangles, np.stack([x, y, 1.2 * x * y], axis=1))
-    all_pairs_runs, dijkstra_runs = [], []
+    graphs_built, all_pairs_runs, dijkstra_runs = [], [], []
+    init = SurfaceGraph.__init__
     all_pairs = SurfaceGraph.all_pairs
     shortest_paths = SurfaceGraph.shortest_paths
+
+    def counting_init(sg, *args, **kwargs):
+        graphs_built.append(sg)
+        init(sg, *args, **kwargs)
 
     def counting_all_pairs(sg):
         if sg._dist is None:
@@ -560,14 +564,17 @@ def test_key_lemma_thin_test_and_nets_share_one_all_pairs_run(monkeypatch):
         dijkstra_runs.append(sources)
         return shortest_paths(sg, sources, *args, **kwargs)
 
+    monkeypatch.setattr(SurfaceGraph, "__init__", counting_init)
     monkeypatch.setattr(SurfaceGraph, "all_pairs", counting_all_pairs)
     monkeypatch.setattr(SurfaceGraph, "shortest_paths", counting_dijkstra)
-    res = run_key_lemma(disc, [0, 2, 5, 17, 35, 33, 30, 12, 14, 22], refinement=2,
-                        shortness_samples=200)
+    res = run_key_lemma(disc, [0, 2, 5, 17, 35, 33, 30, 12, 14, 22], refinement=2)
     assert res.ok, res.verification
+    # the key lemma certifies W edge by edge: no graph on W, no Dijkstra
+    assert graphs_built == [] and dijkstra_runs == []
     w = res.disc
     thin = thin_triangle_test(w, samples=300, seed=5, subdiv=8)
     nets = eps_net_report(w, eps_fracs=(0.1, 0.05), subdiv=8)
+    assert len(graphs_built) == 1 and graphs_built[0].disc is w
     assert len(all_pairs_runs) == 1 and all_pairs_runs[0].disc is w
     assert dijkstra_runs == [None]  # the one all-pairs run, no row runs for the nets
 

@@ -1,12 +1,20 @@
 import numpy as np
 import pytest
 
+from catmin import pipeline
 from catmin.induced import length_pseudometric
-from catmin.majorize import GlueError
+from catmin.majorize import GlueError, glue_disc
 from catmin.meshgen import grid_disc, make_mapped_disc, random_height_disc
-from catmin.pipeline import geodesic_graph, refinement_study, run_key_lemma
+from catmin.minimize import relax
+from catmin.pipeline import (
+    contraction_excess,
+    geodesic_graph,
+    refinement_study,
+    run_key_lemma,
+    shortness_excess,
+)
 
-from oracles import all_pairs_dijkstra_oracle
+from oracles import all_pairs_dijkstra_oracle, key_lemma_sampled_oracle
 
 
 def flat_grid(k):
@@ -88,7 +96,7 @@ def test_interior_sample_gives_one_point_space():
 def test_flat_quad_boundary_sample():
     disc = flat_grid(3)
     corners = [0, 2, 8, 6]
-    res = run_key_lemma(disc, corners, refinement=2, shortness_samples=500)
+    res = run_key_lemma(disc, corners, refinement=2)
     assert not res.one_point
     assert res.ok, res.verification
     # W is isometric to the flat unit square: exact area, perimeter and
@@ -107,11 +115,15 @@ def test_flat_quad_boundary_sample():
 def test_saddle_disc_contraction_all_pairs():
     disc = saddle_grid(4, c=1.2)
     sample = [0, 3, 12, 15, 5, 10]
-    res = run_key_lemma(disc, sample, refinement=2, shortness_samples=1500, seed=5)
+    res = run_key_lemma(disc, sample, refinement=2)
     assert res.ok, res.verification
     assert res.verification["contraction_max_excess"] <= 1e-6
     assert res.verification["shortness_max_excess"] <= 1e-6
     assert res.verification["boundary_max_distance"] <= 1e-6
+    sampled = key_lemma_sampled_oracle(res, disc, samples=1500, seed=5)
+    assert sampled["shortness_pairs"] == 1500
+    assert sampled["contraction_max_excess"] <= 1e-6
+    assert sampled["shortness_max_excess"] <= 1e-6
     # independent check against the mesh length pseudometric
     lp = length_pseudometric(disc, refinement=2).d
     sg = res.disc.surface_graph(8)
@@ -129,15 +141,18 @@ def test_random_instances_verify(tmp_path):
         boundary = sorted(disc.boundary_vertex_set())
         interior = [v for v in range(disc.n_vertices) if v not in boundary]
         sample = boundary[:3] + interior[:2]
-        res = run_key_lemma(disc, sample, refinement=2, shortness_samples=400, seed=seed)
+        res = run_key_lemma(disc, sample, refinement=2)
         assert res.ok, (seed, res.verification)
+        sampled = key_lemma_sampled_oracle(res, disc, samples=400, seed=seed)
+        assert sampled["contraction_max_excess"] <= 1e-6, (seed, sampled)
+        assert sampled["shortness_max_excess"] <= 1e-6, (seed, sampled)
         assert res.cat0.ok
 
 
 def test_refinement_study_constant_sample_zero_distortion():
     disc = saddle_grid(3)
     seq = [[0, 2, 8], [0, 2, 8]]
-    out = refinement_study(disc, seq, refinement=1, shortness_samples=200)
+    out = refinement_study(disc, seq, refinement=1)
     assert out["table"][0]["max_distortion"] == pytest.approx(0.0, abs=1e-12)
 
 
@@ -147,7 +162,7 @@ def test_refinement_study_nested_contracts_against_same_oracle():
     # the same mesh length distances; the table records the drift
     disc = saddle_grid(4, c=0.8)
     seq = [[0, 3, 15], [0, 3, 15, 12], [0, 3, 15, 12, 5]]
-    out = refinement_study(disc, seq, refinement=2, shortness_samples=200)
+    out = refinement_study(disc, seq, refinement=2)
     lp = length_pseudometric(disc, refinement=2).d
     for run in out["runs"]:
         assert run.ok
@@ -161,6 +176,14 @@ def test_refinement_study_nested_contracts_against_same_oracle():
     for row in out["table"]:
         assert np.isfinite(row["max_distortion"])
         assert row["max_increase"] <= row["max_distortion"] + 1e-12
+
+
+@pytest.mark.parametrize("bad", [9, -1])
+def test_sample_vertex_out_of_range_is_a_value_error(bad):
+    disc = flat_grid(3)
+    for run in (run_key_lemma, geodesic_graph):
+        with pytest.raises(ValueError, match=f"sample vertex {bad} outside range\\(9\\)"):
+            run(disc, [0, 2, bad], refinement=1)
 
 
 def test_single_boundary_vertex_sample_is_one_point():
@@ -209,5 +232,73 @@ def _collapsing(raises, how):
 ])
 def test_key_lemma_passes_on_collapsing_sweep_instance(s):
     disc, sample = sweep_instance(s)
-    result = run_key_lemma(disc, sample, shortness_samples=300)
+    result = run_key_lemma(disc, sample)
     assert result.ok, result.verification
+
+
+# ------------------------------------------------------ certificates
+
+
+# W of these sweep instances has a sliver face (area 4.1e-9, 2.4e-10 and
+# 6.6e-16) whose sides agree with the target's to rounding, while the
+# largest singular value of q's linear part on it exceeds 1 by 0.49, 0.60
+# and 5.6e-5: the side comparison certifies q where that test would not
+@pytest.mark.parametrize("s", [14, 22, 31])
+def test_key_lemma_certifies_shortness_on_sliver_faces(s):
+    disc, sample = sweep_instance(s)
+    result = run_key_lemma(disc, sample)
+    assert result.ok, result.verification
+    assert result.verification["shortness_max_excess"] <= 1e-12
+    assert result.verification["contraction_max_excess"] <= 1e-12
+
+
+def test_key_lemma_reports_its_certificates():
+    disc = saddle_grid(4, c=1.2)
+    res = run_key_lemma(disc, [0, 3, 12, 15, 5, 10], refinement=2)
+    assert res.verification["contraction_max_excess"] == contraction_excess(res.disc, res.graph_initial)
+    assert res.verification["shortness_max_excess"] == shortness_excess(res.disc, res.graph)
+    assert "shortness_pairs" not in res.verification
+
+
+def test_shortness_certificate_fails_on_a_doctored_face(monkeypatch):
+    # one W triangle shrunk by 1 %: its sides no longer match the target
+    # triangle, so q is not certified short on it
+    tol = 1e-6
+
+    def doctored_glue(graph):
+        w, report = glue_disc(graph)
+        w.tri_coords[0] = 0.99 * w.tri_coords[0]
+        return w, report
+
+    monkeypatch.setattr(pipeline, "glue_disc", doctored_glue)
+    res = run_key_lemma(saddle_grid(4, c=1.2), [0, 3, 12, 15, 5, 10], refinement=2, tol=tol)
+    assert res.verification["shortness_max_excess"] > tol
+    assert res.verification["contraction_max_excess"] <= tol
+    assert not res.ok
+
+
+def test_shortness_certificate_fails_on_a_doctored_bridge():
+    res = run_key_lemma(flat_grid(3), [0, 2], refinement=1)
+    u, v, ln = res.disc.bridges[0]
+    res.disc.bridges[0] = (u, v, ln - 0.01)
+    assert shortness_excess(res.disc, res.graph) == pytest.approx(0.01, abs=1e-12)
+
+
+def test_contraction_certificate_fails_on_a_lengthened_edge(monkeypatch):
+    # relax moves a free vertex off its place: the edges there grow longer
+    # than the mesh polylines they replaced, W follows the moved graph, and
+    # p is no longer certified a contraction
+    tol = 1e-6
+
+    def doctored_relax(graph, **kwargs):
+        relaxed, certificate = relax(graph, **kwargs)
+        free = min(set(range(relaxed.n_vertices)) - relaxed.pinned)
+        points = list(relaxed.points)
+        points[free] = points[free] + np.array([0.0, 0.0, 0.05])
+        return relaxed.with_points(points), certificate
+
+    monkeypatch.setattr(pipeline, "relax", doctored_relax)
+    res = run_key_lemma(saddle_grid(4, c=1.2), [0, 3, 12, 15, 5, 10], refinement=2, tol=tol)
+    assert res.verification["contraction_max_excess"] > tol
+    assert res.verification["shortness_max_excess"] <= tol
+    assert not res.ok
