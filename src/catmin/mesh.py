@@ -119,6 +119,9 @@ class MappedDisc:
         n, m = self.n_vertices, self.n_triangles
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             return ["vertices must be (n, 2) parameter coordinates"]
+        bad = np.flatnonzero(~np.isfinite(self.vertices).all(axis=1)).tolist()
+        if bad:
+            problems.append(f"parameter vertices not finite: {bad}")
         if m == 0:
             return ["mesh has no triangles"]
         if self.triangles.min(initial=0) < 0 or self.triangles.max(initial=-1) >= n:
@@ -163,6 +166,10 @@ class MappedDisc:
         n_img = len(self.images)
         if n_img != n:
             problems.append(f"{n_img} images for {n} vertices")
+            return problems
+        bad = np.flatnonzero(~np.isfinite(self.images).reshape(n_img, -1).all(axis=1)).tolist()
+        if bad:
+            problems.append(f"images not finite at vertices: {bad}")
         return problems
 
     def require_valid(self) -> "MappedDisc":

@@ -213,6 +213,8 @@ def is_saddle_pl(
     Degenerate (collinear) triples are skipped.  The witness is the first
     violation of the first violating plane, as `check_plane` lists them.
     """
+    if extra_planes < 0:
+        raise ValueError(f"extra_planes must be >= 0, got {extra_planes}")
     disc.require_valid()
     img = np.asarray(disc.images, dtype=float)
     if img.shape[1] != 3 or not isinstance(disc.target, EuclideanSpace):

@@ -414,6 +414,49 @@ def energy_oracle(patch, vecs, values=None):
     return total
 
 
+def perturbation_evidence_oracle(patch, fields, trials=100, seed=0, amplitude=0.05,
+                                 tol=1e-9, ts=(0.25, 0.5, 0.75)):
+    """The former perturbation loop: convexity sampled by one energy call
+    per point of each segment, four energy calls per trial."""
+    from catmin.fields import energy
+
+    rng = np.random.default_rng(seed)
+    nx, ny = patch.shape
+    ii, jj = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
+    ring = np.minimum.reduce([ii, jj, nx - 1 - ii, ny - 1 - jj])
+    mask = np.clip(ring / 2.0, 0.0, 1.0)
+    xs, ys = np.meshgrid(patch.x, patch.y, indexing="ij")
+    e0 = energy(patch, fields)
+    min_margin = np.inf
+    worst_convexity = -np.inf
+    for _ in range(trials):
+        bump = np.zeros((nx, ny, 3))
+        for _ in range(2):
+            cx = rng.uniform(patch.x[1], patch.x[-2])
+            cy = rng.uniform(patch.y[1], patch.y[-2])
+            width = rng.uniform(0.15, 0.4) * (patch.x[-1] - patch.x[0])
+            direction = rng.standard_normal(3)
+            blob = np.exp(-(((xs - cx) ** 2 + (ys - cy) ** 2) / (2 * width * width)))
+            bump += blob[..., None] * direction
+        bump *= (mask * amplitude)[..., None]
+        s1 = patch.values + bump
+        e1 = energy(patch, fields, values=s1)
+        min_margin = min(min_margin, e1 - e0)
+        for t in ts:
+            st = (1.0 - t) * patch.values + t * s1
+            et = energy(patch, fields, values=st)
+            worst_convexity = max(worst_convexity, et - ((1.0 - t) * e0 + t * e1))
+    return {
+        "trials": trials,
+        "energy": e0,
+        "min_margin": float(min_margin),
+        "never_decreases": bool(min_margin >= -tol),
+        "convexity_max_violation": float(worst_convexity),
+        "convex_ok": bool(worst_convexity <= tol),
+        "tolerance": tol,
+    }
+
+
 def laplacian_oracle(patch, vecs):
     """sum_i v_i(v_i s) on interior nodes, each derivative taken on its own."""
     s = patch.values

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from catmin.fields import (
 )
 import catmin.fields as fields_module
 
-from oracles import energy_oracle, laplacian_oracle
+from oracles import energy_oracle, laplacian_oracle, perturbation_evidence_oracle
 
 
 def unit_coordinate_fields(patch):
@@ -230,3 +232,57 @@ def test_perturbation_zero_is_equality():
     fa = solve_field_system(patch)
     e0 = energy(patch, fa)
     assert energy(patch, fa, values=patch.values.copy()) == pytest.approx(e0, rel=1e-15)
+
+
+@pytest.mark.parametrize("n", [16, 24, 32])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_perturbation_evidence_equals_the_sampled_oracle(n, seed):
+    # convexity from the quadratic identity E((1-t)s0 + t s1) - [(1-t)E0 + tE1]
+    # = -t(1-t)E(s1 - s0) reads what the oracle samples, up to rounding
+    patch = bilinear_saddle_patch(0.5, n, coef=1.0 + 0.1 * seed)
+    fa = solve_field_system(patch)
+    got = perturbation_evidence(patch, fa, trials=40, seed=seed)
+    want = perturbation_evidence_oracle(patch, fa, trials=40, seed=seed)
+    for key in ("trials", "energy", "min_margin", "never_decreases", "convex_ok", "tolerance"):
+        assert got[key] == want[key], key
+    assert got["convexity_max_violation"] < 0.0
+    assert abs(got["convexity_max_violation"] - want["convexity_max_violation"]) <= (
+        1e-12 * abs(want["convexity_max_violation"])
+    )
+
+
+@pytest.mark.parametrize("trials", [1, 7])
+def test_perturbation_evidence_makes_two_energy_calls_per_trial(monkeypatch, trials):
+    patch = bilinear_saddle_patch(0.5, 16, coef=1.0)
+    fa = solve_field_system(patch)
+    calls = []
+    original = fields_module.energy
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(fields_module, "energy", counted)
+    perturbation_evidence(patch, fa, trials=trials)
+    # one for s0, then E(s0 + b) and E(b) per trial
+    assert len(calls) == 1 + 2 * trials
+
+
+def test_perturbation_on_a_shrunk_solve_names_the_window():
+    # the solve kept a smaller window: the full patch's grid is not the
+    # grid the fields live on, and the caller must pass fields.patch
+    patch = bilinear_saddle_patch(1.5, 32)
+    fa = solve_field_system(patch)
+    assert fa.shrunk and fa.patch.shape != patch.shape
+    with pytest.raises(ValueError, match=re.escape(f"window {fa.window}")):
+        perturbation_evidence(patch, fa, trials=1)
+    assert perturbation_evidence(fa.patch, fa, trials=3)["trials"] == 3
+
+
+@pytest.mark.parametrize("name", ["x", "y", "values"])
+def test_patch_rejects_non_finite_entries(name):
+    base = bilinear_saddle_patch(0.5, 4)
+    arrays = {"x": base.x.copy(), "y": base.y.copy(), "values": base.values.copy()}
+    arrays[name].flat[2] = np.nan if name == "values" else np.inf
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        HeightFieldPatch(**arrays)

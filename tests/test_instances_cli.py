@@ -186,6 +186,69 @@ def test_cli_key_lemma_sample_out_of_range_exit_2(tmp_path, capsys, bad):
     assert not out.exists()
 
 
+
+def _saddle_disc_doc():
+    vertices, triangles = grid_disc(3)
+    x, y = vertices[:, 0] - 0.5, vertices[:, 1] - 0.5
+    disc = make_mapped_disc(vertices, triangles, np.stack([x, y, x * y], axis=1))
+    return mapped_disc_instance(disc, sample=[0, 2, 8])
+
+
+def _nan_image():
+    doc = _saddle_disc_doc()
+    doc["payload"]["images"][4][2] = math.nan
+    return doc, "images not finite at vertices: [4]"
+
+
+def _infinite_vertex():
+    doc = _saddle_disc_doc()
+    doc["payload"]["vertices"][4][0] = "inf"
+    return doc, "parameter vertices not finite: [4]"
+
+
+def _nan_patch_value():
+    doc = patch_instance(bilinear_saddle_patch(0.5, 4))
+    doc["payload"]["values"][2][2][2] = math.nan
+    return doc, "values must be finite"
+
+
+@pytest.mark.parametrize(
+    "make, command",
+    [
+        pytest.param(_nan_image, "key-lemma", id="key_lemma_nan_image"),
+        pytest.param(_nan_image, "check-saddle", id="check_saddle_nan_image"),
+        pytest.param(_infinite_vertex, "metrics", id="metrics_infinite_vertex"),
+        pytest.param(_nan_patch_value, "solve-fields", id="solve_fields_nan_value"),
+        pytest.param(_nan_patch_value, "perturb", id="perturb_nan_value"),
+    ],
+)
+def test_cli_non_finite_input_is_malformed(tmp_path, capsys, make, command):
+    # a non-finite coordinate is no point of the parameter plane or the
+    # target: validate names it, and no command reads a verdict off it
+    doc, diagnostic = make()
+    inst = tmp_path / "bad.json"
+    inst.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "v.json"
+    assert run_cli("validate", "--in", str(inst), "--out", str(out)) == 1
+    assert any(diagnostic in p for p in load_instance(out)["diagnostics"])
+    capsys.readouterr()
+    report = tmp_path / "r.json"
+    assert run_cli(command, "--in", str(inst), "--out", str(report)) == 2
+    assert capsys.readouterr().err.startswith("input error: invalid instance")
+    assert not report.exists()
+
+
+def test_cli_check_saddle_negative_planes_is_malformed(tmp_path, capsys):
+    # a negative count of random planes is no count: it must not pass
+    # the disc on the vertex-triple planes alone
+    inst = tmp_path / "disc.json"
+    save_instance(_saddle_disc_doc(), inst)
+    out = tmp_path / "r.json"
+    assert run_cli("check-saddle", "--in", str(inst), "--planes", "-3", "--out", str(out)) == 2
+    assert "extra_planes" in capsys.readouterr().err
+    assert not out.exists()
+    assert run_cli("check-saddle", "--in", str(inst), "--planes", "0", "--out", str(out)) == 0
+
 def square_graph():
     """A unit square's corners pinned, with one free centre vertex."""
     from catmin.graphs import GraphInTarget, rotation_from_positions

@@ -197,6 +197,12 @@ def test_check_plane_rejects_zero_normal():
         check_plane(flat_disc(), (0.0, 0.0, 0.0), 0.0)
 
 
+@pytest.mark.parametrize("planes", [-1, -3])
+def test_is_saddle_rejects_negative_extra_planes(planes):
+    with pytest.raises(ValueError, match="extra_planes"):
+        is_saddle_pl(flat_disc(), extra_planes=planes)
+
+
 @pytest.mark.parametrize("name", sorted(ORACLE_DISCS))
 def test_saddle_verdict_equals_oracle_under_rigid_motions(name):
     for seed in (None, 1):
