@@ -19,7 +19,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as _dijkstra
 
-from .targets import TargetSpace
+from .targets import TargetSpace, invalid
 
 __all__ = ["GraphInTarget", "PathGraph", "path_from", "rotation_from_positions"]
 
@@ -131,7 +131,11 @@ def rotation_from_positions(
 
 @dataclass
 class GraphInTarget:
-    """Vertices with target points, edges, a pinned subset and rotations."""
+    """Vertices with target points, edges, a pinned subset and rotations.
+
+    A graph is checked when it is built: a malformed one raises a
+    ValueError whose ``problems`` lists the diagnostics.
+    """
 
     points: list                               # per-vertex target point
     edges: list[tuple[int, int]]               # undirected, u < v
@@ -142,6 +146,8 @@ class GraphInTarget:
     edge_paths: dict[tuple[int, int], list] = field(default_factory=dict)
     # optional polyline realizations (target points, endpoints included);
     # absent entries mean the edge is realized as the geodesic
+    # traced once: edges and rotation never change after construction
+    _faces: list | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.edges = sorted((min(int(u), int(v)), max(int(u), int(v))) for u, v in self.edges)
@@ -149,6 +155,9 @@ class GraphInTarget:
         self.points = [np.asarray(p, dtype=float) for p in self.points]
         if self.positions is not None:
             self.positions = np.asarray(self.positions, dtype=float)
+        problems = self._diagnose()
+        if problems:
+            raise invalid(self, problems)
 
     @property
     def n_vertices(self) -> int:
@@ -173,7 +182,7 @@ class GraphInTarget:
     def edge_lengths(self) -> dict[tuple[int, int], float]:
         return {e: self.edge_length(*e) for e in self.edges}
 
-    def validate(self) -> list[str]:
+    def _diagnose(self) -> list[str]:
         problems: list[str] = []
         n = self.n_vertices
         for v, p in enumerate(self.points):
@@ -224,14 +233,14 @@ class GraphInTarget:
             return [f"rotation system is not spherical: Euler {euler} != 2"]
         return []
 
-    def require_valid(self) -> "GraphInTarget":
-        problems = self.validate()
-        if problems:
-            raise ValueError("invalid GraphInTarget: " + "; ".join(problems))
-        return self
-
     def faces(self) -> list[list[int]]:
-        """All face walks (closed vertex sequences) traced from the rotations."""
+        """All face walks (closed vertex sequences) traced from the rotations,
+        on the first call; later calls return the same walks."""
+        if self._faces is None:
+            self._faces = self._trace_faces()
+        return self._faces
+
+    def _trace_faces(self) -> list[list[int]]:
         idx_in_rot = [
             {w: k for k, w in enumerate(rot)} for rot in self.rotation
         ]

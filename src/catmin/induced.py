@@ -284,7 +284,6 @@ def connecting_pseudometric(
     disc: MappedDisc, exact_limit: int = EXACT_CONNECTING_LIMIT
 ) -> ConnectingResult:
     """Minimal image diameter of connected 1-skeleton subsets joining pairs."""
-    disc.require_valid()
     return connecting_on_graph(
         disc.n_vertices, disc.skeleton_edges(), vertex_image_distances(disc), exact_limit
     )
@@ -321,7 +320,6 @@ def intrinsic_pseudometric(
     again.  When no class has two vertices nothing collapses, and the
     result is a copy of the length pseudometric.
     """
-    disc.require_valid()
     uf = _connecting_classes(disc, zero_tol, connecting)
     if all(root == i for i, root in enumerate(uf.parent)):
         if length is None:
@@ -358,7 +356,6 @@ def monotone_light_report(
 ) -> MonotoneLightReport:
     """Check that connecting-zero classes are connected (monotone side) and
     that classes sharing an image are not joined by mesh edges (light side)."""
-    disc.require_valid()
     uf = _connecting_classes(disc, zero_tol)
     groups = uf.groups()
     class_idx = {}
@@ -421,7 +418,6 @@ def no_bubble_check(disc: MappedDisc, radius: float) -> list[dict]:
     """
     if radius <= 0.0:
         raise ValueError("radius must be positive")
-    disc.require_valid()
     dimg = vertex_image_distances(disc)
     boundary = disc.boundary_vertex_set()
     edges = disc.skeleton_edges()

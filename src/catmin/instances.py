@@ -18,7 +18,7 @@ import numpy as np
 
 from .fields import HeightFieldPatch
 from .graphs import GraphInTarget
-from .majorize import PolyhedralDisc
+from .majorize import GlueError, PolyhedralDisc
 from .mesh import MappedDisc
 from .targets import EuclideanSpace
 
@@ -271,8 +271,10 @@ def _check_instance(doc) -> tuple[list[str], object]:
         if len(images) != n:
             problems.append("payload.images: one image per vertex required")
         if not problems:
-            obj = MappedDisc(vertices, triangles, loop, images, _target_from(doc["target"]))
-            problems.extend("payload: " + p for p in obj.validate())
+            try:
+                obj = MappedDisc(vertices, triangles, loop, images, _target_from(doc["target"]))
+            except ValueError as exc:
+                problems.extend("payload: " + p for p in exc.problems)
         sample = doc.get("sample")
         if sample is not None:
             for v in sample:
@@ -324,17 +326,19 @@ def _check_instance(doc) -> tuple[list[str], object]:
                 problems.append(f"payload.rotation: entry {rot} of vertex {v} has an index out of range")
                 break
         if not problems:
-            obj = GraphInTarget(
-                points=coords,
-                edges=[(int(u), int(v)) for u, v in edges],
-                pinned=set(int(v) for v in pinned),
-                rotation=[[int(w) for w in rot] for rot in rotation],
-                target=_target_from(doc["target"]),
-                positions=np.asarray(payload["positions"], dtype=float)
-                if payload.get("positions") is not None
-                else None,
-            )
-            problems.extend("payload: " + p for p in obj.validate())
+            try:
+                obj = GraphInTarget(
+                    points=coords,
+                    edges=[(int(u), int(v)) for u, v in edges],
+                    pinned=set(int(v) for v in pinned),
+                    rotation=[[int(w) for w in rot] for rot in rotation],
+                    target=_target_from(doc["target"]),
+                    positions=np.asarray(payload["positions"], dtype=float)
+                    if payload.get("positions") is not None
+                    else None,
+                )
+            except ValueError as exc:
+                problems.extend("payload: " + p for p in exc.problems)
     elif kind == "patch":
         try:
             obj = HeightFieldPatch(
@@ -358,7 +362,8 @@ def _check_instance(doc) -> tuple[list[str], object]:
                 boundary_lengths=[float(x) for x in payload["boundary_lengths"]],
                 n_vertices=int(payload["n_vertices"]),
             )
-            problems.extend("payload: " + p for p in obj.validate())
+        except GlueError as exc:
+            problems.extend("payload: " + p for p in exc.problems)
         except (KeyError, ValueError, TypeError) as exc:
             problems.append(f"payload: {exc}")
     return problems, obj

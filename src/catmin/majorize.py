@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import GraphInTarget, PathGraph
-from .targets import TargetSpace, angle_from_sides
+from .targets import TargetSpace, angle_from_sides, invalid
 
 __all__ = [
     "ComparisonTriangle",
@@ -193,8 +193,11 @@ class PolyhedralDisc:
     in any gluing are boundary sides.  ``boundary_walk`` is the closed
     vertex walk of the boundary curve with matching segment lengths.
 
-    A disc is immutable once constructed: ``surface_graph`` hands out a
-    graph built from it earlier, and discs compare and hash by identity.
+    A disc is checked when it is built, and a malformed one raises a
+    `GlueError` whose ``problems`` lists the diagnostics; every disc is a
+    disc retract of Euler characteristic 1.  A disc is immutable once
+    constructed: ``surface_graph`` hands out a graph built from it earlier,
+    and discs compare and hash by identity.
     """
 
     tri_coords: list[np.ndarray]
@@ -204,6 +207,11 @@ class PolyhedralDisc:
     boundary_walk: list[int]
     boundary_lengths: list[float]
     n_vertices: int
+
+    def __post_init__(self):
+        problems = self._diagnose()
+        if problems:
+            raise invalid(self, problems, GlueError)
 
     @property
     def n_triangles(self) -> int:
@@ -282,7 +290,7 @@ class PolyhedralDisc:
             incident.update(tri)
         return sorted(v for v in incident if v not in exposed)
 
-    def validate(self) -> list[str]:
+    def _diagnose(self) -> list[str]:
         # shapes and vertex indices first: every later check reads them
         n = self.n_vertices
         problems: list[str] = []
@@ -331,12 +339,6 @@ class PolyhedralDisc:
         if euler != 1:
             problems.append(f"Euler characteristic {euler}, expected 1 for a disc retract")
         return problems
-
-    def require_valid(self) -> "PolyhedralDisc":
-        problems = self.validate()
-        if problems:
-            raise GlueError("invalid PolyhedralDisc: " + "; ".join(problems))
-        return self
 
     def area(self) -> float:
         return float(sum(_triangle_area(c) for c in self.tri_coords))
@@ -408,7 +410,6 @@ def glue_disc(g: GraphInTarget) -> tuple[PolyhedralDisc, GlueReport]:
     of the face walks.  Edges bounding no polygon become bridges.  The
     boundary curve of the result is the outer face walk.
     """
-    g.require_valid()
     problems = g.spherical_diagnostics()
     if problems:
         raise GlueError("graph is not embeddable as given: " + "; ".join(problems))
@@ -475,6 +476,10 @@ def glue_disc(g: GraphInTarget) -> tuple[PolyhedralDisc, GlueReport]:
         g.edge_length(outer_walk[i], outer_walk[(i + 1) % len(outer_walk)])
         for i in range(len(outer_walk))
     ]
+    # a side that drifted from its edge length is named as such before W's
+    # own checks run on the disc built from it
+    if max_drift > GLUE_TOL:
+        raise GlueError(f"gluing length mismatch {max_drift:.3g} beyond {GLUE_TOL}")
     disc = PolyhedralDisc(
         tri_coords=tri_coords,
         tri_vertices=tri_vertices,
@@ -484,9 +489,6 @@ def glue_disc(g: GraphInTarget) -> tuple[PolyhedralDisc, GlueReport]:
         boundary_lengths=boundary_lengths,
         n_vertices=g.n_vertices,
     )
-    if max_drift > GLUE_TOL:
-        raise GlueError(f"gluing length mismatch {max_drift:.3g} beyond {GLUE_TOL}")
-    disc.require_valid()
     return disc, GlueReport(witness_ok=witness_ok, max_length_drift=max_drift)
 
 
@@ -517,16 +519,14 @@ class Cat0Report:
 
 def cat0_certificate(w: PolyhedralDisc, tol_angle: float = 1e-6) -> Cat0Report:
     """Nonpositive-curvature certificate: at least a full turn around every
-    interior vertex, plus simple connectivity of the complex."""
+    interior vertex, plus simple connectivity of the complex, which ``w``'s
+    construction checked (no problems, Euler characteristic 1)."""
     if tol_angle < 0:
         raise ValueError("tol_angle must be >= 0")
-    problems = w.validate()
     sums = w.vertex_angle_sums()
     interior = w.interior_vertices()
     worst = max((2.0 * math.pi - sums.get(v, 0.0) for v in interior), default=0.0)
-    euler = len(w.used_vertices()) - w.n_edges() + w.n_triangles
-    ok = (not problems) and worst <= tol_angle and euler == 1
-    return Cat0Report(ok, sums, interior, worst, euler, problems, tol_angle)
+    return Cat0Report(worst <= tol_angle, sums, interior, worst, 1, [], tol_angle)
 
 
 def boundary_and_area(w: PolyhedralDisc, slack: float = 1e-9) -> dict:
@@ -900,7 +900,7 @@ def cone_disc(total_angle: float, n_triangles: int = 6, radius: float = 1.0) -> 
         tri_vertices.append((0, 1 + i, 1 + (i + 1) % n_triangles))
     for i in range(n_triangles):
         gluings.append(((i, 2), ((i + 1) % n_triangles, 0)))  # shared spoke
-    disc = PolyhedralDisc(
+    return PolyhedralDisc(
         tri_coords=tri_coords,
         tri_vertices=tri_vertices,
         gluings=gluings,
@@ -909,7 +909,6 @@ def cone_disc(total_angle: float, n_triangles: int = 6, radius: float = 1.0) -> 
         boundary_lengths=[rim] * n_triangles,
         n_vertices=n_triangles + 1,
     )
-    return disc.require_valid()
 
 
 def strip_disc(tri1_sides, tri2_sides) -> PolyhedralDisc:
@@ -918,7 +917,7 @@ def strip_disc(tri1_sides, tri2_sides) -> PolyhedralDisc:
     t2 = comparison_triangle(*tri2_sides)
     if abs(t1.sides[2] - t2.sides[2]) > GLUE_TOL:
         raise GlueError("shared sides differ in length")
-    disc = PolyhedralDisc(
+    return PolyhedralDisc(
         tri_coords=[t1.coords, t2.coords],
         tri_vertices=[(0, 1, 2), (0, 1, 3)],
         gluings=[((0, 0), (1, 0))],
@@ -932,4 +931,3 @@ def strip_disc(tri1_sides, tri2_sides) -> PolyhedralDisc:
         ],
         n_vertices=4,
     )
-    return disc.require_valid()

@@ -23,7 +23,7 @@ import numpy as np
 
 from .graphs import PathGraph
 from .pseudometric import UnionFind
-from .targets import EuclideanSpace, TargetSpace
+from .targets import EuclideanSpace, TargetSpace, invalid
 
 __all__ = ["MappedDisc", "RefinedGraph", "build_refined_graph", "boundary_loop_of"]
 
@@ -73,7 +73,11 @@ def boundary_loop_of(vertices: np.ndarray, triangles: np.ndarray) -> list[int]:
 
 @dataclass
 class MappedDisc:
-    """Simplicial parameter disc plus per-vertex images in a target space."""
+    """Simplicial parameter disc plus per-vertex images in a target space.
+
+    A disc is checked when it is built: a malformed one raises a
+    ValueError whose ``problems`` lists the diagnostics.
+    """
 
     vertices: np.ndarray              # (n, 2) parameter coordinates
     triangles: np.ndarray             # (m, 3) vertex index triples
@@ -82,12 +86,14 @@ class MappedDisc:
     target: TargetSpace
     # worked out once: nothing changes a disc after it is built
     _edge_faces: dict | None = field(default=None, init=False, repr=False, compare=False)
-    _problems: list | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=float)
         self.triangles = np.asarray(self.triangles, dtype=int)
         self.images = np.asarray(self.images, dtype=float)
+        problems = self._diagnose()
+        if problems:
+            raise invalid(self, problems)
 
     @property
     def n_vertices(self) -> int:
@@ -105,14 +111,6 @@ class MappedDisc:
 
     def skeleton_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edge_faces().keys())
-
-    def validate(self) -> list[str]:
-        """Invariant check; returns diagnostics, empty when the disc is valid.
-
-        The verdict is kept, so `require_valid` does not check again.
-        """
-        self._problems = self._diagnose()
-        return list(self._problems)
 
     def _diagnose(self) -> list[str]:
         problems: list[str] = []
@@ -167,17 +165,13 @@ class MappedDisc:
         if n_img != n:
             problems.append(f"{n_img} images for {n} vertices")
             return problems
-        bad = np.flatnonzero(~np.isfinite(self.images).reshape(n_img, -1).all(axis=1)).tolist()
-        if bad:
-            problems.append(f"images not finite at vertices: {bad}")
+        finite = np.isfinite(self.images).reshape(n_img, -1).all(axis=1)
+        if not finite.all():
+            problems.append(f"images not finite at vertices: {np.flatnonzero(~finite).tolist()}")
+        foreign = [v for v in np.flatnonzero(finite).tolist() if not self.target.contains(self.images[v])]
+        if foreign:
+            problems.append(f"images not points of {self.target!r} at vertices: {foreign}")
         return problems
-
-    def require_valid(self) -> "MappedDisc":
-        if self._problems is None:
-            self.validate()
-        if self._problems:
-            raise ValueError("invalid MappedDisc: " + "; ".join(self._problems))
-        return self
 
     def boundary_vertex_set(self) -> set[int]:
         return set(int(v) for v in self.boundary_loop)
@@ -193,8 +187,6 @@ class RefinedGraph(PathGraph):
     weights: np.ndarray               # (E,)
     orig_index: np.ndarray            # (n,) node id of each mesh vertex
     refinement: int
-    edge_face: np.ndarray             # (E,) mesh face owning each sub-edge
-    node_on_boundary: np.ndarray      # (N,) bool
 
     def __post_init__(self):
         PathGraph.__init__(self, len(self.node_param), self.edges[:, 0], self.edges[:, 1], self.weights)
@@ -236,7 +228,6 @@ def build_refined_graph(disc: MappedDisc, refinement: int = 1) -> RefinedGraph:
     its lower end, then each face's interior points), and one pass over
     the walk's ids gives the numbering.
     """
-    disc.require_valid()
     r = int(refinement)
     if r < 1:
         raise ValueError("refinement must be >= 1")
@@ -292,17 +283,9 @@ def build_refined_graph(disc: MappedDisc, refinement: int = 1) -> RefinedGraph:
     here = node_of[canon[:, pairs[:, 0]]].ravel()
     there = node_of[canon[:, pairs[:, 1]]].ravel()
     code = np.minimum(here, there) * n_nodes + np.maximum(here, there)
-    code, first_pair = np.unique(code, return_index=True)
+    code = np.unique(code)
     edges = np.stack([code // n_nodes, code % n_nodes], axis=1)
-    edge_face = first_pair // len(pairs)
     lengths = disc.target.distances(img[edges[:, 0]], img[edges[:, 1]])
-
-    bl = np.asarray(disc.boundary_loop, dtype=int)
-    bu, bv = bl, np.roll(bl, -1)
-    beid = np.searchsorted(edge_code, np.minimum(bu, bv) * n + np.maximum(bu, bv))
-    on_boundary = np.concatenate([bl, (n + beid[:, None] * (r - 1) + np.arange(r - 1)).ravel()])
-    boundary = np.zeros(n_nodes, dtype=bool)
-    boundary[node_of[on_boundary]] = True
 
     return RefinedGraph(
         node_param=node_param,
@@ -311,7 +294,5 @@ def build_refined_graph(disc: MappedDisc, refinement: int = 1) -> RefinedGraph:
         weights=lengths,
         orig_index=node_of[:n],
         refinement=r,
-        edge_face=edge_face,
-        node_on_boundary=boundary,
     )
 

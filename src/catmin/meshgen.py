@@ -24,7 +24,7 @@ def make_mapped_disc(vertices, triangles, images, target=None) -> MappedDisc:
     if target is None:
         target = EuclideanSpace(images.shape[1])
     loop = boundary_loop_of(vertices, triangles)
-    return MappedDisc(vertices, triangles, loop, images, target).require_valid()
+    return MappedDisc(vertices, triangles, loop, images, target)
 
 
 def grid_disc(k: int) -> tuple[np.ndarray, np.ndarray]:

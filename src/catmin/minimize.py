@@ -379,7 +379,6 @@ def relax(
     if tol_descent < 0:
         raise ValueError("tol_descent must be >= 0")
     _require_euclidean(g)
-    g.require_valid()
     if g.edge_paths:
         g = straighten(g)
     work = g.with_points([np.array(p, dtype=float) for p in g.points])
@@ -495,7 +494,6 @@ def certify_conditions(
     """
     known = _t_star or {}
     _require_euclidean(g)
-    g.require_valid()
     nbrs = g.neighbors()
     residuals = {e: _edge_residual(g, *e) for e in g.edges}
     t_star: dict[int, float] = {}

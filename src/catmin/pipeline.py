@@ -74,7 +74,6 @@ def geodesic_graph(
     deduplicated sample, so a caller that already ran them does not repeat
     the Dijkstra.
     """
-    disc.require_valid()
     sample = _checked_sample(disc, sample)
     g = graph if graph is not None else build_refined_graph(disc, refinement)
     source_nodes = [int(g.orig_index[v]) for v in sample]
@@ -231,7 +230,6 @@ def run_key_lemma(
     (`shortness_excess`).  ``shortness_samples`` and ``seed`` are accepted
     for callers that still pass them and have no effect: no check samples.
     """
-    disc.require_valid()
     sample = _checked_sample(disc, sample)
     boundary = disc.boundary_vertex_set()
     boundary_sample = [v for v in sample if v in boundary]

@@ -68,15 +68,6 @@ class PseudometricMatrix:
     def n(self) -> int:
         return self.d.shape[0]
 
-    def verify(self, tol: float = VERIFY_TOL) -> list[str]:
-        return verify_pseudometric(self.d, tol)
-
-    def require_valid(self, tol: float = VERIFY_TOL) -> "PseudometricMatrix":
-        problems = self.verify(tol)
-        if problems:
-            raise ValueError("not a pseudometric: " + "; ".join(problems))
-        return self
-
 
 def verify_pseudometric(d: np.ndarray, tol: float = VERIFY_TOL) -> list[str]:
     """Return a list of axiom violations (empty when ``d`` is a pseudometric).

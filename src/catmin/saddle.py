@@ -215,7 +215,6 @@ def is_saddle_pl(
     """
     if extra_planes < 0:
         raise ValueError(f"extra_planes must be >= 0, got {extra_planes}")
-    disc.require_valid()
     img = np.asarray(disc.images, dtype=float)
     if img.shape[1] != 3 or not isinstance(disc.target, EuclideanSpace):
         raise ValueError("the saddle predicate expects a disc mapped into Euclidean 3-space")
@@ -321,7 +320,6 @@ def shorten_by_rotation(
     fixed boundary.  The clockwise behavior at ``-epsilon`` is recorded as
     an observation.
     """
-    disc.require_valid()
     if abs(epsilon) > HEXAGON_PARAMS["max_epsilon"]:
         raise ValueError(
             f"rotation angle {epsilon} outside the validated range "

@@ -38,6 +38,14 @@ def angle_from_sides(a: float, b: float, c: float) -> float:
     return float(np.arccos(np.clip(cos, -1.0, 1.0)))
 
 
+def invalid(obj, problems: list[str], error: type[ValueError] = ValueError) -> ValueError:
+    """The ``error`` a constructor raises when its diagnostics find
+    ``problems`` with ``obj``; the list rides along as ``.problems``."""
+    exc = error(f"invalid {type(obj).__name__}: " + "; ".join(problems))
+    exc.problems = problems
+    return exc
+
+
 class TargetSpace:
     """Abstract geodesic metric space."""
 

@@ -809,7 +809,7 @@ def refined_graph_oracle(disc, refinement=1):
             return edge_node(i, k, c if i < k else a)
         return face_node(f, (a, b, c))
 
-    edge_set: dict[tuple[int, int], int] = {}
+    edge_set: set[tuple[int, int]] = set()
     for f in range(disc.n_triangles):
         for a in range(r, -1, -1):
             for b in range(r - a, -1, -1):
@@ -820,13 +820,10 @@ def refined_graph_oracle(disc, refinement=1):
                     if min(na, nb, nc) < 0:
                         continue
                     there = grid_node(f, na, nb, nc)
-                    key = (min(here, there), max(here, there))
-                    edge_set.setdefault(key, f)
+                    edge_set.add((min(here, there), max(here, there)))
 
-    n_nodes = len(params)
     node_param = np.asarray(params)
-    edges = np.asarray(sorted(edge_set.keys()), dtype=int)
-    edge_face = np.asarray([edge_set[tuple(e)] for e in edges], dtype=int)
+    edges = np.asarray(sorted(edge_set), dtype=int)
     if euclidean:
         img = np.asarray(images)
         weights = np.linalg.norm(img[edges[:, 0]] - img[edges[:, 1]], axis=1)
@@ -834,14 +831,6 @@ def refined_graph_oracle(disc, refinement=1):
         weights = np.asarray(
             [target.distance(images[u], images[v]) for u, v in edges], dtype=float
         )
-
-    boundary = np.zeros(n_nodes, dtype=bool)
-    bl = disc.boundary_loop
-    for idx in range(len(bl)):
-        u, v = int(bl[idx]), int(bl[(idx + 1) % len(bl)])
-        boundary[vertex_node(u)] = True
-        for k in range(1, r):
-            boundary[edge_node(u, v, k)] = True
 
     orig_index = np.asarray([vertex_node(i) for i in range(disc.n_vertices)], dtype=int)
     return RefinedGraph(
@@ -851,8 +840,6 @@ def refined_graph_oracle(disc, refinement=1):
         weights=np.asarray(weights, dtype=float),
         orig_index=orig_index,
         refinement=r,
-        edge_face=edge_face,
-        node_on_boundary=boundary,
     )
 
 

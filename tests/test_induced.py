@@ -531,8 +531,8 @@ def test_all_induced_matrices_verify_as_pseudometrics():
 
 @pytest.mark.parametrize("refinement", [1, 2, 3, 4])
 def test_refined_graph_arrays_equal_pointwise_builder(refinement):
-    # same node numbering (first appearance in the face walk), same edges,
-    # weights, owning faces and boundary flags, bit for bit
+    # same node numbering (first appearance in the face walk), same edges
+    # and weights, bit for bit
     discs = [random_height_disc(s, max_vertices=30) for s in range(4)] + [saddle_grid_disc(4)]
     general = discs[0]
     discs.append(MappedDisc(general.vertices, general.triangles, general.boundary_loop,
@@ -540,7 +540,7 @@ def test_refined_graph_arrays_equal_pointwise_builder(refinement):
     for disc in discs:
         got = build_refined_graph(disc, refinement)
         want = refined_graph_oracle(disc, refinement)
-        for name in ("node_param", "edges", "weights", "orig_index", "edge_face", "node_on_boundary"):
+        for name in ("node_param", "edges", "weights", "orig_index"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype and a.shape == b.shape, name
             assert a.tobytes() == b.tobytes(), name

@@ -23,8 +23,10 @@ from catmin.instances import (
     validate_instance,
 )
 from catmin.majorize import cone_disc
+from catmin.mesh import MappedDisc
 from catmin.meshgen import grid_disc, make_mapped_disc, random_height_disc
 from catmin.saddle import hexagon_counterexample
+from catmin.targets import EuclideanSpace
 
 from oracles import jsonable_oracle
 
@@ -89,9 +91,10 @@ def test_validate_reports_bad_fields():
 
 
 def test_validate_well_formed_fixture_clean():
-    for name in ("hexagon.json", "cone_five_equilateral.json", "cone_5pi2.json"):
-        doc = load_instance(fixture_path(name))
-        assert validate_instance(doc) == [], name
+    paths = sorted(fixture_path("hexagon.json").parent.glob("*.json"))
+    assert len(paths) >= 4
+    for path in paths:
+        assert validate_instance(load_instance(path)) == [], path.name
 
 
 def test_fixture_matches_frozen_builder():
@@ -231,6 +234,39 @@ def test_cli_non_finite_input_is_malformed(tmp_path, capsys, make, command):
     out = tmp_path / "v.json"
     assert run_cli("validate", "--in", str(inst), "--out", str(out)) == 1
     assert any(diagnostic in p for p in load_instance(out)["diagnostics"])
+    capsys.readouterr()
+    report = tmp_path / "r.json"
+    assert run_cli(command, "--in", str(inst), "--out", str(report)) == 2
+    assert capsys.readouterr().err.startswith("input error: invalid instance")
+    assert not report.exists()
+
+
+def _short_images():
+    # 2-d images under the declared EuclideanSpace(3)
+    doc = _saddle_disc_doc()
+    doc["payload"]["images"] = [p[:2] for p in doc["payload"]["images"]]
+    return doc
+
+
+def test_mapped_disc_rejects_images_outside_its_target():
+    _, triangles = grid_disc(3)
+    doc = _short_images()
+    with pytest.raises(ValueError) as err:
+        MappedDisc(doc["payload"]["vertices"], triangles, doc["payload"]["boundary_loop"],
+                   doc["payload"]["images"], EuclideanSpace(3))
+    assert err.value.problems == ["images not points of EuclideanSpace(3) at vertices: [0, 1, 2, 3, 4, 5, 6, 7, 8]"]
+    assert str(err.value) == "invalid MappedDisc: " + err.value.problems[0]
+
+
+@pytest.mark.parametrize("command", ["metrics", "key-lemma", "check-saddle"])
+def test_cli_image_of_wrong_dimension_is_malformed(tmp_path, capsys, command):
+    inst = tmp_path / "bad.json"
+    inst.write_text(json.dumps(_short_images()), encoding="utf-8")
+    out = tmp_path / "v.json"
+    assert run_cli("validate", "--in", str(inst), "--out", str(out)) == 1
+    assert load_instance(out)["diagnostics"] == [
+        "payload: images not points of EuclideanSpace(3) at vertices: [0, 1, 2, 3, 4, 5, 6, 7, 8]"
+    ]
     capsys.readouterr()
     report = tmp_path / "r.json"
     assert run_cli(command, "--in", str(inst), "--out", str(report)) == 2
@@ -601,16 +637,14 @@ def test_cli_metrics_exact_report_has_one_connecting_matrix(tmp_path):
 
 @pytest.mark.parametrize("seed", [1002, 1020])
 def test_cli_metrics_validates_the_disc_once(tmp_path, monkeypatch, seed):
-    from catmin.mesh import MappedDisc
-
     calls = []
-    validate = MappedDisc.validate
+    diagnose = MappedDisc._diagnose
 
     def counted(self):
         calls.append(1)
-        return validate(self)
+        return diagnose(self)
 
-    monkeypatch.setattr(MappedDisc, "validate", counted)
+    monkeypatch.setattr(MappedDisc, "_diagnose", counted)
     inst = tmp_path / "disc.json"
     save_instance(mapped_disc_instance(random_height_disc(seed, max_vertices=30)), inst)
     calls.clear()

@@ -285,11 +285,33 @@ def test_cut_vertices_two_triangles_sharing_vertex():
         boundary_walk=[0, 1, 2, 3, 4, 2],
         boundary_lengths=[1.0] * 6,
         n_vertices=5,
-    )
-    assert disc.validate() == []
+    )  # built, so it passed the disc's checks
     out = cut_vertices(disc)
     assert out["cut_vertices"] == [2]
     assert articulation_oracle(5, disc.skeleton_edges()) == [2]
+
+
+def test_polyhedral_disc_is_checked_when_built():
+    tri = comparison_triangle(1.0, 1.0, 1.0)
+    with pytest.raises(GlueError) as err:
+        PolyhedralDisc(
+            tri_coords=[tri.coords],
+            tri_vertices=[(0, 1, 2)],
+            gluings=[],
+            bridges=[],
+            boundary_walk=[0, 1, 2],
+            boundary_lengths=[1.0, 0.0, 1.0],
+            n_vertices=3,
+        )
+    assert err.value.problems == ["boundary_lengths[1] = 0.0 is not a finite positive length"]
+    assert str(err.value) == "invalid PolyhedralDisc: " + err.value.problems[0]
+
+
+def test_graph_is_checked_when_built():
+    with pytest.raises(ValueError) as err:
+        euclidean_graph([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)], [(0, 1)])
+    assert err.value.problems == ["graph is not connected"]
+    assert str(err.value) == "invalid GraphInTarget: graph is not connected"
 
 
 def test_cut_vertices_bowtie_chain():

@@ -499,7 +499,6 @@ def test_faces_euler_and_outer_detection():
     )
     walks = g.faces()
     assert len(walks) == 3  # two bounded triangles plus the outer face
-    assert g.validate() == []
     outer = g.outer_walk()
     assert sorted(set(outer)) == [0, 1, 2, 3]
     bounded = [w for w in walks if w != outer]

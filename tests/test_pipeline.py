@@ -79,8 +79,7 @@ def test_three_point_sample_union_is_shortest_paths():
     for a, b in [(0, 3), (0, 12), (3, 12)]:
         want = oracle[g.orig_index[a], g.orig_index[b]]
         assert gamma_dist(vmap[a], vmap[b]) == pytest.approx(want, abs=1e-9)
-    assert gamma.validate() == []
-    assert gamma.spherical_diagnostics() == []
+    assert gamma.spherical_diagnostics() == []  # built, so it passed the graph's checks
 
 
 # ----------------------------------------------------------- key lemma
@@ -258,6 +257,27 @@ def test_key_lemma_reports_its_certificates():
     assert res.verification["contraction_max_excess"] == contraction_excess(res.disc, res.graph_initial)
     assert res.verification["shortness_max_excess"] == shortness_excess(res.disc, res.graph)
     assert "shortness_pairs" not in res.verification
+
+
+def test_key_lemma_traces_faces_once(monkeypatch):
+    # certifying and gluing read the relaxed graph's faces four times; its
+    # edges and rotation never change, so they are traced once
+    from catmin.graphs import GraphInTarget
+
+    traced = []
+    trace = GraphInTarget._trace_faces
+
+    def counted(self):
+        traced.append(self)
+        return trace(self)
+
+    monkeypatch.setattr(GraphInTarget, "_trace_faces", counted)
+    disc = saddle_grid(12, 1.2)
+    loop = list(disc.boundary_loop)
+    sample = [loop[(j * len(loop)) // 8] for j in range(8)] + [40, 77, 100]
+    res = run_key_lemma(disc, sample)
+    assert res.verification["ok"]
+    assert [g is res.graph for g in traced] == [True]
 
 
 def test_shortness_certificate_fails_on_a_doctored_face(monkeypatch):

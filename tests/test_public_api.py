@@ -75,3 +75,29 @@ def test_only_graphs_runs_dijkstra():
         for name in MODULES
     }
     assert {name: u for name, u in uses.items() if u} == {"graphs": ["csr_matrix", "dijkstra"]}
+
+
+def _validation_methods(tree: ast.AST) -> list[str]:
+    """Definitions of, and attribute calls to, ``validate``/``require_valid``."""
+    wanted = {"validate", "require_valid"}
+    defined = [
+        f"def {node.name}" for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name in wanted
+    ]
+    called = [
+        f"call .{node.func.attr}" for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in wanted
+    ]
+    return defined + called
+
+
+def test_objects_are_checked_when_built():
+    # MappedDisc, GraphInTarget and PolyhedralDisc check themselves in their
+    # constructors, so no module asks an existing object whether it is valid
+    # (the instance format's validate_instance and the CLI's cmd_validate
+    # check documents, not objects)
+    found = {
+        name: _validation_methods(ast.parse(inspect.getsource(importlib.import_module(f"catmin.{name}"))))
+        for name in MODULES
+    }
+    assert {name: f for name, f in found.items() if f} == {}

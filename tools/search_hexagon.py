@@ -44,8 +44,6 @@ def evaluate(params: dict, extra_planes: int = 200) -> dict | None:
         disc = hexagon_counterexample(params)
     except Exception:
         return None
-    if disc.validate():
-        return None
     verdict = is_saddle_pl(disc, extra_planes=extra_planes, seed=0)
     if not verdict.saddle:
         return None
