@@ -21,7 +21,7 @@ from scipy.sparse.csgraph import dijkstra as _dijkstra
 
 from .targets import TargetSpace, invalid
 
-__all__ = ["GraphInTarget", "PathGraph", "path_from", "rotation_from_positions"]
+__all__ = ["GraphInTarget", "PathGraph", "path_from", "path_hops", "rotation_from_positions", "walk_back"]
 
 
 def path_from(pred_row: np.ndarray, a: int, b: int) -> list[int]:
@@ -34,6 +34,37 @@ def path_from(pred_row: np.ndarray, a: int, b: int) -> list[int]:
             return []
         path.append(prev)
     return path[::-1]
+
+
+def path_hops(pred: np.ndarray, a, b) -> np.ndarray:
+    """Hop counts of the shortest paths ``a[k] -> b[k]``, read off the
+    all-pairs predecessor table by walking every path back at once; -1
+    where ``b[k]`` is unreachable.  Takes as many steps as the longest
+    path has hops."""
+    a = np.asarray(a, dtype=np.int64)
+    node = np.array(b, dtype=np.int64)
+    hops = np.zeros(node.shape, dtype=np.int64)
+    live = np.flatnonzero(node != a)
+    while live.size:
+        prev = pred[a[live], node[live]]
+        hops[live[prev < 0]] = -1
+        live, prev = live[prev >= 0], prev[prev >= 0]
+        node[live] = prev
+        hops[live] += 1
+        live = live[prev != a[live]]
+    return hops
+
+
+def walk_back(pred: np.ndarray, a, b, steps) -> np.ndarray:
+    """Node ``steps[k]`` hops before ``b[k]`` on the shortest path
+    ``a[k] -> b[k]``, for steps within that path's hop count."""
+    a = np.asarray(a, dtype=np.int64)
+    node = np.array(b, dtype=np.int64)
+    steps = np.asarray(steps)
+    for step in range(int(steps.max(initial=0))):
+        live = np.flatnonzero(steps > step)
+        node[live] = pred[a[live], node[live]]
+    return node
 
 
 class PathGraph:
@@ -186,7 +217,7 @@ class GraphInTarget:
         problems: list[str] = []
         n = self.n_vertices
         for v, p in enumerate(self.points):
-            if not self.target.contains(p):
+            if not (np.isfinite(p).all() and self.target.contains(p)):
                 problems.append(f"points[{v}] is not a finite point of {self.target!r}")
         for u, v in self.edges:
             if not (0 <= u < n and 0 <= v < n):

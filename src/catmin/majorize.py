@@ -24,6 +24,14 @@ run Dijkstra only from those, through ``SurfaceGraph.rows``.
 ``surface_graph`` keeps the graph it built last, so the thin-triangle test
 and the nets on one W share one graph and one all-pairs run.  The key
 lemma reads no distances on W: it certifies its maps side by side.
+
+The thin-triangle test works on arrays: it draws candidate triangles in
+batches and filters each batch against its rejection rules, up to a cap
+of 30 candidates per sample; it reads hop counts and interior path points
+off the all-pairs predecessor table for all samples at once
+(`~catmin.graphs.path_hops`, `~catmin.graphs.walk_back`) and measures every
+sample in one pass with `comparison_triangle`'s formulas.  A seed fixes
+its draws; they are not those of the former one-triangle-at-a-time loop.
 """
 
 from __future__ import annotations
@@ -34,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import GraphInTarget, PathGraph
+from .graphs import GraphInTarget, PathGraph, path_hops, walk_back
 from .targets import TargetSpace, angle_from_sides, invalid
 
 __all__ = [
@@ -105,6 +113,22 @@ def _triangle_area(coords: np.ndarray) -> float:
     return 0.5 * abs((x2 - x1) * (y3 - y1) - (x3 - x1) * (y2 - y1))
 
 
+def _breaks_triangle_inequality(a, b, c, slack: float = 1e-12):
+    """Whether one of the sides (a, b, c) exceeds the sum of the other two
+    by more than ``slack`` relative to the scale of the sides; elementwise
+    on arrays."""
+    eps = slack * np.maximum(np.maximum(np.maximum(a, b), c), 1.0)
+    return (a > b + c + eps) | (b > c + a + eps) | (c > a + b + eps)
+
+
+def _third_corner(a, b, c):
+    """Corner Z = (x, y), y >= 0, of the planar triangle with |YZ| = a,
+    |XZ| = b and |XY| = c > 0 when X sits at the origin and Y at (c, 0);
+    elementwise on arrays."""
+    x = (b ** 2 + c ** 2 - a ** 2) / (2.0 * c)
+    return x, np.sqrt(np.maximum(b ** 2 - x ** 2, 0.0))
+
+
 def comparison_triangle(a: float, b: float, c: float, slack: float = 1e-12) -> ComparisonTriangle:
     """Planar triangle with sides (a, b, c); degenerate inputs are flagged.
 
@@ -114,21 +138,17 @@ def comparison_triangle(a: float, b: float, c: float, slack: float = 1e-12) -> C
     sides = (float(a), float(b), float(c))
     if min(sides) < 0.0:
         raise GlueError(f"negative side length in {sides}")
+    if _breaks_triangle_inequality(*sides, slack):
+        raise GlueError(f"triangle inequality fails for sides {sides}")
     scale = max(sides)
-    eps = slack * max(scale, 1.0)
-    for i in range(3):
-        if sides[i] > sides[(i + 1) % 3] + sides[(i + 2) % 3] + eps:
-            raise GlueError(f"triangle inequality fails for sides {sides}")
     if scale == 0.0:
         return ComparisonTriangle(sides, np.zeros((3, 2)), True)
     if sides[2] == 0.0:
         coords = np.array([(0.0, 0.0), (0.0, 0.0), (sides[1], 0.0)])
         return ComparisonTriangle(sides, coords, True)
-    c_ = sides[2]
-    x = (sides[1] ** 2 + c_ ** 2 - sides[0] ** 2) / (2.0 * c_)
-    y = math.sqrt(max(sides[1] ** 2 - x ** 2, 0.0))
-    coords = np.array([(0.0, 0.0), (c_, 0.0), (x, y)])
-    degenerate = y <= DEGENERATE_TOL * max(scale, 1.0)
+    x, y = _third_corner(*sides)
+    coords = np.array([(0.0, 0.0), (sides[2], 0.0), (x, y)])
+    degenerate = bool(y <= DEGENERATE_TOL * max(scale, 1.0))
     return ComparisonTriangle(sides, coords, degenerate)
 
 
@@ -783,51 +803,78 @@ def thin_triangle_test(
     q on side AC, the intrinsic distance d(p, q) must not exceed the
     distance of the matching points on the planar comparison triangle,
     up to the distance-approximation allowance.
+
+    Candidate triangles are drawn in batches of ``samples`` node triples,
+    one ``rng.integers`` call per batch, and tested as arrays.  A triple is
+    rejected when its nodes are not distinct, its shortest side is within
+    4 subdivision gaps, a side is infinite, its sides break the triangle
+    inequality (as `comparison_triangle` would find), or side AB or AC is
+    a single hop.  The first accepted triples in draw order are kept, at
+    most 30 * ``samples`` candidates are drawn, and ``attempts`` counts
+    the candidates tested up to the last one kept; a run that reaches
+    that cap reports fewer ``samples`` than asked for.  Then p and q are
+    drawn uniformly among the interior nodes of the shortest paths AB and
+    AC, and every sample is measured at once.  One seed always draws the
+    same triangles; the stream is not that of the former one-triangle-
+    at-a-time loop (kept as the test oracle), whose sampling distribution
+    it shares.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     sg = w.surface_graph(subdiv)
-    dist, _ = sg.all_pairs()
+    dist, pred = sg.all_pairs()
     rng = np.random.default_rng(seed)
     n = sg.n_nodes
     allowance = allowance_gaps * sg.max_gap
-    worst = -np.inf
-    worst_case = None
-    done = 0
-    attempts = 0
-    while done < samples and attempts < 30 * samples:
-        attempts += 1
-        a, b, c = (int(x) for x in rng.integers(0, n, size=3))
-        if len({a, b, c}) < 3:
-            continue
+    cap = 30 * samples
+    kept: list[tuple[np.ndarray, ...]] = []  # accepted (a, b, c, hops_ab, hops_ac) per batch
+    done = attempts = 0
+    while done < samples and attempts < cap:
+        m = min(samples, cap - attempts)
+        a, b, c = rng.integers(0, n, size=(3, m))
         ab, ac, bc = dist[a, b], dist[a, c], dist[b, c]
-        if min(ab, ac, bc) <= 4 * sg.max_gap or not np.isfinite(ab + ac + bc):
-            continue
-        path_ab = sg.path_nodes(a, b)
-        path_ac = sg.path_nodes(a, c)
-        if len(path_ab) < 3 or len(path_ac) < 3:
-            continue
-        p = path_ab[int(rng.integers(1, len(path_ab) - 1))]
-        q = path_ac[int(rng.integers(1, len(path_ac) - 1))]
-        try:
-            comp = comparison_triangle(bc, ac, ab)
-        except GlueError:
-            continue
-        x, y, z = comp.coords
-        p_bar = x + (y - x) * (dist[a, p] / ab)
-        q_bar = x + (z - x) * (dist[a, q] / ac)
-        violation = float(dist[p, q] - np.linalg.norm(p_bar - q_bar))
-        if violation > worst:
-            worst = violation
-            worst_case = (a, b, c, p, q)
-        done += 1
-    return {
+        ok = (a != b) & (a != c) & (b != c)
+        ok &= np.minimum(np.minimum(ab, ac), bc) > 4 * sg.max_gap
+        ok &= np.isfinite(ab + ac + bc)
+        ok &= ~_breaks_triangle_inequality(bc, ac, ab)
+        idx = np.flatnonzero(ok)
+        hops_ab, hops_ac = path_hops(pred, a[idx], b[idx]), path_hops(pred, a[idx], c[idx])
+        long = (hops_ab >= 2) & (hops_ac >= 2)
+        idx = idx[long][: samples - done]
+        kept.append((a[idx], b[idx], c[idx], hops_ab[long][: idx.size], hops_ac[long][: idx.size]))
+        done += idx.size
+        attempts += int(idx[-1]) + 1 if done == samples else m
+    report = {
         "samples": done,
-        "worst_violation": float(worst) if done else 0.0,
+        "attempts": attempts,
+        "worst_violation": 0.0,
         "allowance": float(allowance),
-        "beyond_allowance": float(worst - allowance) if done else 0.0,
-        "violation_found": bool(done and worst > allowance),
-        "worst_case_nodes": worst_case,
+        "beyond_allowance": 0.0,
+        "violation_found": False,
+        "worst_case_nodes": None,
         "max_gap": float(sg.max_gap),
     }
+    if not done:
+        return report
+    a, b, c, hops_ab, hops_ac = (np.concatenate(x) for x in zip(*kept))
+    p = walk_back(pred, a, b, hops_ab - rng.integers(1, hops_ab))
+    q = walk_back(pred, a, c, hops_ac - rng.integers(1, hops_ac))
+    # comparison triangle of sides (bc, ac, ab): X at the origin, Y = (ab, 0),
+    # Z = (x, y); p-bar and q-bar at the same fractions of XY and XZ
+    ab, ac, bc = dist[a, b], dist[a, c], dist[b, c]
+    x, y = _third_corner(bc, ac, ab)
+    t_p, t_q = dist[a, p] / ab, dist[a, q] / ac
+    dx, dy = ab * t_p - x * t_q, y * t_q
+    violation = dist[p, q] - np.sqrt(dx * dx + dy * dy)
+    k = int(np.argmax(violation))
+    worst = float(violation[k])
+    report.update(
+        worst_violation=worst,
+        beyond_allowance=float(worst - allowance),
+        violation_found=bool(worst > allowance),
+        worst_case_nodes=tuple(int(v[k]) for v in (a, b, c, p, q)),
+    )
+    return report
 
 
 def eps_net_report(w: PolyhedralDisc, eps_fracs=(0.1, 0.05), subdiv: int = 12) -> dict:
@@ -838,6 +885,8 @@ def eps_net_report(w: PolyhedralDisc, eps_fracs=(0.1, 0.05), subdiv: int = 12) -
     eps from everything chosen; the interior count must stay within
     4 (l / eps)^2.
     """
+    if not eps_fracs or not all(0.0 < frac < math.inf for frac in eps_fracs):
+        raise ValueError(f"eps_fracs must be positive finite fractions, got {tuple(eps_fracs)}")
     sg = w.surface_graph(subdiv)
     L = w.boundary_length()
     ell = L / (2.0 * math.pi)

@@ -15,6 +15,7 @@ import math
 
 import numpy as np
 
+from catmin.majorize import THIN_ALLOWANCE_GAPS, GlueError, PolyhedralDisc, comparison_triangle
 from catmin.targets import TargetSpace
 
 
@@ -395,6 +396,67 @@ def eps_net_oracle(dist, boundary_length, b_nodes, b_arcs, eps_fracs):
         }
     results["all_ok"] = all(v["ok"] for v in results.values() if isinstance(v, dict))
     return results
+
+
+def thin_triangle_test_oracle(
+    w: PolyhedralDisc,
+    samples: int = 10_000,
+    seed: int = 0,
+    subdiv: int = 24,
+    allowance_gaps: float = THIN_ALLOWANCE_GAPS,
+) -> dict:
+    """Sampled comparison inequality drawn one triangle at a time.
+
+    The former body of `catmin.majorize.thin_triangle_test`: each loop turn
+    draws one candidate triangle, tests it against the rejection rules, and
+    reads both sides' paths node by node.  Same sampling distribution as the
+    library's batched draws, on a different random stream, so the two agree
+    on verdicts, not on the triangles drawn.
+    """
+    sg = w.surface_graph(subdiv)
+    dist, _ = sg.all_pairs()
+    rng = np.random.default_rng(seed)
+    n = sg.n_nodes
+    allowance = allowance_gaps * sg.max_gap
+    worst = -np.inf
+    worst_case = None
+    done = 0
+    attempts = 0
+    while done < samples and attempts < 30 * samples:
+        attempts += 1
+        a, b, c = (int(x) for x in rng.integers(0, n, size=3))
+        if len({a, b, c}) < 3:
+            continue
+        ab, ac, bc = dist[a, b], dist[a, c], dist[b, c]
+        if min(ab, ac, bc) <= 4 * sg.max_gap or not np.isfinite(ab + ac + bc):
+            continue
+        path_ab = sg.path_nodes(a, b)
+        path_ac = sg.path_nodes(a, c)
+        if len(path_ab) < 3 or len(path_ac) < 3:
+            continue
+        p = path_ab[int(rng.integers(1, len(path_ab) - 1))]
+        q = path_ac[int(rng.integers(1, len(path_ac) - 1))]
+        try:
+            comp = comparison_triangle(bc, ac, ab)
+        except GlueError:
+            continue
+        x, y, z = comp.coords
+        p_bar = x + (y - x) * (dist[a, p] / ab)
+        q_bar = x + (z - x) * (dist[a, q] / ac)
+        violation = float(dist[p, q] - np.linalg.norm(p_bar - q_bar))
+        if violation > worst:
+            worst = violation
+            worst_case = (a, b, c, p, q)
+        done += 1
+    return {
+        "samples": done,
+        "worst_violation": float(worst) if done else 0.0,
+        "allowance": float(allowance),
+        "beyond_allowance": float(worst - allowance) if done else 0.0,
+        "violation_found": bool(done and worst > allowance),
+        "worst_case_nodes": worst_case,
+        "max_gap": float(sg.max_gap),
+    }
 
 
 def _directional_derivative_oracle(patch, vec, arr):

@@ -4,7 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
-from catmin.graphs import GraphInTarget, rotation_from_positions
+from catmin.graphs import GraphInTarget, PathGraph, path_from, path_hops, walk_back, rotation_from_positions
 from catmin.majorize import (
     GlueError,
     PolyhedralDisc,
@@ -27,10 +27,12 @@ from catmin.targets import EuclideanSpace, angle_from_sides
 from scipy.sparse.csgraph import dijkstra
 
 from oracles import (
+    RuledEuclidean,
     articulation_oracle,
     cone_distance_oracle,
     eps_net_oracle,
     surface_graph_matrix_oracle,
+    thin_triangle_test_oracle,
 )
 
 
@@ -234,6 +236,70 @@ def test_thin_triangles_positive_cone_fails():
     assert rep["worst_violation"] > rep["allowance"]
 
 
+@pytest.mark.parametrize("samples", [0, -5])
+def test_thin_triangle_test_needs_a_sample(samples):
+    with pytest.raises(ValueError, match="samples"):
+        thin_triangle_test(cone_disc(5 * math.pi / 2, 5), samples=samples, subdiv=4)
+
+
+@pytest.mark.parametrize("fracs", [(0.0,), (-0.1,), (0.1, math.nan), (math.inf,), ()])
+def test_eps_net_report_needs_positive_fractions(fracs):
+    with pytest.raises(ValueError, match="eps_fracs"):
+        eps_net_report(cone_disc(5 * math.pi / 2, 5), eps_fracs=fracs, subdiv=4)
+
+
+def test_thin_triangle_test_reports_its_attempts():
+    strip = strip_disc((1.0, 1.0, 1.0), (1.0, 1.0, 1.0))
+    rep = thin_triangle_test(strip, samples=400, seed=1, subdiv=12)
+    assert rep["samples"] == 400 and rep["attempts"] >= 400
+    # at subdiv 1 every side is within 4 gaps: the cap ends the run unfilled
+    capped = thin_triangle_test(strip, samples=10, seed=1, subdiv=1)
+    assert capped["samples"] == 0 and capped["attempts"] == 300
+    assert not capped["violation_found"]
+
+
+def thin_oracle_cases(saddle_w):
+    return [
+        ("cone3pi/2", cone_disc(3 * math.pi / 2, 3), 20, 600),
+        ("cone5pi/2", cone_disc(5 * math.pi / 2, 5), 20, 600),
+        ("strip", strip_disc((1.0, 1.0, 1.0), (1.0, 1.0, 1.0)), 12, 400),
+        ("saddle_w", saddle_w, 8, 300),
+    ]
+
+
+def test_thin_triangle_verdicts_equal_the_loop_oracle(saddle_w):
+    for name, disc, subdiv, samples in thin_oracle_cases(saddle_w):
+        for seed in range(5):
+            got = thin_triangle_test(disc, samples=samples, seed=seed, subdiv=subdiv)
+            want = thin_triangle_test_oracle(disc, samples=samples, seed=seed, subdiv=subdiv)
+            for key in ("samples", "violation_found", "allowance", "max_gap"):
+                assert got[key] == want[key], (name, seed, key)
+
+
+def test_thin_triangle_worst_case_recomputes_its_violation(saddle_w):
+    for name, disc, subdiv, samples in thin_oracle_cases(saddle_w):
+        rep = thin_triangle_test(disc, samples=samples, seed=7, subdiv=subdiv)
+        nodes = rep["worst_case_nodes"]
+        assert all(type(v) is int for v in nodes), name
+        a, b, c, p, q = nodes
+        sg = disc.surface_graph(subdiv)
+        dist, _ = sg.all_pairs()
+        assert p in sg.path_nodes(a, b)[1:-1] and q in sg.path_nodes(a, c)[1:-1], name
+        ab, ac = dist[a, b], dist[a, c]
+        x, y, z = comparison_triangle(dist[b, c], ac, ab).coords
+        p_bar = x + (y - x) * (dist[a, p] / ab)
+        q_bar = x + (z - x) * (dist[a, q] / ac)
+        violation = dist[p, q] - np.linalg.norm(p_bar - q_bar)
+        assert violation == pytest.approx(rep["worst_violation"], rel=1e-12, abs=0), name
+
+
+def test_thin_triangle_test_repeats_per_seed():
+    cone = cone_disc(3 * math.pi / 2, 3)
+    rep = thin_triangle_test(cone, samples=500, seed=11, subdiv=12)
+    assert thin_triangle_test(cone, samples=500, seed=11, subdiv=12) == rep
+    assert thin_triangle_test(cone, samples=500, seed=12, subdiv=12) != rep
+
+
 # ---------------------------------------------------------- strip oracle
 
 
@@ -312,6 +378,16 @@ def test_graph_is_checked_when_built():
         euclidean_graph([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)], [(0, 1)])
     assert err.value.problems == ["graph is not connected"]
     assert str(err.value) == "invalid GraphInTarget: graph is not connected"
+
+
+@pytest.mark.parametrize("target", [EuclideanSpace(3), RuledEuclidean()], ids=["euclidean", "general"])
+def test_graph_rejects_non_finite_points_on_any_target(target):
+    points = [np.array([0.0, 0.0, 0.0]), np.array([np.nan, 1.0, 0.0]), np.array([1.0, 0.0, 0.0])]
+    edges = [(0, 1), (1, 2), (0, 2)]
+    positions = np.array([(0.0, 0.0), (0.0, 1.0), (1.0, 0.0)])
+    with pytest.raises(ValueError) as err:
+        GraphInTarget(points, edges, set(), rotation_from_positions(3, edges, positions), target, positions)
+    assert err.value.problems == [f"points[1] is not a finite point of {target!r}"]
 
 
 def test_cut_vertices_bowtie_chain():
@@ -536,6 +612,26 @@ def test_surface_graph_bitwise_equal_to_loop_oracle(saddle_w):
         want_dist, want_pred = dijkstra(want, directed=False, return_predecessors=True)
         assert np.array_equal(dist, want_dist), name
         assert np.array_equal(pred, want_pred), name
+
+
+def test_vectorized_path_walks_equal_path_from(saddle_w):
+    two_parts = PathGraph(5, [0, 1, 3], [1, 2, 4], [1.0, 2.0, 1.0])
+    rng = np.random.default_rng(0)
+    for name, sg in [("two_parts", two_parts)] + [
+        (name, disc.surface_graph(subdiv)) for name, disc, subdiv in oracle_cases(saddle_w)
+    ]:
+        _, pred = sg.all_pairs()
+        a, b = rng.integers(0, sg.n_nodes, size=(2, 3000))
+        b[:20] = a[:20]  # empty paths too
+        hops = path_hops(pred, a, b)
+        paths = [path_from(pred[i], i, j) for i, j in zip(a.tolist(), b.tolist())]
+        assert hops.tolist() == [len(path) - 1 for path in paths], name
+        k = np.arange(a.size) % np.maximum(hops + 1, 1)  # a position on every path
+        reach = hops >= 0
+        nodes = walk_back(pred, a[reach], b[reach], (hops - k)[reach])
+        want = [path[i] for path, i, ok in zip(paths, k.tolist(), reach) if ok]
+        assert nodes.tolist() == want, name
+    assert (path_hops(two_parts.all_pairs()[1], [0, 2, 4], [4, 0, 3]) == [-1, 2, 1]).all()
 
 
 def test_rows_bitwise_equal_to_all_pairs(saddle_w):
