@@ -31,6 +31,10 @@ sum_i v_i*(v_i s) with v* = -v - div v, not D_v s, so a vanishing D_v s
 does not make the solved s a minimizer: `perturbation_evidence` samples
 margins under boundary-fixed bumps of amplitude 0.05, which is evidence at
 that amplitude only (at n = 32, bumps of amplitude 1e-3 find descent).
+Per node the energy is  w * sum_c grad s_c^T A grad s_c  with w the
+trapezoid weight and A = sum_i v_i v_i^T a 2x2 tensor, so each margin
+E(s0 + b) - E(s0) = 2 <s0, b>_A + E(b) is read in closed form from A and
+the bump's gradients, with no energy call per bump.
 """
 
 from __future__ import annotations
@@ -502,6 +506,23 @@ def field_system_report(fields: FieldArray) -> dict:
 _CONVEXITY_TS = (0.25, 0.5, 0.75)  # the points t of each segment reported
 
 
+def _node_tensor(patch: HeightFieldPatch, fields: FieldArray) -> tuple[np.ndarray, ...]:
+    """The energy's 2x2 tensor per node, flattened: (a00, a01, a11).
+
+    With A = sum_i v_i v_i^T times the trapezoid weight of the node,
+    E(s) = sum over nodes and coordinates c of grad s_c^T A grad s_c.
+    """
+    wx = np.full(patch.shape[0], patch.hx)
+    wy = np.full(patch.shape[1], patch.hy)
+    wx[[0, -1]] *= 0.5
+    wy[[0, -1]] *= 0.5
+    weight = np.outer(wx, wy).ravel()
+    vecs = [vec.reshape(-1, 2) for vec in fields.fields]
+    return tuple(
+        weight * sum(vec[:, p] * vec[:, q] for vec in vecs) for p, q in ((0, 0), (0, 1), (1, 1))
+    )
+
+
 def perturbation_evidence(
     patch: HeightFieldPatch,
     fields: FieldArray,
@@ -512,14 +533,23 @@ def perturbation_evidence(
 ) -> dict:
     """Boundary-fixed random perturbations never decrease the energy.
 
-    Each trial adds a random smooth bump b (boundary ring pinned, next ring
-    at half the amplitude) and checks E(s0 + b) >= E(s0) - tol.  E is a PSD
-    quadratic form, so E(s0 + t b) - (1 - t) E(s0) - t E(s0 + b) = -t (1 - t) E(b)
-    gives convexity at each t in `_CONVEXITY_TS`.  At least one trial is
-    required: with none there is no evidence to report.
+    Each trial adds a random smooth bump b = m1 d1 + m2 d2 (scalar profiles
+    m_k with the boundary ring pinned and the next ring at half the
+    amplitude, directions d_k in R^3) and checks E(s0 + b) >= E(s0) - tol.
+    E is a PSD quadratic form, so the margin is 2 <s0, b>_A + E(b), read
+    off the per-node tensor A of `_node_tensor` and the profiles'
+    gradients, and E(s0 + t b) - (1 - t) E(s0) - t E(s0 + b) = -t (1 - t) E(b)
+    gives convexity at each t in `_CONVEXITY_TS`: one `energy` call per
+    run, for E(s0).  At least one trial is required, and the amplitude
+    must be positive and finite and ``tol`` nonnegative and finite: a
+    zero bump measures nothing.
     """
     if trials < 1:
         raise ValueError(f"perturbation evidence needs trials >= 1, got {trials}")
+    if not 0.0 < amplitude < np.inf:
+        raise ValueError(f"amplitude must be positive and finite, got {amplitude}")
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"tol must be nonnegative and finite, got {tol}")
     if not (np.array_equal(patch.x, fields.patch.x) and np.array_equal(patch.y, fields.patch.y)):
         raise ValueError(
             f"patch grid {patch.shape} is not the solved grid {fields.patch.shape}: "
@@ -529,25 +559,31 @@ def perturbation_evidence(
     nx, ny = patch.shape
     ii, jj = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
     ring = np.minimum.reduce([ii, jj, nx - 1 - ii, ny - 1 - jj])
-    mask = np.clip(ring / 2.0, 0.0, 1.0)
+    scale = np.clip(ring / 2.0, 0.0, 1.0) * amplitude
     xs, ys = np.meshgrid(patch.x, patch.y, indexing="ij")
     e0 = energy(patch, fields)
+    a00, a01, a11 = _node_tensor(patch, fields)
+    s_x, s_y = (g.reshape(-1, 3) for g in _grad(patch, patch.values))
+    profiles = np.empty((2, nx, ny))
+    directions = np.empty((2, 3))
     min_margin = np.inf
     worst_convexity = -np.inf
     for _ in range(trials):
-        bump = np.zeros((nx, ny, 3))
-        for _ in range(2):
+        for k in range(2):
             cx = rng.uniform(patch.x[1], patch.x[-2])
             cy = rng.uniform(patch.y[1], patch.y[-2])
             width = rng.uniform(0.15, 0.4) * (patch.x[-1] - patch.x[0])
-            direction = rng.standard_normal(3)
-            blob = np.exp(-(((xs - cx) ** 2 + (ys - cy) ** 2) / (2 * width * width)))
-            bump += blob[..., None] * direction
-        bump *= (mask * amplitude)[..., None]
-        e1 = energy(patch, fields, values=patch.values + bump)
-        min_margin = min(min_margin, e1 - e0)
-        # E(s0 + t b) - [(1 - t) e0 + t e1] = -t (1 - t) E(b), exactly
-        eb = energy(patch, fields, values=bump)
+            directions[k] = rng.standard_normal(3)
+            profiles[k] = np.exp(-(((xs - cx) ** 2 + (ys - cy) ** 2) / (2 * width * width)))
+        profiles *= scale
+        gx = _d(profiles, patch.hx, 1).reshape(2, -1)
+        gy = _d(profiles, patch.hy, 2).reshape(2, -1)
+        u = a00 * gx + a01 * gy
+        v = a01 * gx + a11 * gy
+        # E(b) from the profiles' 2x2 Gram matrix under A and the directions'
+        eb = float(np.sum((u @ gx.T + v @ gy.T) * (directions @ directions.T)))
+        margin = 2.0 * float(np.sum((u @ s_x + v @ s_y) * directions)) + eb
+        min_margin = min(min_margin, margin)
         worst_convexity = max(worst_convexity, *(-t * (1.0 - t) * eb for t in _CONVEXITY_TS))
     return {
         "trials": trials,

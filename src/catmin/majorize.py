@@ -812,7 +812,8 @@ def thin_triangle_test(
     a single hop.  The first accepted triples in draw order are kept, at
     most 30 * ``samples`` candidates are drawn, and ``attempts`` counts
     the candidates tested up to the last one kept; a run that reaches
-    that cap reports fewer ``samples`` than asked for.  Then p and q are
+    that cap reports fewer ``samples`` than asked for, and one that keeps
+    none raises ``ValueError``: it measured nothing.  Then p and q are
     drawn uniformly among the interior nodes of the shortest paths AB and
     AC, and every sample is measured at once.  One seed always draws the
     same triangles; the stream is not that of the former one-triangle-
@@ -844,18 +845,11 @@ def thin_triangle_test(
         kept.append((a[idx], b[idx], c[idx], hops_ab[long][: idx.size], hops_ac[long][: idx.size]))
         done += idx.size
         attempts += int(idx[-1]) + 1 if done == samples else m
-    report = {
-        "samples": done,
-        "attempts": attempts,
-        "worst_violation": 0.0,
-        "allowance": float(allowance),
-        "beyond_allowance": 0.0,
-        "violation_found": False,
-        "worst_case_nodes": None,
-        "max_gap": float(sg.max_gap),
-    }
     if not done:
-        return report
+        raise ValueError(
+            f"no triangle accepted in attempts {attempts}: sides must exceed 4 max_gap = "
+            f"{4 * sg.max_gap:.3g} and paths AB, AC need 2 hops; raise subdiv"
+        )
     a, b, c, hops_ab, hops_ac = (np.concatenate(x) for x in zip(*kept))
     p = walk_back(pred, a, b, hops_ab - rng.integers(1, hops_ab))
     q = walk_back(pred, a, c, hops_ac - rng.integers(1, hops_ac))
@@ -868,13 +862,16 @@ def thin_triangle_test(
     violation = dist[p, q] - np.sqrt(dx * dx + dy * dy)
     k = int(np.argmax(violation))
     worst = float(violation[k])
-    report.update(
-        worst_violation=worst,
-        beyond_allowance=float(worst - allowance),
-        violation_found=bool(worst > allowance),
-        worst_case_nodes=tuple(int(v[k]) for v in (a, b, c, p, q)),
-    )
-    return report
+    return {
+        "samples": done,
+        "attempts": attempts,
+        "worst_violation": worst,
+        "allowance": float(allowance),
+        "beyond_allowance": float(worst - allowance),
+        "violation_found": bool(worst > allowance),
+        "worst_case_nodes": tuple(int(v[k]) for v in (a, b, c, p, q)),
+        "max_gap": float(sg.max_gap),
+    }
 
 
 def eps_net_report(w: PolyhedralDisc, eps_fracs=(0.1, 0.05), subdiv: int = 12) -> dict:

@@ -227,6 +227,19 @@ def test_perturbation_needs_a_trial(trials):
         perturbation_evidence(patch, fa, trials=trials)
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [("amplitude", 0.0), ("amplitude", -0.05), ("amplitude", np.nan), ("amplitude", np.inf),
+     ("tol", -1e-9), ("tol", np.nan), ("tol", np.inf)],
+)
+def test_perturbation_rejects_a_vacuous_bump_or_tolerance(name, value):
+    # amplitude 0 made all-zero bumps and a PASS that measured nothing
+    patch = bilinear_saddle_patch(0.5, 16, coef=1.0)
+    fa = solve_field_system(patch)
+    with pytest.raises(ValueError, match=name):
+        perturbation_evidence(patch, fa, trials=3, **{name: value})
+
+
 def test_perturbation_zero_is_equality():
     patch = bilinear_saddle_patch(0.5, 16, coef=1.0)
     fa = solve_field_system(patch)
@@ -237,14 +250,17 @@ def test_perturbation_zero_is_equality():
 @pytest.mark.parametrize("n", [16, 24, 32])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_perturbation_evidence_equals_the_sampled_oracle(n, seed):
-    # convexity from the quadratic identity E((1-t)s0 + t s1) - [(1-t)E0 + tE1]
-    # = -t(1-t)E(s1 - s0) reads what the oracle samples, up to rounding
+    # the margin 2<s0, b>_A + E(b) and convexity from the quadratic identity
+    # E((1-t)s0 + t s1) - [(1-t)E0 + tE1] = -t(1-t)E(s1 - s0) read what the
+    # oracle samples, up to rounding; the oracle's E1 - E0 cancels to an
+    # absolute error of a few ulps of E0
     patch = bilinear_saddle_patch(0.5, n, coef=1.0 + 0.1 * seed)
     fa = solve_field_system(patch)
     got = perturbation_evidence(patch, fa, trials=40, seed=seed)
     want = perturbation_evidence_oracle(patch, fa, trials=40, seed=seed)
-    for key in ("trials", "energy", "min_margin", "never_decreases", "convex_ok", "tolerance"):
+    for key in ("trials", "energy", "never_decreases", "convex_ok", "tolerance"):
         assert got[key] == want[key], key
+    assert abs(got["min_margin"] - want["min_margin"]) <= 1e-12 * want["energy"]
     assert got["convexity_max_violation"] < 0.0
     assert abs(got["convexity_max_violation"] - want["convexity_max_violation"]) <= (
         1e-12 * abs(want["convexity_max_violation"])
@@ -252,7 +268,7 @@ def test_perturbation_evidence_equals_the_sampled_oracle(n, seed):
 
 
 @pytest.mark.parametrize("trials", [1, 7])
-def test_perturbation_evidence_makes_two_energy_calls_per_trial(monkeypatch, trials):
+def test_perturbation_evidence_makes_one_energy_call_per_run(monkeypatch, trials):
     patch = bilinear_saddle_patch(0.5, 16, coef=1.0)
     fa = solve_field_system(patch)
     calls = []
@@ -264,8 +280,22 @@ def test_perturbation_evidence_makes_two_energy_calls_per_trial(monkeypatch, tri
 
     monkeypatch.setattr(fields_module, "energy", counted)
     perturbation_evidence(patch, fa, trials=trials)
-    # one for s0, then E(s0 + b) and E(b) per trial
-    assert len(calls) == 1 + 2 * trials
+    # E(s0) only: each trial's margin and E(b) come from the node tensor
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("n", [16, 24, 32])
+def test_node_tensor_reproduces_the_energy(n):
+    patch = bilinear_saddle_patch(0.5, n, coef=1.2)
+    fa = solve_field_system(patch)
+    a00, a01, a11 = fields_module._node_tensor(patch, fa)
+    rng = np.random.default_rng(n)
+    for values in (patch.values, rng.standard_normal(patch.values.shape)):
+        gx, gy = (g.reshape(-1, 3) for g in fields_module._grad(patch, values))
+        quad = np.sum((a00[:, None] * gx + a01[:, None] * gy) * gx
+                      + (a01[:, None] * gx + a11[:, None] * gy) * gy)
+        want = energy(patch, fa, values=values)
+        assert abs(quad - want) <= 1e-13 * want
 
 
 def test_perturbation_on_a_shrunk_solve_names_the_window():

@@ -559,6 +559,7 @@ def test_fixture_files_are_canonical_bytes():
         "cone_five_equilateral.json",
         "cone_5pi2.json",
         "cone_3pi2.json",
+        "saddle_patch.json",
     ):
         path = fixture_path(name)
         raw = path.read_text(encoding="utf-8")
