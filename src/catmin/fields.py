@@ -34,7 +34,11 @@ that amplitude only (at n = 32, bumps of amplitude 1e-3 find descent).
 Per node the energy is  w * sum_c grad s_c^T A grad s_c  with w the
 trapezoid weight and A = sum_i v_i v_i^T a 2x2 tensor, so each margin
 E(s0 + b) - E(s0) = 2 <s0, b>_A + E(b) is read in closed form from A and
-the bump's gradients, with no energy call per bump.
+the bump's gradients, with no energy call per bump.  A bump's masked
+Gaussian profile is a sum of outer products of 1-D factors, and so are its
+gradients, so those forms are batched bilinear forms over blocks of trials
+(rank-1 matrix products, plus a correction on the boundary rim), with no
+per-trial pass over the grid.
 """
 
 from __future__ import annotations
@@ -504,6 +508,7 @@ def field_system_report(fields: FieldArray) -> dict:
 # minimality evidence
 
 _CONVEXITY_TS = (0.25, 0.5, 0.75)  # the points t of each segment reported
+_TRIAL_BLOCK = 32  # trials per batched pass: memory O(n^2 + block * n) at any trial count
 
 
 def _node_tensor(patch: HeightFieldPatch, fields: FieldArray) -> tuple[np.ndarray, ...]:
@@ -523,6 +528,78 @@ def _node_tensor(patch: HeightFieldPatch, fields: FieldArray) -> tuple[np.ndarra
     )
 
 
+def _bump_factors(coords: np.ndarray, centers: np.ndarray, widths: np.ndarray, h: float):
+    """1-D factors, along one grid axis, of boundary-masked Gaussian blobs.
+
+    The bump mask clip(ring / 2, 0, 1) is min(c(i), c(j)) with the ramp
+    c(i) = clip(min(i, n - 1 - i) / 2, 0, 1).  That is c(i) c(j) except at
+    the four nodes where both are 1/2, so a masked blob X (x) Y is
+    core_x (x) core_y + corner_x (x) corner_y, with core = c X and corner =
+    X / 2 on the second and next-to-last nodes only.  Returns the
+    (2, blobs, nodes) stack (core, corner) and its `_d` along the axis.
+    """
+    nodes = np.arange(coords.size)
+    ramp = np.clip(np.minimum(nodes, coords.size - 1 - nodes) / 2.0, 0.0, 1.0)
+    corner = np.zeros(coords.size)
+    corner[[1, -2]] = 0.5
+    blob = np.exp(-((coords - centers[:, None]) ** 2) / (2.0 * widths[:, None] ** 2))
+    factors = np.stack([blob * ramp, blob * corner])
+    return factors, _d(factors, h, 2)
+
+
+def _bilinear(matrix: np.ndarray, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Row-wise f_k^T M g_k: M summed against the outer product f_k (x) g_k."""
+    return np.einsum("kj,kj->k", f @ matrix, g)
+
+
+def _a_form(tensor, gx, gy, hx, hy) -> np.ndarray:
+    """grad g^T A grad h summed over the trailing two (node) axes."""
+    a00, a01, a11 = tensor
+    return np.sum(a00 * gx * hx + a01 * (gx * hy + gy * hx) + a11 * gy * hy, axis=(-2, -1))
+
+
+def _bump_forms(tensor, p, q, fx, fy, directions):
+    """Each trial's <s0, b>_A and E(b) for bumps of unit amplitude.
+
+    The blobs come two per trial, each with its direction, as the 1-D
+    factors and their `_d` from `_bump_factors`: ``fx`` is
+    ((core_x, corner_x), (d core_x, d corner_x)) and ``fy`` likewise.  A
+    core's gradients are gx = d core_x (x) core_y and gy = core_x (x)
+    d core_y, so each form over the grid is a batch of matrix products.
+    The corners change the gradients only on the rim (the nodes within two
+    of the boundary), where each form gains its full minus its core value.
+    """
+    ((x, x_corner), (dx, dx_corner)), ((y, y_corner), (dy, dy_corner)) = fx, fy
+    a00, a01, a11 = tensor
+    nx, ny = p.shape[:2]
+    pair = np.arange(x.shape[0]).reshape(-1, 2)
+    k, l = pair[:, [0, 0, 1]].ravel(), pair[:, [0, 1, 1]].ravel()
+    # sum over nodes and coordinates c of P_c gx + Q_c gy, per blob
+    lin = np.einsum("kjc,kj->kc", (dx @ p.reshape(nx, -1)).reshape(-1, ny, 3), y)
+    lin += np.einsum("kjc,kj->kc", (x @ q.reshape(nx, -1)).reshape(-1, ny, 3), dy)
+    # the Gram entries (0, 0), (0, 1), (1, 1) of each trial's two blobs
+    gram = (_bilinear(a00, dx[k] * dx[l], y[k] * y[l])
+            + _bilinear(a01, dx[k] * x[l], y[k] * dy[l])
+            + _bilinear(a01, x[k] * dx[l], dy[k] * y[l])
+            + _bilinear(a11, x[k] * x[l], dy[k] * dy[l]))
+    rim_x, rim_y = (np.unique(np.r_[0:3, n - 3:n]) for n in (nx, ny))
+    rim = np.ix_(rim_x, rim_y)
+    core_gx = dx[:, rim_x, None] * y[:, None, rim_y]
+    core_gy = x[:, rim_x, None] * dy[:, None, rim_y]
+    corner_gx = dx_corner[:, rim_x, None] * y_corner[:, None, rim_y]
+    corner_gy = x_corner[:, rim_x, None] * dy_corner[:, None, rim_y]
+    lin += np.einsum("kij,ijc->kc", corner_gx, p[rim]) + np.einsum("kij,ijc->kc", corner_gy, q[rim])
+    full_gx = core_gx + corner_gx
+    full_gy = core_gy + corner_gy
+    rim_tensor = (a00[rim], a01[rim], a11[rim])
+    gram += (_a_form(rim_tensor, full_gx[k], full_gy[k], full_gx[l], full_gy[l])
+             - _a_form(rim_tensor, core_gx[k], core_gy[k], core_gx[l], core_gy[l]))
+    linear = np.sum(lin * directions, axis=1).reshape(-1, 2).sum(axis=1)
+    dots = np.sum(directions[k] * directions[l], axis=1)
+    quadratic = np.sum((gram * dots).reshape(-1, 3) * [1.0, 2.0, 1.0], axis=1)
+    return linear, quadratic
+
+
 def perturbation_evidence(
     patch: HeightFieldPatch,
     fields: FieldArray,
@@ -534,15 +611,18 @@ def perturbation_evidence(
     """Boundary-fixed random perturbations never decrease the energy.
 
     Each trial adds a random smooth bump b = m1 d1 + m2 d2 (scalar profiles
-    m_k with the boundary ring pinned and the next ring at half the
-    amplitude, directions d_k in R^3) and checks E(s0 + b) >= E(s0) - tol.
-    E is a PSD quadratic form, so the margin is 2 <s0, b>_A + E(b), read
-    off the per-node tensor A of `_node_tensor` and the profiles'
-    gradients, and E(s0 + t b) - (1 - t) E(s0) - t E(s0 + b) = -t (1 - t) E(b)
-    gives convexity at each t in `_CONVEXITY_TS`: one `energy` call per
-    run, for E(s0).  At least one trial is required, and the amplitude
-    must be positive and finite and ``tol`` nonnegative and finite: a
-    zero bump measures nothing.
+    m_k, each a Gaussian blob with the boundary ring pinned and the next
+    ring at half the amplitude; directions d_k in R^3) and checks
+    E(s0 + b) >= E(s0) - tol.  E is a PSD quadratic form, so the margin is
+    2 <s0, b>_A + E(b), read off the per-node tensor A of `_node_tensor`,
+    and E(s0 + t b) - (1 - t) E(s0) - t E(s0 + b) = -t (1 - t) E(b) gives
+    convexity at each t in `_CONVEXITY_TS`: one `energy` call per run, for
+    E(s0).  Each masked blob is a sum of outer products of 1-D factors
+    (`_bump_factors`), and so are its gradients, so the margins of a block
+    of `_TRIAL_BLOCK` trials are batched bilinear forms (`_bump_forms`),
+    with no per-trial pass over the grid.  At least one trial is required,
+    and the amplitude must be positive and finite and ``tol`` nonnegative
+    and finite: a zero bump measures nothing.
     """
     if trials < 1:
         raise ValueError(f"perturbation evidence needs trials >= 1, got {trials}")
@@ -557,34 +637,38 @@ def perturbation_evidence(
         )
     rng = np.random.default_rng(seed)
     nx, ny = patch.shape
-    ii, jj = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
-    ring = np.minimum.reduce([ii, jj, nx - 1 - ii, ny - 1 - jj])
-    scale = np.clip(ring / 2.0, 0.0, 1.0) * amplitude
-    xs, ys = np.meshgrid(patch.x, patch.y, indexing="ij")
     e0 = energy(patch, fields)
-    a00, a01, a11 = _node_tensor(patch, fields)
-    s_x, s_y = (g.reshape(-1, 3) for g in _grad(patch, patch.values))
-    profiles = np.empty((2, nx, ny))
-    directions = np.empty((2, 3))
+    tensor = tuple(a.reshape(nx, ny) for a in _node_tensor(patch, fields))
+    a00, a01, a11 = tensor
+    s_x, s_y = _grad(patch, patch.values)
+    # <s0, b>_A = sum over nodes and coordinates c of P_c gx + Q_c gy
+    p = a00[..., None] * s_x + a01[..., None] * s_y
+    q = a01[..., None] * s_x + a11[..., None] * s_y
+    del s_x, s_y
+    ts = np.asarray(_CONVEXITY_TS)
+    convexity = -ts * (1.0 - ts)
+    # each blob draws cx, cy and its width uniformly, then its direction;
+    # random() mapped to (high - low) u + low is uniform(low, high) bit for bit
+    low = np.array([patch.x[1], patch.y[1], 0.15])
+    high = np.array([patch.x[-2], patch.y[-2], 0.4])
+    span = patch.x[-1] - patch.x[0]
     min_margin = np.inf
     worst_convexity = -np.inf
-    for _ in range(trials):
-        for k in range(2):
-            cx = rng.uniform(patch.x[1], patch.x[-2])
-            cy = rng.uniform(patch.y[1], patch.y[-2])
-            width = rng.uniform(0.15, 0.4) * (patch.x[-1] - patch.x[0])
+    for start in range(0, trials, _TRIAL_BLOCK):
+        block = min(_TRIAL_BLOCK, trials - start)
+        blobs = np.empty((2 * block, 3))  # cx, cy, width
+        directions = np.empty((2 * block, 3))
+        for k in range(2 * block):
+            blobs[k] = rng.random(3)
             directions[k] = rng.standard_normal(3)
-            profiles[k] = np.exp(-(((xs - cx) ** 2 + (ys - cy) ** 2) / (2 * width * width)))
-        profiles *= scale
-        gx = _d(profiles, patch.hx, 1).reshape(2, -1)
-        gy = _d(profiles, patch.hy, 2).reshape(2, -1)
-        u = a00 * gx + a01 * gy
-        v = a01 * gx + a11 * gy
-        # E(b) from the profiles' 2x2 Gram matrix under A and the directions'
-        eb = float(np.sum((u @ gx.T + v @ gy.T) * (directions @ directions.T)))
-        margin = 2.0 * float(np.sum((u @ s_x + v @ s_y) * directions)) + eb
-        min_margin = min(min_margin, margin)
-        worst_convexity = max(worst_convexity, *(-t * (1.0 - t) * eb for t in _CONVEXITY_TS))
+        blobs = low + (high - low) * blobs
+        blobs[:, 2] *= span
+        fx = _bump_factors(patch.x, blobs[:, 0], blobs[:, 2], patch.hx)
+        fy = _bump_factors(patch.y, blobs[:, 1], blobs[:, 2], patch.hy)
+        linear, quadratic = _bump_forms(tensor, p, q, fx, fy, directions)
+        eb = amplitude * amplitude * quadratic
+        min_margin = min(min_margin, float(np.min(2.0 * amplitude * linear + eb)))
+        worst_convexity = max(worst_convexity, float(np.max(convexity * eb[:, None])))
     return {
         "trials": trials,
         "energy": e0,

@@ -519,6 +519,53 @@ def perturbation_evidence_oracle(patch, fields, trials=100, seed=0, amplitude=0.
     }
 
 
+def perturbation_closed_form_oracle(patch, fields, trials=100, seed=0, amplitude=0.05, tol=1e-9):
+    """The former per-trial closed form: each trial builds its two masked
+    blobs as full 2-D arrays, takes their `np.gradient` pair and reads the
+    margin 2<s0, b>_A + E(b) and E(b) from the node tensor, one trial at a
+    time."""
+    from catmin.fields import _CONVEXITY_TS, _d, _grad, _node_tensor, energy
+
+    rng = np.random.default_rng(seed)
+    nx, ny = patch.shape
+    ii, jj = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
+    ring = np.minimum.reduce([ii, jj, nx - 1 - ii, ny - 1 - jj])
+    scale = np.clip(ring / 2.0, 0.0, 1.0) * amplitude
+    xs, ys = np.meshgrid(patch.x, patch.y, indexing="ij")
+    e0 = energy(patch, fields)
+    a00, a01, a11 = _node_tensor(patch, fields)
+    s_x, s_y = (g.reshape(-1, 3) for g in _grad(patch, patch.values))
+    profiles = np.empty((2, nx, ny))
+    directions = np.empty((2, 3))
+    min_margin = np.inf
+    worst_convexity = -np.inf
+    for _ in range(trials):
+        for k in range(2):
+            cx = rng.uniform(patch.x[1], patch.x[-2])
+            cy = rng.uniform(patch.y[1], patch.y[-2])
+            width = rng.uniform(0.15, 0.4) * (patch.x[-1] - patch.x[0])
+            directions[k] = rng.standard_normal(3)
+            profiles[k] = np.exp(-(((xs - cx) ** 2 + (ys - cy) ** 2) / (2 * width * width)))
+        profiles *= scale
+        gx = _d(profiles, patch.hx, 1).reshape(2, -1)
+        gy = _d(profiles, patch.hy, 2).reshape(2, -1)
+        u = a00 * gx + a01 * gy
+        v = a01 * gx + a11 * gy
+        eb = float(np.sum((u @ gx.T + v @ gy.T) * (directions @ directions.T)))
+        margin = 2.0 * float(np.sum((u @ s_x + v @ s_y) * directions)) + eb
+        min_margin = min(min_margin, margin)
+        worst_convexity = max(worst_convexity, *(-t * (1.0 - t) * eb for t in _CONVEXITY_TS))
+    return {
+        "trials": trials,
+        "energy": e0,
+        "min_margin": float(min_margin),
+        "never_decreases": bool(min_margin >= -tol),
+        "convexity_max_violation": float(worst_convexity),
+        "convex_ok": bool(worst_convexity <= tol),
+        "tolerance": tol,
+    }
+
+
 def laplacian_oracle(patch, vecs):
     """sum_i v_i(v_i s) on interior nodes, each derivative taken on its own."""
     s = patch.values

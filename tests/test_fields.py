@@ -18,7 +18,12 @@ from catmin.fields import (
 )
 import catmin.fields as fields_module
 
-from oracles import energy_oracle, laplacian_oracle, perturbation_evidence_oracle
+from oracles import (
+    energy_oracle,
+    laplacian_oracle,
+    perturbation_closed_form_oracle,
+    perturbation_evidence_oracle,
+)
 
 
 def unit_coordinate_fields(patch):
@@ -282,6 +287,71 @@ def test_perturbation_evidence_makes_one_energy_call_per_run(monkeypatch, trials
     perturbation_evidence(patch, fa, trials=trials)
     # E(s0) only: each trial's margin and E(b) come from the node tensor
     assert len(calls) == 1
+
+
+def assert_matches_the_closed_form_oracle(patch, fa, trials, seed):
+    got = perturbation_evidence(patch, fa, trials=trials, seed=seed)
+    want = perturbation_closed_form_oracle(patch, fa, trials=trials, seed=seed)
+    for key in ("trials", "energy", "never_decreases", "convex_ok", "tolerance"):
+        assert got[key] == want[key], key
+    # a margin is a difference of energies, so it is held at the scale of
+    # E(s0): a near-zero margin (n = 5) keeps few of its own digits
+    assert abs(got["min_margin"] - want["min_margin"]) <= 1e-13 * want["energy"]
+    assert abs(got["convexity_max_violation"] - want["convexity_max_violation"]) <= (
+        1e-13 * abs(want["convexity_max_violation"])
+    )
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 16, 33, 64, 128])
+@pytest.mark.parametrize("coef", [0.8, 1.0, 1.25])
+def test_perturbation_evidence_equals_the_closed_form_oracle(n, coef):
+    # the batched rank-1 forms read what the per-trial dense loop reads
+    fa = solve_field_system(bilinear_saddle_patch(0.5, n, coef=coef))
+    for seed in range(3):
+        assert_matches_the_closed_form_oracle(fa.patch, fa, trials=100, seed=seed)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_perturbation_evidence_equals_the_closed_form_oracle_on_a_shrunk_window(seed):
+    fa = solve_field_system(bilinear_saddle_patch(1.5, 32))
+    assert fa.shrunk
+    assert_matches_the_closed_form_oracle(fa.patch, fa, trials=100, seed=seed)
+
+
+def test_perturbation_evidence_across_trial_blocks():
+    # more than two blocks, the last one partial
+    fa = solve_field_system(bilinear_saddle_patch(0.5, 16, coef=1.1))
+    trials = 2 * fields_module._TRIAL_BLOCK + 5
+    assert_matches_the_closed_form_oracle(fa.patch, fa, trials=trials, seed=4)
+
+
+@pytest.mark.parametrize("n", [4, 5, 32, 33])
+def test_bump_factors_reproduce_the_masked_blob(n):
+    # core (x) core + corner (x) corner is the dense masked blob, and its
+    # `_d` pairs are the dense profile's gradients; centres next to each
+    # corner give the corner point masses their largest share
+    patch = bilinear_saddle_patch(0.5, n)
+    nx, ny = patch.shape
+    amplitude = 0.05
+    ii, jj = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
+    ring = np.minimum.reduce([ii, jj, nx - 1 - ii, ny - 1 - jj])
+    scale = np.clip(ring / 2.0, 0.0, 1.0) * amplitude
+    xs, ys = np.meshgrid(patch.x, patch.y, indexing="ij")
+    span = patch.x[-1] - patch.x[0]
+    cx, cy, width = (v.ravel() for v in np.meshgrid(
+        [patch.x[1], patch.x[-2]], [patch.y[1], patch.y[-2]], [0.15 * span, 0.4 * span]))
+    fx, dfx = fields_module._bump_factors(patch.x, cx, width, patch.hx)
+    fy, dfy = fields_module._bump_factors(patch.y, cy, width, patch.hy)
+    for k in range(cx.size):
+        blob = np.exp(-(((xs - cx[k]) ** 2 + (ys - cy[k]) ** 2) / (2 * width[k] * width[k])))
+        dense = scale * blob
+        pairs = (
+            (np.einsum("ri,rj->ij", fx[:, k], fy[:, k]), dense),
+            (np.einsum("ri,rj->ij", dfx[:, k], fy[:, k]), fields_module._d(dense, patch.hx, 0)),
+            (np.einsum("ri,rj->ij", fx[:, k], dfy[:, k]), fields_module._d(dense, patch.hy, 1)),
+        )
+        for factored, want in pairs:
+            assert np.abs(amplitude * factored - want).max() <= 1e-15 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("n", [16, 24, 32])
