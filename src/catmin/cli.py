@@ -42,7 +42,13 @@ def _load(path, want_kind):
 
 
 def _emit(report: dict, out_path):
-    """Write ``report`` as canonical JSON; its arrays are converted here, once."""
+    """Write ``report`` as canonical JSON; its arrays are converted here, once.
+
+    The text is `instances.instance_to_json` of the report, byte for byte
+    ``json.dumps(jsonable(report), sort_keys=True, separators=(",", ":"))``
+    plus a newline; float arrays are formatted apart, each distinct 64-bit
+    value once.
+    """
     text = instances.instance_to_json(report)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:

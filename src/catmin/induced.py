@@ -23,10 +23,12 @@ each subset's image diameter and connectivity, and a superset-minimum
 transform gives each pair's least connected diameter.  Beyond that a
 factor-2 bracket is computed by growing components inside metric balls
 around each candidate center.  Per center, a union-find pass records the
-merges as a binary merge tree; in a depth-first leaf order of that forest
-every merge is a contiguous block, so in one permutation of the image
-distance matrix every merge's diameter and every pair's entry are
-cumulative maxima.  The bracket's ``upper`` is the metric (min-plus)
+merges as a binary merge tree; it keeps its own parent list, and since the
+entering vertex's side and the neighbour's are already found as roots, a
+merge links them directly without finding them again.  In a depth-first
+leaf order of that forest every merge is a contiguous block, so in one
+permutation of the image distance matrix every merge's diameter and every
+pair's entry are cumulative maxima.  The bracket's ``upper`` is the metric (min-plus)
 closure of the raw grown-component diameters: the connecting pseudometric
 obeys the triangle inequality and lies below the raw values, so it lies
 below their closure too, and the closure is itself a pseudometric.
@@ -157,7 +159,7 @@ def _merge_forest(
     side is node ``b`` on ``p[mid:hi]``.
     """
     n = len(row)
-    uf = UnionFind(n)            # the grown components
+    parent = list(range(n))      # union-find forest of the grown components
     node = list(range(n))        # root vertex -> its merge-tree node
     added = [False] * n
     kids: list[tuple[int, int]] = []   # node n + i merges kids[i]
@@ -170,12 +172,18 @@ def _merge_forest(
         for w in nbrs[v]:
             if not added[w]:
                 continue
-            rw = uf.find(w)
+            rw = w
+            while parent[rw] != rw:      # path halving
+                parent[rw] = parent[parent[rw]]
+                rw = parent[rw]
             if rv == rw:
                 continue
             kids.append((node[rv], node[rw]))
-            uf.union(rv, rw)
-            rv = min(rv, rw)
+            if rv < rw:                  # rv and rw are roots: join them
+                parent[rw] = rv
+            else:
+                parent[rv] = rw
+                rv = rw
             node[rv] = n + len(kids) - 1
     size = [1] * n + [0] * len(kids)
     for i, (a, b) in enumerate(kids):
@@ -183,7 +191,7 @@ def _merge_forest(
     start = [0] * (n + len(kids))
     offset = 0
     for v in entered:
-        if uf.parent[v] == v:        # one tree per final component
+        if parent[v] == v:           # one tree per final component
             start[node[v]] = offset
             offset += size[node[v]]
     for i in range(len(kids) - 1, -1, -1):   # parents before children

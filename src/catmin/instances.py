@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -73,14 +74,27 @@ def _array_jsonable(a: np.ndarray):
 
 def jsonable(obj):
     """Recursively convert arrays/floats, encoding infinities as 'inf'."""
+    return _jsonable(obj, None)
+
+
+def _jsonable(obj, spliced: list | None):
+    """`jsonable`, except that when ``spliced`` is a list each plain float
+    array of at most 64 bits is appended to it and stands in the result as
+    a marker string, ``_MARK`` followed by its index there."""
     if isinstance(obj, dict):
-        return {str(k): jsonable(v) for k, v in obj.items()}
+        return {str(k): _jsonable(v, spliced) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [jsonable(v) for v in obj]
+        return [_jsonable(v, spliced) for v in obj]
     if isinstance(obj, np.ndarray):
+        if (spliced is not None and type(obj) is np.ndarray
+                and obj.dtype.kind == "f" and obj.dtype.itemsize <= 8):
+            if np.isnan(obj).any():
+                raise ValueError("NaN is not serializable")
+            spliced.append(obj)
+            return _MARK + str(len(spliced) - 1)
         if obj.dtype.kind in "biuf":
             return _array_jsonable(obj)
-        return jsonable(obj.tolist())
+        return _jsonable(obj.tolist(), spliced)
     if isinstance(obj, (np.floating, float)):
         f = float(obj)
         if math.isinf(f):
@@ -105,8 +119,64 @@ def _parse_floats(obj):
     return obj
 
 
+# A spliced array's marker: JSON escapes the NUL, so in the dumped text the
+# marker of array i reads "\u0000i", quotes included.
+_MARK = "\x00"
+_MARKED = re.compile(r'"\\u0000(\d+)"')
+
+
+def _dumps(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _array_texts(arrays: list[np.ndarray]) -> list[str]:
+    """JSON text of each float array, as `_dumps` of its `jsonable` writes it.
+
+    Each distinct 64-bit pattern is formatted once: equal bits give equal
+    text, and the int64 view keeps -0.0 apart from 0.0.
+    """
+    flat = [np.asarray(a, dtype=np.float64).ravel() for a in arrays]
+    bits, inverse = np.unique(np.concatenate(flat).view(np.int64), return_inverse=True)
+    values = bits.view(np.float64)
+    texts = list(map(repr, values.tolist()))
+    for i in np.flatnonzero(np.isinf(values)).tolist():
+        texts[i] = '"inf"' if values[i] > 0 else '"-inf"'
+    words = np.array(texts, dtype=object)[inverse].tolist()
+    out = []
+    start = 0
+    for a in arrays:
+        items = words[start:start + a.size]
+        start += a.size
+        for axis in range(a.ndim - 1, -1, -1):    # innermost axis first
+            d = a.shape[axis]
+            items = ["[" + ",".join(items[i * d:(i + 1) * d]) + "]"
+                     for i in range(math.prod(a.shape[:axis]))]
+        out.append(items[0])
+    return out
+
+
 def instance_to_json(doc: dict) -> str:
-    return json.dumps(jsonable(doc), sort_keys=True, separators=(",", ":")) + "\n"
+    """Canonical JSON text of ``doc``: byte for byte
+    ``json.dumps(jsonable(doc), sort_keys=True, separators=(",", ":")) + "\\n"``,
+    with the same ``ValueError`` on NaN and ``TypeError`` on an unknown type.
+
+    Float arrays are not converted to lists of floats.  They are collected
+    and formatted apart, each distinct 64-bit value once (reports repeat
+    many values: equal matrices, image distances), and their texts are
+    spliced into the `json.dumps` text of the rest, which is dumped in one
+    call.  A string of ``doc`` that reads like a marker falls back to the
+    plain path.
+    """
+    arrays: list[np.ndarray] = []
+    text = _dumps(_jsonable(doc, arrays))
+    if arrays:
+        parts = _MARKED.split(text)
+        if len(parts) != 2 * len(arrays) + 1:
+            return _dumps(jsonable(doc)) + "\n"
+        texts = _array_texts(arrays)
+        parts[1::2] = [texts[int(i)] for i in parts[1::2]]
+        text = "".join(parts)
+    return text + "\n"
 
 
 def save_instance(doc: dict, path) -> None:

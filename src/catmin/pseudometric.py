@@ -29,7 +29,8 @@ PIVOT_BLOCK_ENTRIES = 1 << 19
 
 
 class UnionFind:
-    """Plain union-find over ``range(n)`` with path compression."""
+    """Plain union-find over ``range(n)`` with path halving; a union makes
+    the smaller root the parent of the larger."""
 
     def __init__(self, n: int):
         self.parent = list(range(n))

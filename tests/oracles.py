@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import json
 import math
 
 import numpy as np
@@ -153,6 +154,63 @@ def bracket_connecting_oracle(n, edges, dimg):
     return lower, upper
 
 
+def merge_forest_oracle(
+    nbrs: list[list[int]], row: np.ndarray
+) -> tuple[list[int], list[tuple[int, int, int, int, int]]]:
+    """Merge tree of the components grown in order of ``row`` (pass 1).
+
+    Vertices enter in stable ascending order of ``row`` until the first
+    non-finite value; each enters as a singleton and is merged, neighbour by
+    neighbour, with the components of its already added neighbours.  Tree
+    nodes ``0..n-1`` are the vertices and node ``n + i`` is the i-th merge.
+    Returns a leaf order ``p`` of the merge forest and, per merge in creation
+    order, ``(lo, mid, hi, a, b)``: the merged component is ``p[lo:hi]``, the
+    entering vertex's side is node ``a`` on ``p[lo:mid]`` and the neighbour's
+    side is node ``b`` on ``p[mid:hi]``.
+    """
+    from catmin.pseudometric import UnionFind
+
+    n = len(row)
+    uf = UnionFind(n)            # the grown components
+    node = list(range(n))        # root vertex -> its merge-tree node
+    added = [False] * n
+    kids: list[tuple[int, int]] = []   # node n + i merges kids[i]
+    order = np.argsort(row, kind="stable")
+    finite = np.isfinite(row[order])
+    entered = order[: finite.argmin() if not finite.all() else n].tolist()
+    for v in entered:
+        added[v] = True
+        rv = v                   # root of v's component
+        for w in nbrs[v]:
+            if not added[w]:
+                continue
+            rw = uf.find(w)
+            if rv == rw:
+                continue
+            kids.append((node[rv], node[rw]))
+            uf.union(rv, rw)
+            rv = min(rv, rw)
+            node[rv] = n + len(kids) - 1
+    size = [1] * n + [0] * len(kids)
+    for i, (a, b) in enumerate(kids):
+        size[n + i] = size[a] + size[b]
+    start = [0] * (n + len(kids))
+    offset = 0
+    for v in entered:
+        if uf.parent[v] == v:        # one tree per final component
+            start[node[v]] = offset
+            offset += size[node[v]]
+    for i in range(len(kids) - 1, -1, -1):   # parents before children
+        a, b = kids[i]
+        start[a] = start[n + i]
+        start[b] = start[n + i] + size[a]
+    p = [0] * offset
+    for v in entered:
+        p[start[v]] = v
+    merges = [(start[a], start[b], start[b] + size[b], a, b) for a, b in kids]
+    return p, merges
+
+
 def jsonable_oracle(obj):
     """JSON-ready copy of ``obj``, converted element by element.
 
@@ -176,6 +234,11 @@ def jsonable_oracle(obj):
     if isinstance(obj, (bool, int, str)) or obj is None:
         return obj
     raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+def instance_to_json_oracle(doc):
+    """Canonical report text: sorted keys, minimal separators, one newline."""
+    return json.dumps(jsonable_oracle(doc), sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def cone_distance_oracle(total_angle, r1, phi1, r2, phi2):

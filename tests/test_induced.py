@@ -24,6 +24,7 @@ from oracles import (
     connecting_matrix_oracle,
     exact_connecting_oracle,
     intrinsic_quotient_oracle,
+    merge_forest_oracle,
     refined_graph_oracle,
 )
 
@@ -269,6 +270,83 @@ def test_bracket_bitwise_equals_oracle_with_infinite_distances():
     assert_bracket_is_oracle(n, edges, dimg)
     skew = dimg + np.triu(rng.uniform(0.0, 0.5, size=(n, n)), 1)
     assert_bracket_is_oracle(n, edges, skew)
+
+
+def neighbour_lists(n, edges):
+    nbrs = [[] for _ in range(n)]
+    for u, v in edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    return nbrs
+
+
+def assert_forests_are_oracle(n, edges, dimg):
+    nbrs = neighbour_lists(n, edges)
+    for c in range(n):
+        assert induced._merge_forest(nbrs, dimg[c]) == merge_forest_oracle(nbrs, dimg[c]), c
+
+
+def rigidly_moved(disc, seed):
+    """``disc`` with its images rotated and shifted, as the metrics
+    benchmark moves its discs: the distances change in their last bits."""
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.standard_normal((3, 3)))
+    q = q * np.sign(np.diag(r))
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    return make_mapped_disc(disc.vertices, disc.triangles, disc.images @ q.T + rng.uniform(-1.0, 1.0, size=3))
+
+
+@pytest.mark.parametrize("k", [10, 12])
+def test_merge_forest_equals_oracle_on_metrics_grids(k):
+    for disc in (smooth_grid_disc(k), rigidly_moved(smooth_grid_disc(k), 3)):
+        assert_forests_are_oracle(disc.n_vertices, disc.skeleton_edges(), induced.vertex_image_distances(disc))
+
+
+def test_merge_forest_equals_oracle_on_acceptance_discs():
+    checked = 0
+    for s in range(23):
+        disc = random_height_disc(1000 + s, max_vertices=30)
+        if disc.n_vertices <= induced.EXACT_CONNECTING_LIMIT:
+            continue
+        assert_forests_are_oracle(disc.n_vertices, disc.skeleton_edges(), induced.vertex_image_distances(disc))
+        checked += 1
+    assert checked == 10
+
+
+def test_merge_forest_ties_enter_in_stable_order():
+    # on a path with one value everywhere, vertices enter as 0, 1, 2, 3 and
+    # each joins the component of all earlier ones
+    p, merges = induced._merge_forest(neighbour_lists(4, [(0, 1), (1, 2), (2, 3)]), np.zeros(4))
+    assert p == [3, 2, 1, 0]
+    assert merges == [(2, 3, 4, 1, 0), (1, 2, 4, 2, 4), (0, 1, 4, 3, 5)]
+    rng = np.random.default_rng(29)
+    for trial in range(20):
+        n = int(rng.integers(2, 30))
+        edges = random_graph(rng, n, int(rng.integers(0, 2 * n)))
+        dimg = rng.integers(0, 3, size=(n, n)).astype(float)   # many ties per row
+        assert_forests_are_oracle(n, edges, dimg)
+        assert_forests_are_oracle(n, edges, np.zeros((n, n)))
+
+
+def test_merge_forest_equals_oracle_with_infinite_tails_and_disconnected_skeleton():
+    rng = np.random.default_rng(31)
+    n = 24
+    # two paths with a few chords, no edge between them
+    edges = [(i - 1, i) for i in range(1, n) if i != n // 2]
+    edges += [(0, 5), (3, 9), (12, 20), (14, 23)]
+    pts = rng.standard_normal((n, 3))
+    dimg = np.linalg.norm(pts[:, None] - pts[None, :], axis=2)
+    assert_forests_are_oracle(n, edges, dimg)
+    p, merges = induced._merge_forest(neighbour_lists(n, edges), dimg[0])
+    assert sorted(p) == list(range(n)) and len(merges) == n - 2    # two trees
+    tails = dimg.copy()
+    far = rng.random((n, n)) < 0.3                                  # vertices never reached
+    tails[far | far.T] = np.inf
+    np.fill_diagonal(tails, 0.0)
+    assert_forests_are_oracle(n, edges, tails)
+    forests = [induced._merge_forest(neighbour_lists(n, edges), tails[c]) for c in range(n)]
+    assert all(len(p) == n - np.isinf(tails[c]).sum() for c, (p, _) in enumerate(forests))
 
 
 def test_bracket_upper_is_closed_and_keeps_zero_classes():

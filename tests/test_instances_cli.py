@@ -28,7 +28,7 @@ from catmin.meshgen import grid_disc, make_mapped_disc, random_height_disc
 from catmin.saddle import hexagon_counterexample
 from catmin.targets import EuclideanSpace
 
-from oracles import jsonable_oracle
+from oracles import instance_to_json_oracle, jsonable_oracle
 
 
 def flat_instance():
@@ -637,6 +637,31 @@ def test_cli_metrics_exact_report_has_one_connecting_matrix(tmp_path):
 
 
 @pytest.mark.parametrize("seed", [1002, 1020])
+def test_cli_metrics_report_bytes_are_the_oracle_writers(tmp_path, seed):
+    # n = 25 is bracketed, n = 13 exact
+    from catmin.induced import EXACT_CONNECTING_LIMIT, ordering_chain_report
+
+    disc = random_height_disc(seed, max_vertices=30)
+    assert (disc.n_vertices > EXACT_CONNECTING_LIMIT) == (seed == 1002)
+    inst = tmp_path / "disc.json"
+    save_instance(mapped_disc_instance(disc), inst)
+    out = tmp_path / "report.json"
+    assert run_cli("metrics", "--in", str(inst), "--out", str(out)) == 0
+    text = out.read_text(encoding="utf-8")
+    assert instance_to_json_oracle(json.loads(text)) == text
+    rep = ordering_chain_report(parse_instance(load_instance(inst))[1])
+    conn = rep["connecting"]
+    report = {
+        "length": rep["length"].d,
+        "intrinsic": rep["intrinsic"].d,
+        "connecting_upper": conn.upper.d,
+        "connecting_lower": conn.lower,
+        "chain": {key: rep[key] for key in ("chain_holds", "worst_length_vs_intrinsic", "slack")},
+    }
+    assert instance_to_json(report) == instance_to_json_oracle(report)
+
+
+@pytest.mark.parametrize("seed", [1002, 1020])
 def test_cli_metrics_validates_the_disc_once(tmp_path, monkeypatch, seed):
     calls = []
     diagnose = MappedDisc._diagnose
@@ -668,6 +693,10 @@ def _jsonable_samples():
     floats[5, 4] = math.inf
     cube = rng.standard_normal((2, 3, 4))
     cube[1, 2, 3] = -math.inf
+    signed_zeros = np.array([0.0, -0.0, 1.0, -0.0, 0.0])
+    # values where repr switches notation, subnormals, the float extremes
+    notation = np.array([1e16, 1e15, 9999999999999998.0, 1e-05, 0.0001, 1e-4 - 1e-20, 5e-324,
+                         2.2250738585072014e-308, 1.7976931348622e+308, 0.1, 1 / 3, -2.5e-10])
     return [
         floats,
         cube,
@@ -680,11 +709,28 @@ def _jsonable_samples():
         rng.integers(0, 9, size=5).astype(np.uint8),
         np.array([[True, False], [False, True]]),
         np.zeros((0, 3)),
+        np.zeros((0,)),
+        np.zeros((3, 0)),
+        np.zeros((2, 0, 3)),
+        signed_zeros,
+        notation,
+        -notation,
+        np.array([1e16, 1e-05, 1e-45, 0.1, -0.0, 3.4e38, -math.inf], dtype=np.float32),
+        rng.standard_normal((2, 2, 2)).astype(np.float16),
+        floats.T,
+        floats[::2],
+        cube[:, ::-1, 1::2],
+        [floats, 0.5, floats, -0.0, math.inf, signed_zeros, np.float32(0.1)],
         {
             "a": {1: floats, "b": [cube, (np.int64(3), np.float64(-math.inf))]},
             "c": [None, True, "inf", 2, 0.5, np.array([1, 2])],
             "d": np.array(["x", "y"]),
         },
+        {2.5: signed_zeros, None: [1.5], True: (notation, ("t", -0.0))},
+        # strings that read like an array's splice marker, NULs, non-ASCII
+        {"\x00": floats, "\x000": "\x001", "s": ["\x00", "\x002", '"\x000', cube]},
+        ["\x000", "\x001", floats, cube],
+        {"ü": notation, "text": "Grüße ∞ \u2028 \x00 \x7f", "k\x00": [signed_zeros]},
     ]
 
 
@@ -693,9 +739,39 @@ def test_jsonable_matches_recursive_converter():
         want = jsonable_oracle(obj)
         got = jsonable(obj)
         assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
-        assert instance_to_json({"x": obj}) == (
-            json.dumps({"x": want}, sort_keys=True, separators=(",", ":")) + "\n"
-        )
+        assert instance_to_json({"x": obj}) == instance_to_json_oracle({"x": obj})
+
+
+def test_writer_equals_the_oracle_writer_on_whole_documents():
+    samples = _jsonable_samples()
+    docs = [{f"s{i:02d}": obj for i, obj in enumerate(samples)}, {"all": samples}]
+    docs += [obj for obj in samples if isinstance(obj, dict)]
+    for doc in docs:
+        text = instance_to_json(doc)
+        assert text == instance_to_json_oracle(doc)
+        assert text == instance_to_json(json.loads(text))
+
+
+def test_writer_keeps_signed_zeros_apart():
+    text = instance_to_json({"z": np.array([0.0, -0.0, 0.0]), "w": np.array([-0.0])})
+    assert text == '{"w":[-0.0],"z":[0.0,-0.0,0.0]}\n'
+
+
+def test_writer_raises_what_the_oracle_writer_raises():
+    cases = [
+        ({"m": np.array([[1.0, 2.0], [math.inf, math.nan]])}, ValueError),
+        ({"m": np.array(math.nan)}, ValueError),
+        ({"m": np.array([1.0, 2.0]), "v": [0.5, math.nan]}, ValueError),
+        ({"m": [np.zeros(3), np.array([math.nan], dtype=np.float32)]}, ValueError),
+        ({"m": np.array([1.0, 2.0]), "o": object()}, TypeError),
+        ({"m": np.array([1.0, 2.0]), "c": np.array([1 + 2j])}, TypeError),
+        ({"m": np.array([1.0, 2.0]), "s": {1.5}}, TypeError),
+    ]
+    for doc, error in cases:
+        with pytest.raises(error):
+            instance_to_json_oracle(doc)
+        with pytest.raises(error):
+            instance_to_json(doc)
 
 
 def test_jsonable_rejects_nan_in_arrays():
