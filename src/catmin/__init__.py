@@ -2,21 +2,13 @@
 disc gluing and saddle-surface machinery for maps into nonpositively curved
 targets."""
 
-from .pseudometric import (
-    PseudometricMatrix,
-    QuotientSpace,
-    metric_components,
-    metric_quotient,
-    verify_pseudometric,
-)
+from .pseudometric import PseudometricMatrix, verify_pseudometric
 from .targets import EuclideanSpace, TargetSpace
 from .mesh import MappedDisc, build_refined_graph
 from .induced import (
     connecting_pseudometric,
     intrinsic_pseudometric,
     length_pseudometric,
-    monotone_light_report,
-    no_bubble_check,
     ordering_chain_report,
 )
 

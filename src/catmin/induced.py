@@ -53,9 +53,6 @@ __all__ = [
     "connecting_on_graph",
     "ConnectingResult",
     "intrinsic_pseudometric",
-    "monotone_light_report",
-    "MonotoneLightReport",
-    "no_bubble_check",
     "ordering_chain_report",
     "vertex_image_distances",
     "EXACT_CONNECTING_LIMIT",
@@ -297,19 +294,6 @@ def connecting_pseudometric(
     )
 
 
-def _connecting_classes(
-    disc: MappedDisc, zero_tol: float, conn: ConnectingResult | None = None
-) -> UnionFind:
-    if conn is None:
-        conn = connecting_pseudometric(disc)
-    uf = UnionFind(disc.n_vertices)
-    ii, jj = np.where(conn.upper.d <= zero_tol)
-    for i, j in zip(ii.tolist(), jj.tolist()):
-        if i < j:
-            uf.union(i, j)
-    return uf
-
-
 def intrinsic_pseudometric(
     disc: MappedDisc,
     zero_tol: float = 1e-9,
@@ -328,7 +312,12 @@ def intrinsic_pseudometric(
     again.  When no class has two vertices nothing collapses, and the
     result is a copy of the length pseudometric.
     """
-    uf = _connecting_classes(disc, zero_tol, connecting)
+    conn = connecting if connecting is not None else connecting_pseudometric(disc)
+    uf = UnionFind(disc.n_vertices)
+    ii, jj = np.where(conn.upper.d <= zero_tol)
+    for i, j in zip(ii.tolist(), jj.tolist()):
+        if i < j:
+            uf.union(i, j)
     if all(root == i for i, root in enumerate(uf.parent)):
         if length is None:
             length = length_pseudometric(disc, refinement, graph=graph)
@@ -345,108 +334,6 @@ def intrinsic_pseudometric(
     d = np.minimum(d, d.T)
     np.fill_diagonal(d, 0.0)
     return PseudometricMatrix(d)
-
-
-@dataclass
-class MonotoneLightReport:
-    """Mesh-scale witnesses for the monotone-light splitting of the map."""
-
-    classes: list[list[int]]
-    class_connected: list[bool]
-    image_groups: list[list[int]]          # groups of class ids with equal images
-    group_light: list[bool]                # no edge joins two classes of the group
-    monotone: bool
-    light: bool
-
-
-def monotone_light_report(
-    disc: MappedDisc, zero_tol: float = 1e-9, image_tol: float = 1e-9
-) -> MonotoneLightReport:
-    """Check that connecting-zero classes are connected (monotone side) and
-    that classes sharing an image are not joined by mesh edges (light side)."""
-    uf = _connecting_classes(disc, zero_tol)
-    groups = uf.groups()
-    class_idx = {}
-    for c, g in enumerate(groups):
-        for v in g:
-            class_idx[v] = c
-    edges = disc.skeleton_edges()
-    nbrs: dict[int, set[int]] = {}
-    for u, v in edges:
-        nbrs.setdefault(u, set()).add(v)
-        nbrs.setdefault(v, set()).add(u)
-    connected_flags = []
-    for g in groups:
-        gs = set(g)
-        seen = {g[0]}
-        stack = [g[0]]
-        while stack:
-            x = stack.pop()
-            for y in nbrs.get(x, ()):
-                if y in gs and y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        connected_flags.append(len(seen) == len(gs))
-
-    # group classes by (approximately) equal representative images
-    reps = [g[0] for g in groups]
-    dimg = vertex_image_distances(disc)
-    guf = UnionFind(len(groups))
-    for a in range(len(groups)):
-        for b in range(a + 1, len(groups)):
-            if dimg[reps[a], reps[b]] <= image_tol:
-                guf.union(a, b)
-    image_groups = guf.groups()
-    light_flags = []
-    for grp in image_groups:
-        grp_set = set(grp)
-        ok = True
-        for u, v in edges:
-            cu, cv = class_idx[u], class_idx[v]
-            if cu != cv and cu in grp_set and cv in grp_set:
-                ok = False
-                break
-        light_flags.append(ok)
-    return MonotoneLightReport(
-        classes=groups,
-        class_connected=connected_flags,
-        image_groups=image_groups,
-        group_light=light_flags,
-        monotone=all(connected_flags),
-        light=all(light_flags),
-    )
-
-
-def no_bubble_check(disc: MappedDisc, radius: float) -> list[dict]:
-    """Witnesses of bubbles at the given scale.
-
-    For each vertex image ``p``, every connected component of the mesh with
-    the closed ``radius``-ball around ``p`` removed must contain a boundary
-    vertex; components that do not are returned.
-    """
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
-    dimg = vertex_image_distances(disc)
-    boundary = disc.boundary_vertex_set()
-    edges = disc.skeleton_edges()
-    n = disc.n_vertices
-    violations = []
-    for center in range(n):
-        keep = dimg[center] > radius
-        if not keep.any():
-            continue
-        uf = UnionFind(n)
-        for u, v in edges:
-            if keep[u] and keep[v]:
-                uf.union(u, v)
-        comps: dict[int, list[int]] = {}
-        for v in range(n):
-            if keep[v]:
-                comps.setdefault(uf.find(v), []).append(v)
-        for comp in comps.values():
-            if not any(v in boundary for v in comp):
-                violations.append({"center_vertex": center, "component": sorted(comp)})
-    return violations
 
 
 def ordering_chain_report(

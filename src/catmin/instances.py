@@ -5,6 +5,10 @@ Serialization is canonical (sorted keys, minimal separators, shortest
 round-trip floats) so reports diff cleanly and byte-identical reruns are
 meaningful.  Infinities are written as the string "inf"; JSON has no
 literal for them.
+
+The builders (`mapped_disc_instance` and its siblings) put the object's
+arrays into the payload as they are, not as lists: the writer formats them
+apart, and the document shares them with the object it describes.
 """
 
 from __future__ import annotations
@@ -112,10 +116,8 @@ def _jsonable(obj, spliced: list | None):
 def _parse_floats(obj):
     if isinstance(obj, list):
         return [_parse_floats(v) for v in obj]
-    if obj == "inf":
-        return math.inf
-    if obj == "-inf":
-        return -math.inf
+    if isinstance(obj, str) and obj in ("inf", "-inf"):
+        return float(obj)
     return obj
 
 
@@ -217,10 +219,10 @@ def _base(kind: str, target, tolerances, sample, metadata) -> dict:
 def mapped_disc_instance(disc: MappedDisc, sample=None, tolerances=None, metadata=None) -> dict:
     doc = _base("mapped_disc", disc.target, tolerances, sample, metadata)
     doc["payload"] = {
-        "vertices": jsonable(disc.vertices),
-        "triangles": jsonable(disc.triangles),
+        "vertices": disc.vertices,
+        "triangles": disc.triangles,
         "boundary_loop": [int(v) for v in disc.boundary_loop],
-        "images": jsonable(np.asarray(disc.images)),
+        "images": disc.images,
     }
     return doc
 
@@ -228,11 +230,11 @@ def mapped_disc_instance(disc: MappedDisc, sample=None, tolerances=None, metadat
 def graph_instance(g: GraphInTarget, tolerances=None, metadata=None) -> dict:
     doc = _base("graph", g.target, tolerances, None, metadata)
     doc["payload"] = {
-        "points": jsonable([np.asarray(p) for p in g.points]),
+        "points": list(g.points),
         "edges": [[int(u), int(v)] for u, v in g.edges],
         "pinned": sorted(int(v) for v in g.pinned),
         "rotation": [[int(w) for w in rot] for rot in g.rotation],
-        "positions": jsonable(g.positions) if g.positions is not None else None,
+        "positions": g.positions,
     }
     return doc
 
@@ -240,9 +242,9 @@ def graph_instance(g: GraphInTarget, tolerances=None, metadata=None) -> dict:
 def patch_instance(patch: HeightFieldPatch, tolerances=None, metadata=None) -> dict:
     doc = _base("patch", None, tolerances, None, metadata)
     doc["payload"] = {
-        "x": jsonable(patch.x),
-        "y": jsonable(patch.y),
-        "values": jsonable(patch.values),
+        "x": patch.x,
+        "y": patch.y,
+        "values": patch.values,
     }
     return doc
 
@@ -250,12 +252,12 @@ def patch_instance(patch: HeightFieldPatch, tolerances=None, metadata=None) -> d
 def poly_disc_instance(w: PolyhedralDisc, tolerances=None, metadata=None) -> dict:
     doc = _base("polyhedral_disc", None, tolerances, None, metadata)
     doc["payload"] = {
-        "tri_coords": jsonable([c for c in w.tri_coords]),
+        "tri_coords": list(w.tri_coords),
         "tri_vertices": [[int(a) for a in tri] for tri in w.tri_vertices],
         "gluings": [[[int(f1), int(s1)], [int(f2), int(s2)]] for (f1, s1), (f2, s2) in w.gluings],
         "bridges": [[int(u), int(v), float(ln)] for u, v, ln in w.bridges],
         "boundary_walk": [int(v) for v in w.boundary_walk],
-        "boundary_lengths": jsonable(w.boundary_lengths),
+        "boundary_lengths": list(w.boundary_lengths),
         "n_vertices": int(w.n_vertices),
     }
     return doc
@@ -310,8 +312,8 @@ def _check_instance(doc) -> tuple[list[str], object]:
     else:
         for key in sorted(tols):
             val = tols[key]
-            if not isinstance(val, (int, float)) or val < 0:
-                problems.append(f"tolerance '{key}' must be a nonnegative number")
+            if not isinstance(val, (int, float)) or not 0 <= val < math.inf:
+                problems.append(f"tolerance '{key}' must be a finite nonnegative number")
     if kind in _TARGET_KINDS:
         target = doc.get("target")
         if not isinstance(target, dict) or target.get("type") != "euclidean":

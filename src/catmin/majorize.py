@@ -19,8 +19,8 @@ conservative error bound derived from the subdivision gap and the edge
 crossings of the returned path.
 Queries that read most source rows or need paths (``thin_triangle_test``,
 node-to-node distances and paths) use the graph's all-pairs matrices;
-queries that read a few sources (``eps_net_report``, the refinement study)
-run Dijkstra only from those, through ``SurfaceGraph.rows``.
+a query that reads a few sources (``eps_net_report``) runs Dijkstra only
+from those, through ``SurfaceGraph.rows``.
 ``surface_graph`` keeps the graph it built last, so the thin-triangle test
 and the nets on one W share one graph and one all-pairs run.  The key
 lemma reads no distances on W: it certifies its maps side by side.
@@ -522,8 +522,6 @@ class Cat0Report:
     angle_sums: dict[int, float]
     interior_vertices: list[int]
     worst_deficit: float
-    euler: int
-    problems: list[str]
     tol_angle: float
 
     def summary(self) -> dict:
@@ -532,21 +530,20 @@ class Cat0Report:
             "interior_vertices": list(self.interior_vertices),
             "angle_sums": {str(k): float(v) for k, v in sorted(self.angle_sums.items())},
             "worst_deficit": float(self.worst_deficit),
-            "euler_characteristic": int(self.euler),
-            "problems": list(self.problems),
         }
 
 
 def cat0_certificate(w: PolyhedralDisc, tol_angle: float = 1e-6) -> Cat0Report:
     """Nonpositive-curvature certificate: at least a full turn around every
     interior vertex, plus simple connectivity of the complex, which ``w``'s
-    construction checked (no problems, Euler characteristic 1)."""
-    if tol_angle < 0:
-        raise ValueError("tol_angle must be >= 0")
+    construction checked: a `PolyhedralDisc` exists only as a disc retract
+    of Euler characteristic 1.  ``tol_angle`` must be finite and >= 0."""
+    if not 0.0 <= tol_angle < math.inf:
+        raise ValueError(f"tol_angle must be finite and >= 0, got {tol_angle}")
     sums = w.vertex_angle_sums()
     interior = w.interior_vertices()
     worst = max((2.0 * math.pi - sums.get(v, 0.0) for v in interior), default=0.0)
-    return Cat0Report(worst <= tol_angle, sums, interior, worst, 1, [], tol_angle)
+    return Cat0Report(worst <= tol_angle, sums, interior, worst, tol_angle)
 
 
 def boundary_and_area(w: PolyhedralDisc, slack: float = 1e-9) -> dict:

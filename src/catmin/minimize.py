@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -298,7 +299,6 @@ class MinimizationCertificate:
     iterations: int
     converged: bool
     skipped_vertices: list[int] = field(default_factory=list)
-    log: list[str] = field(default_factory=list)
     tol_descent: float = 1e-8
     tol_angle: float = 1e-6
     tol_geo: float = 1e-9
@@ -345,6 +345,14 @@ class MinimizationCertificate:
         }
 
 
+def _require_tolerances(**tols: float) -> None:
+    """A tolerance of inf passes every test and NaN fails every one; each
+    must be finite and >= 0."""
+    for name, tol in tols.items():
+        if not 0.0 <= tol < math.inf:
+            raise ValueError(f"{name} must be finite and >= 0, got {tol}")
+
+
 def _require_euclidean(g: GraphInTarget) -> None:
     """Relaxation and the descent test (condition (b)) read vertex stars as
     difference vectors, which only a Euclidean target has."""
@@ -376,8 +384,7 @@ def relax(
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    if tol_descent < 0:
-        raise ValueError("tol_descent must be >= 0")
+    _require_tolerances(tol_descent=tol_descent)
     _require_euclidean(g)
     if g.edge_paths:
         g = straighten(g)
@@ -385,7 +392,6 @@ def relax(
     nbrs = work.neighbors()
     free = [v for v in range(work.n_vertices) if v not in work.pinned]
     skipped: set[int] = set()
-    log: list[str] = []
     t_star: dict[int, float] = {}
     # (t*, d) of every star unchanged since it was solved: a move drops the
     # entries of the vertex and its neighbours, whose stars it changes
@@ -420,7 +426,6 @@ def relax(
             drops = units @ d
             eta_max = 2.0 * float((lens * drops).min())
             if eta_max <= 1e-300:
-                log.append(f"sweep {sweep}: vanishing step window at vertex {v}")
                 continue
             step = float(lens.min())
             while step >= eta_max:
@@ -434,15 +439,12 @@ def relax(
             # a sweep without any accepted move repeats forever; stop here
             converged = worst <= tol_descent
             break
-    if not converged:
-        log.append(f"stalled after {iterations} sweeps; worst t* = {worst:.3g}")
     cert = certify_conditions(
         work, tol_descent=tol_descent, _t_star={v: t for v, (t, _) in solved.items()}
     )
     cert.iterations = iterations
     cert.converged = converged
     cert.skipped_vertices = sorted(skipped)
-    cert.log = log + cert.log
     return work, cert
 
 
@@ -492,6 +494,7 @@ def certify_conditions(
     ``_t_star`` is `relax`'s own: t* of the vertices whose stars it solved
     and did not change afterwards, which are not solved again.
     """
+    _require_tolerances(tol_geo=tol_geo, tol_descent=tol_descent, tol_angle=tol_angle)
     known = _t_star or {}
     _require_euclidean(g)
     nbrs = g.neighbors()
@@ -525,11 +528,9 @@ def certify_conditions(
             angle_sums[v] = total
         except ValueError:
             skipped.append(v)
-    log: list[str] = []
     if g.spherical_diagnostics():
         # no planar embedding: the full-turn condition has no interior set
         interior = []
-        log.append("rotation system is not spherical; angle condition not applied")
     else:
         outer = set(g.outer_walk())
         interior = [
@@ -545,7 +546,6 @@ def certify_conditions(
         iterations=0,
         converged=True,
         skipped_vertices=sorted(set(skipped)),
-        log=log,
         tol_descent=tol_descent,
         tol_angle=tol_angle,
         tol_geo=tol_geo,

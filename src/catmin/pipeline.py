@@ -29,8 +29,7 @@ from .graphs import GraphInTarget, path_from
 from .majorize import Cat0Report, PolyhedralDisc, boundary_and_area, cat0_certificate, glue_disc
 from .mesh import MappedDisc, RefinedGraph, build_refined_graph
 from .minimize import MinimizationCertificate, relax, straighten
-__all__ = ["geodesic_graph", "run_key_lemma", "contraction_excess", "shortness_excess",
-           "refinement_study", "KeyLemmaResult"]
+__all__ = ["geodesic_graph", "run_key_lemma", "contraction_excess", "shortness_excess", "KeyLemmaResult"]
 
 
 def _checked_sample(disc: MappedDisc, sample: list[int]) -> list[int]:
@@ -227,8 +226,9 @@ def run_key_lemma(
     Produces W and the vertex contraction p; the verification report
     records the worst per-edge contraction excess (`contraction_excess`),
     the boundary agreement and the worst per-side shortness excess of q
-    (`shortness_excess`).  ``shortness_samples`` and ``seed`` are accepted
-    for callers that still pass them and have no effect: no check samples.
+    (`shortness_excess`).  ``shortness_samples`` and ``seed`` have no
+    effect, since no check samples; they stay only while
+    ``bench/workloads.py`` passes them (ROADMAP item 9).
     """
     sample = _checked_sample(disc, sample)
     boundary = disc.boundary_vertex_set()
@@ -349,49 +349,3 @@ def shortness_excess(w: PolyhedralDisc, graph: GraphInTarget) -> float:
     images = graph.target.distances(points[ends[:, 0]], points[ends[:, 1]])
     return float(np.max(np.abs(lengths - images), initial=0.0))
 
-
-def refinement_study(
-    disc: MappedDisc,
-    sample_sequence: list[list[int]],
-    refinement: int = 2,
-    subdiv: int = 8,
-    **kwargs,
-) -> dict:
-    """Distortion between consecutive factorizations over a nested sample.
-
-    For consecutive W's the correspondence induced by shared sample
-    vertices is compared pairwise; the table records the largest absolute
-    distance change.  Evidence of stabilization only, no convergence claim.
-    """
-    for a, b in zip(sample_sequence, sample_sequence[1:]):
-        if not set(a) <= set(b):
-            raise ValueError("sample sequence must be nested")
-    runs = [run_key_lemma(disc, F, refinement=refinement, **kwargs) for F in sample_sequence]
-    table = []
-    for k in range(len(runs) - 1):
-        r1, r2 = runs[k], runs[k + 1]
-        shared = sorted(set(r1.sample) & set(r2.sample))
-        worst = 0.0
-        increase = 0.0
-        if not r1.one_point and not r2.one_point and len(shared) >= 2:
-            sg1 = r1.disc.surface_graph(subdiv)
-            sg2 = r2.disc.surface_graph(subdiv)
-            nodes1 = [sg1.vertex_node(r1.p_map[x]) for x in shared]
-            nodes2 = [sg2.vertex_node(r2.p_map[x]) for x in shared]
-            d1, d2 = sg1.rows(nodes1), sg2.rows(nodes2)
-            for i in range(len(shared)):
-                for j in range(i + 1, len(shared)):
-                    a = d1[i, nodes1[j]]
-                    b = d2[i, nodes2[j]]
-                    worst = max(worst, abs(float(a - b)))
-                    increase = max(increase, float(b - a))
-        table.append(
-            {
-                "from_size": len(r1.sample),
-                "to_size": len(r2.sample),
-                "shared": len(shared),
-                "max_distortion": worst,
-                "max_increase": increase,
-            }
-        )
-    return {"runs": runs, "table": table}

@@ -1,24 +1,21 @@
-"""Pseudometric matrices, zero-distance quotients and metric components.
+"""Pseudometric matrices, their axiom check, and union-find.
 
 A pseudometric on a finite point set is stored as a dense symmetric matrix
 with zero diagonal.  Entries may be ``+inf``; infinity propagates through
 min/plus arithmetic and is never encoded by a sentinel.  Distances of zero
-between distinct points are legal -- collapsing them is exactly what
-:func:`metric_quotient` does.
+between distinct points are legal; `catmin.induced.intrinsic_pseudometric`
+collapses the connecting pseudometric's zero classes with `UnionFind`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "PseudometricMatrix",
-    "QuotientSpace",
     "verify_pseudometric",
-    "metric_quotient",
-    "metric_components",
     "UnionFind",
 ]
 
@@ -46,12 +43,6 @@ class UnionFind:
         ri, rj = self.find(i), self.find(j)
         if ri != rj:
             self.parent[max(ri, rj)] = min(ri, rj)
-
-    def groups(self) -> list[list[int]]:
-        by_root: dict[int, list[int]] = {}
-        for i in range(len(self.parent)):
-            by_root.setdefault(self.find(i), []).append(i)
-        return [by_root[r] for r in sorted(by_root)]
 
 
 @dataclass
@@ -139,78 +130,3 @@ def _worst_triangle_slack(d: np.ndarray) -> tuple[float, int | None]:
         slack = d - least
     slack = slack[np.isfinite(slack)]
     return max(0.0, float(slack.max())) if slack.size else 0.0, bad_pivot
-
-
-@dataclass
-class QuotientSpace:
-    """Result of collapsing zero-distance (up to ``tol``) point pairs."""
-
-    class_of: np.ndarray          # point index -> class index
-    representatives: list[int]    # one member per class, lowest index
-    matrix: PseudometricMatrix    # distances between classes
-    tol: float
-    diagnostics: list[str] = field(default_factory=list)
-
-    @property
-    def n_classes(self) -> int:
-        return len(self.representatives)
-
-    def classes(self) -> list[list[int]]:
-        out: list[list[int]] = [[] for _ in range(self.n_classes)]
-        for i, c in enumerate(self.class_of):
-            out[c].append(i)
-        return out
-
-
-def metric_quotient(p: PseudometricMatrix, tol: float = 0.0) -> QuotientSpace:
-    """Collapse all pairs at distance ``<= tol`` and re-metrize the classes.
-
-    Class distances are the minimum over member pairs.  When ``tol`` is too
-    large relative to the geometry this minimum can break the triangle
-    inequality; any violation beyond ``2*tol`` is reported in
-    ``diagnostics`` rather than silently accepted.
-    """
-    d = p.d
-    n = p.n
-    uf = UnionFind(n)
-    ii, jj = np.where(d <= tol)
-    for i, j in zip(ii.tolist(), jj.tolist()):
-        if i < j:
-            uf.union(i, j)
-    groups = uf.groups()
-    class_of = np.empty(n, dtype=int)
-    for c, members in enumerate(groups):
-        for m in members:
-            class_of[m] = c
-    k = len(groups)
-    q = np.full((k, k), np.inf)
-    np.fill_diagonal(q, 0.0)
-    for a in range(k):
-        ga = groups[a]
-        for b in range(a + 1, k):
-            gb = groups[b]
-            q[a, b] = q[b, a] = float(d[np.ix_(ga, gb)].min())
-    diagnostics = []
-    problems = verify_pseudometric(q, tol=2.0 * tol + VERIFY_TOL)
-    if problems:
-        diagnostics.append(
-            "quotient at tol=%.3g is not a pseudometric within 2*tol: %s"
-            % (tol, "; ".join(problems))
-        )
-    return QuotientSpace(
-        class_of=class_of,
-        representatives=[g[0] for g in groups],
-        matrix=PseudometricMatrix(q),
-        tol=tol,
-        diagnostics=diagnostics,
-    )
-
-
-def metric_components(p: PseudometricMatrix) -> list[list[int]]:
-    """Partition points into components of the finiteness relation d < inf."""
-    uf = UnionFind(p.n)
-    ii, jj = np.where(np.isfinite(p.d))
-    for i, j in zip(ii.tolist(), jj.tolist()):
-        if i < j:
-            uf.union(i, j)
-    return uf.groups()

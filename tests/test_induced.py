@@ -9,8 +9,6 @@ from catmin.induced import (
     connecting_pseudometric,
     intrinsic_pseudometric,
     length_pseudometric,
-    monotone_light_report,
-    no_bubble_check,
     ordering_chain_report,
 )
 from catmin.mesh import MappedDisc, build_refined_graph
@@ -510,89 +508,6 @@ def test_ordering_chain_on_random_instances():
             report["worst_length_vs_intrinsic"],
             report["worst_intrinsic_vs_connecting"],
         )
-
-
-# ---------------------------------------------------------------- monotone/light
-
-
-def test_monotone_light_injective_embedding():
-    disc = saddle_grid_disc(3)
-    rep = monotone_light_report(disc)
-    assert all(len(c) == 1 for c in rep.classes)
-    assert rep.monotone and rep.light
-
-
-def test_monotone_light_collapsed_class_connected():
-    disc = collapsed_interior_disc()
-    rep = monotone_light_report(disc)
-    sizes = sorted(len(c) for c in rep.classes)
-    assert sizes == [1, 1, 1, 1, 1, 2]
-    assert rep.monotone
-
-
-def test_light_fails_when_equal_image_classes_touch():
-    # two adjacent vertices with the same image but positive connecting
-    # distance cannot happen; instead take two far regions with equal images
-    # joined by no edge: classes stay separate, light holds
-    vertices, triangles = grid_disc(3)
-    images = np.column_stack([vertices, np.zeros(len(vertices))])
-    images[0] = (5.0, 5.0, 5.0)
-    images[8] = (5.0, 5.0, 5.0)  # same image, far corners, not adjacent
-    disc = make_mapped_disc(vertices, triangles, images)
-    rep = monotone_light_report(disc)
-    assert rep.light
-    # the two corner vertices really are in distinct classes
-    cls = {tuple(c) for c in rep.classes}
-    assert (0,) in cls and (8,) in cls
-
-
-# ---------------------------------------------------------------- bubbles
-
-
-def test_no_bubble_flat_embedding():
-    disc = flat_grid_disc(3)
-    assert no_bubble_check(disc, radius=0.2) == []
-
-
-def bubble_disc():
-    """Center cap far away, middle ring collapsed to one point, rim at radius 2."""
-    inner, inner_t = fan_disc(4, rings=1)
-    vertices = [(0.0, 0.0)]
-    for k in range(4):
-        a = 2 * np.pi * k / 4
-        vertices.append((0.5 * np.cos(a), 0.5 * np.sin(a)))
-    for k in range(6):
-        a = 2 * np.pi * k / 6
-        vertices.append((np.cos(a), np.sin(a)))
-    triangles = [(0, 1 + k, 1 + (k + 1) % 4) for k in range(4)]
-    # annulus between square ring (ids 1..4) and hex rim (ids 5..10)
-    ring = [1, 2, 3, 4]
-    rim = [5, 6, 7, 8, 9, 10]
-    quads = [
-        (1, 5, 6), (1, 6, 2), (2, 6, 7), (2, 7, 8), (2, 8, 3),
-        (3, 8, 9), (3, 9, 4), (4, 9, 10), (4, 10, 5), (4, 5, 1),
-    ]
-    triangles += quads
-    images = np.zeros((11, 3))
-    images[0] = (0.0, 0.0, 5.0)          # cap sent far away
-    for v in ring:
-        images[v] = (0.0, 0.0, 0.0)      # ring collapsed to one point
-    for k, v in enumerate(rim):
-        a = 2 * np.pi * k / 6
-        images[v] = (2 * np.cos(a), 2 * np.sin(a), 0.0)
-    return make_mapped_disc(vertices, triangles, images)
-
-
-def test_bubble_detected_for_collapsed_annulus():
-    disc = bubble_disc()
-    violations = no_bubble_check(disc, radius=1.0)
-    assert any(v["component"] == [0] for v in violations)
-
-
-def test_no_bubble_constant_map_vacuous():
-    vertices, triangles = fan_disc(4)
-    disc = make_mapped_disc(vertices, triangles, np.zeros((len(vertices), 3)))
-    assert no_bubble_check(disc, radius=0.5) == []
 
 
 def test_all_induced_matrices_verify_as_pseudometrics():

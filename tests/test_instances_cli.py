@@ -191,10 +191,11 @@ def test_cli_key_lemma_sample_out_of_range_exit_2(tmp_path, capsys, bad):
 
 
 def _saddle_disc_doc():
+    # the document as a file holds it, plain lists that the cases edit
     vertices, triangles = grid_disc(3)
     x, y = vertices[:, 0] - 0.5, vertices[:, 1] - 0.5
     disc = make_mapped_disc(vertices, triangles, np.stack([x, y, x * y], axis=1))
-    return mapped_disc_instance(disc, sample=[0, 2, 8])
+    return json.loads(instance_to_json(mapped_disc_instance(disc, sample=[0, 2, 8])))
 
 
 def _nan_image():
@@ -210,7 +211,7 @@ def _infinite_vertex():
 
 
 def _nan_patch_value():
-    doc = patch_instance(bilinear_saddle_patch(0.5, 4))
+    doc = json.loads(instance_to_json(patch_instance(bilinear_saddle_patch(0.5, 4))))
     doc["payload"]["values"][2][2][2] = math.nan
     return doc, "values must be finite"
 
@@ -328,6 +329,8 @@ def test_cli_minimize_and_build_disc(tmp_path):
     ("--max-iter", "0"),
     ("--max-iter", "-3"),
     ("--tol-descent", "-1"),
+    ("--tol-descent", "nan"),
+    ("--tol-descent", "inf"),
 ])
 def test_cli_minimize_graph_bad_flag_is_malformed(tmp_path, capsys, flags):
     # no sweep limit below one and no negative tolerance is a well-formed
@@ -356,18 +359,56 @@ def test_cli_check_cat0_negative_tol_angle_is_malformed(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan"])
+def test_cli_check_cat0_non_finite_tol_angle_is_malformed(tmp_path, capsys, tol):
+    # an infinite tolerance would pass any cone, 3pi/2 included, and a NaN
+    # one fail every cone: neither is a verdict on the disc
+    out = tmp_path / "r.json"
+    code = run_cli("check-cat0", "--in", str(fixture_path("cone_3pi2.json")),
+                   "--tol-angle", tol, "--out", str(out))
+    assert code == 2
+    assert capsys.readouterr().err.startswith("input error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan])
+@pytest.mark.parametrize("command, key", [("check-cat0", "angle"), ("minimize-graph", "descent")])
+def test_cli_non_finite_instance_tolerance_is_malformed(tmp_path, capsys, tol, command, key):
+    # json.loads reads NaN and Infinity, so a tolerances block can carry them
+    if command == "check-cat0":
+        doc = load_instance(fixture_path("cone_3pi2.json"))
+    else:
+        doc = load_instance(square_graph_instance(tmp_path / "g.json"))
+    doc["tolerances"][key] = tol
+    inst = tmp_path / "bad.json"
+    inst.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "v.json"
+    assert run_cli("validate", "--in", str(inst), "--out", str(out)) == 1
+    assert f"tolerance '{key}' must be a finite nonnegative number" in load_instance(out)["diagnostics"]
+    capsys.readouterr()
+    report = tmp_path / "r.json"
+    assert run_cli(command, "--in", str(inst), "--out", str(report)) == 2
+    assert capsys.readouterr().err.startswith("input error: ")
+    assert not report.exists()
+
+
 def test_relax_and_cat0_reject_bad_limits():
     from catmin.majorize import cat0_certificate
-    from catmin.minimize import relax
+    from catmin.minimize import certify_conditions, relax
 
     g = square_graph()
     for max_iter in (0, -3):
         with pytest.raises(ValueError, match="max_iter"):
             relax(g, max_iter=max_iter)
-    with pytest.raises(ValueError, match="tol_descent"):
-        relax(g, tol_descent=-1.0)
-    with pytest.raises(ValueError, match="tol_angle"):
-        cat0_certificate(cone_disc(2 * math.pi, 4), tol_angle=-1.0)
+    # an infinite tolerance passes every test and a NaN one fails every one
+    for bad in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="tol_descent"):
+            relax(g, tol_descent=bad)
+        with pytest.raises(ValueError, match="tol_angle"):
+            cat0_certificate(cone_disc(2 * math.pi, 4), tol_angle=bad)
+        for name in ("tol_geo", "tol_descent", "tol_angle"):
+            with pytest.raises(ValueError, match=name):
+                certify_conditions(g, **{name: bad})
 
 
 def test_cli_solve_fields_and_perturb(tmp_path):
@@ -470,7 +511,7 @@ def _infinite_boundary_length(payload):
 def test_cli_malformed_polyhedral_disc(tmp_path, capsys, edit, diagnostic):
     # side lengths and corners cannot be read from any of these payloads:
     # validate must name the fault first, and commands reject it as input
-    doc = poly_disc_instance(cone_disc(2 * math.pi, 6))
+    doc = json.loads(instance_to_json(poly_disc_instance(cone_disc(2 * math.pi, 6))))
     edit(doc["payload"])
     inst = tmp_path / "w.json"
     save_instance(doc, inst)
@@ -755,6 +796,34 @@ def test_writer_equals_the_oracle_writer_on_whole_documents():
 def test_writer_keeps_signed_zeros_apart():
     text = instance_to_json({"z": np.array([0.0, -0.0, 0.0]), "w": np.array([-0.0])})
     assert text == '{"w":[-0.0],"z":[0.0,-0.0,0.0]}\n'
+
+
+def _builder_documents():
+    from catmin.majorize import glue_disc
+    from catmin.saddle import hexagon_graph
+
+    square = square_graph()
+    return [
+        mapped_disc_instance(random_height_disc(1005, max_vertices=30), sample=[0, 3], metadata={"m": 1}),
+        mapped_disc_instance(hexagon_counterexample()),
+        graph_instance(square),
+        graph_instance(hexagon_graph(), tolerances={"descent": 0.0}),
+        patch_instance(bilinear_saddle_patch(0.5, 8)),
+        poly_disc_instance(cone_disc(2 * math.pi, 6)),
+        poly_disc_instance(glue_disc(square)[0]),
+    ]
+
+
+def test_builders_hand_their_arrays_to_the_writer(tmp_path):
+    # the payload's float arrays reach the writer as arrays, and the saved
+    # bytes are what the element-by-element writer makes of the document
+    for i, doc in enumerate(_builder_documents()):
+        payload = doc["payload"]
+        assert any(isinstance(v, np.ndarray) or (isinstance(v, list) and v and isinstance(v[0], np.ndarray))
+                   for v in payload.values()), doc["kind"]
+        path = tmp_path / f"{i}.json"
+        save_instance(doc, path)
+        assert path.read_text(encoding="utf-8") == instance_to_json_oracle(doc), doc["kind"]
 
 
 def test_writer_raises_what_the_oracle_writer_raises():

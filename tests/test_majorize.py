@@ -132,7 +132,6 @@ def test_glue_two_triangles_shared_edge():
     assert len(disc.gluings) == 1
     assert report.max_length_drift <= 1e-9
     cert = cat0_certificate(disc)
-    assert cert.euler == 1
     assert cert.interior_vertices == []  # all four vertices on the boundary
     assert cert.ok
 
@@ -145,7 +144,7 @@ def test_glue_whisker_becomes_bridge():
     disc, _ = glue_disc(g)
     assert disc.n_triangles == 1
     assert disc.bridges == [(1, 3, pytest.approx(g.edge_length(1, 3)))]
-    assert cat0_certificate(disc).euler == 1
+    assert len(disc.used_vertices()) - disc.n_edges() + disc.n_triangles == 1
 
 
 def test_glue_tree_gives_metric_tree():

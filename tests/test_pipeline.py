@@ -9,7 +9,6 @@ from catmin.minimize import relax
 from catmin.pipeline import (
     contraction_excess,
     geodesic_graph,
-    refinement_study,
     run_key_lemma,
     shortness_excess,
 )
@@ -146,35 +145,6 @@ def test_random_instances_verify(tmp_path):
         assert sampled["contraction_max_excess"] <= 1e-6, (seed, sampled)
         assert sampled["shortness_max_excess"] <= 1e-6, (seed, sampled)
         assert res.cat0.ok
-
-
-def test_refinement_study_constant_sample_zero_distortion():
-    disc = saddle_grid(3)
-    seq = [[0, 2, 8], [0, 2, 8]]
-    out = refinement_study(disc, seq, refinement=1)
-    assert out["table"][0]["max_distortion"] == pytest.approx(0.0, abs=1e-12)
-
-
-def test_refinement_study_nested_contracts_against_same_oracle():
-    # pairwise W distances may drift either way as the sample grows (a new
-    # pinned vertex constrains the relaxation), but every run stays below
-    # the same mesh length distances; the table records the drift
-    disc = saddle_grid(4, c=0.8)
-    seq = [[0, 3, 15], [0, 3, 15, 12], [0, 3, 15, 12, 5]]
-    out = refinement_study(disc, seq, refinement=2)
-    lp = length_pseudometric(disc, refinement=2).d
-    for run in out["runs"]:
-        assert run.ok
-        sg = run.disc.surface_graph(8)
-        d, _ = sg.all_pairs()
-        kept = [v for v in run.sample if v not in run.collapsed]
-        for i, x in enumerate(kept):
-            for y in kept[i + 1:]:
-                dw = d[sg.vertex_node(run.p_map[x]), sg.vertex_node(run.p_map[y])]
-                assert dw <= lp[x, y] + 1e-6
-    for row in out["table"]:
-        assert np.isfinite(row["max_distortion"])
-        assert row["max_increase"] <= row["max_distortion"] + 1e-12
 
 
 @pytest.mark.parametrize("bad", [9, -1])

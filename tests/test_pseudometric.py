@@ -1,12 +1,7 @@
 import numpy as np
 import pytest
 
-from catmin.pseudometric import (
-    PseudometricMatrix,
-    metric_components,
-    metric_quotient,
-    verify_pseudometric,
-)
+from catmin.pseudometric import PseudometricMatrix, verify_pseudometric
 
 from oracles import verify_pseudometric_oracle
 
@@ -121,86 +116,6 @@ def test_verify_equals_pivot_loop_on_random_matrices():
         np.fill_diagonal(d, 0.0)
         d[rng.uniform(size=(n, n)) < 0.1] = INF
         assert verify_pseudometric(d) == verify_pseudometric_oracle(d)
-
-
-def test_quotient_all_zero_single_class():
-    q = metric_quotient(PseudometricMatrix(np.zeros((3, 3))), tol=0.0)
-    assert q.n_classes == 1
-    assert q.matrix.d.shape == (1, 1)
-
-
-def test_quotient_distinct_positive_identity():
-    d = np.array([[0.0, 2.0, 3.0], [2.0, 0.0, 4.0], [3.0, 4.0, 0.0]])
-    q = metric_quotient(PseudometricMatrix(d), tol=0.0)
-    assert q.n_classes == 3
-    assert np.allclose(q.matrix.d, d)
-
-
-def test_quotient_single_zero_pair():
-    # 4 points, only d(0,1) = 0; classes {0,1}, {2}, {3}; distances by class minimum
-    d = np.array(
-        [
-            [0.0, 0.0, 2.0, 5.0],
-            [0.0, 0.0, 2.5, 4.0],
-            [2.0, 2.5, 0.0, 3.0],
-            [5.0, 4.0, 3.0, 0.0],
-        ]
-    )
-    q = metric_quotient(PseudometricMatrix(d), tol=0.0)
-    assert q.n_classes == 3
-    expected = np.array([[0.0, 2.0, 4.0], [2.0, 0.0, 3.0], [4.0, 3.0, 0.0]])
-    assert np.allclose(q.matrix.d, expected)
-    assert q.class_of.tolist() == [0, 0, 1, 2]
-
-
-def test_quotient_idempotent_at_zero_tol():
-    rng = np.random.default_rng(7)
-    pts = rng.standard_normal((6, 2))
-    pts[3] = pts[1]  # force one genuine zero pair
-    d = np.linalg.norm(pts[:, None] - pts[None, :], axis=2)
-    q1 = metric_quotient(PseudometricMatrix(d), tol=0.0)
-    q2 = metric_quotient(q1.matrix, tol=0.0)
-    assert q2.n_classes == q1.n_classes
-    assert np.allclose(q2.matrix.d, q1.matrix.d)
-
-
-def test_quotient_reports_broken_triangle_inequality():
-    # tol merges 0-1 but leaves a chain that breaks the quotient triangle
-    # inequality by more than 2*tol
-    d = np.array(
-        [
-            [0.0, 0.1, 1.0, 9.0],
-            [0.1, 0.0, 8.9, 1.0],
-            [1.0, 8.9, 0.0, 9.9],
-            [9.0, 1.0, 9.9, 0.0],
-        ]
-    )
-    q = metric_quotient(PseudometricMatrix(d), tol=0.2)
-    assert q.diagnostics
-
-
-def test_components_all_finite():
-    d = np.array([[0.0, 1.0], [1.0, 0.0]])
-    assert metric_components(PseudometricMatrix(d)) == [[0, 1]]
-
-
-def test_components_blocks():
-    d = np.array(
-        [
-            [0.0, 1.0, INF, INF],
-            [1.0, 0.0, INF, INF],
-            [INF, INF, 0.0, 2.0],
-            [INF, INF, 2.0, 0.0],
-        ]
-    )
-    assert metric_components(PseudometricMatrix(d)) == [[0, 1], [2, 3]]
-
-
-def test_components_transitive_through_chain():
-    # finite d(a,b), d(b,c) forces a, c into one component
-    d = np.array([[0.0, 1.0, INF], [1.0, 0.0, 1.0], [INF, 1.0, 0.0]])
-    comps = metric_components(PseudometricMatrix(d))
-    assert comps == [[0, 1, 2]]
 
 
 def test_random_euclidean_matrices_verify():

@@ -101,3 +101,62 @@ def test_objects_are_checked_when_built():
         for name in MODULES
     }
     assert {name: f for name, f in found.items() if f} == {}
+
+
+# Reached only from outside the package: the fixture generators and writers
+# that tests, the benchmark and users call to make inputs, and three named
+# below.  Every other definition is used somewhere in catmin itself.
+USED_FROM_OUTSIDE = {
+    "fields.bilinear_saddle_patch",
+    "fields.difference_saddle_patch",
+    "instances.fixture_path",
+    "instances.save_instance",
+    "instances.patch_instance",
+    "majorize.cone_disc",
+    "majorize.strip_disc",
+    "meshgen.random_height_disc",
+    "meshgen.paraboloid_cap_disc",
+    "saddle.hexagon_graph",
+    "targets.EuclideanSpace.point",
+    # the acceptance criteria and the keylemma_grid benchmark call it
+    "majorize.thin_triangle_test",
+    # ROADMAP item 5 decides whether it becomes the Euler-Lagrange operator or goes
+    "fields.laplacian",
+    # goes with W's exact geodesics, ROADMAP item 4
+    "majorize.SurfaceGraph.distance_with_bound",
+}
+
+
+def _definitions(tree: ast.Module):
+    """(qualified name, name, node) of each top-level function and class and
+    of each non-dunder method of a top-level class."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if not isinstance(node, kinds):
+            continue
+        yield node.name, node.name, node
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, kinds[:2]) and not (sub.name.startswith("__") and sub.name.endswith("__")):
+                    yield f"{node.name}.{sub.name}", sub.name, sub
+
+
+def test_every_definition_is_used_in_the_package():
+    # a use is a Name or Attribute outside the definition itself; imports,
+    # the package's re-exports and __all__ strings are no uses
+    trees = {name: ast.parse(inspect.getsource(importlib.import_module(f"catmin.{name}"))) for name in MODULES}
+    uses: dict[str, list[tuple[str, ast.AST]]] = {}
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                uses.setdefault(node.id if isinstance(node, ast.Name) else node.attr, []).append((module, node))
+    unused = set()
+    for module, tree in trees.items():
+        for qualified, name, node in _definitions(tree):
+            inside = {id(n) for n in ast.walk(node)}
+            if all(m == module and id(n) in inside for m, n in uses.get(name, [])):
+                unused.add(f"{module}.{qualified}")
+    # reached only from outside: call it in the package, list it, or delete it
+    assert sorted(unused - USED_FROM_OUTSIDE) == []
+    # used in the package now: drop it from the list
+    assert sorted(USED_FROM_OUTSIDE - unused) == []
