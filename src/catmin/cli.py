@@ -17,7 +17,7 @@ import numpy as np
 from . import induced, instances
 from .fields import FieldSystemError, field_system_report, perturbation_evidence, solve_field_system
 from .majorize import GlueError, boundary_and_area, cat0_certificate, cut_vertices, eps_net_report, glue_disc
-from .minimize import relax, straighten
+from .minimize import relax
 from .pipeline import run_key_lemma
 from .saddle import hexagon_counterexample, is_saddle_pl, shorten_by_rotation
 from .pseudometric import verify_pseudometric
@@ -71,7 +71,7 @@ def cmd_metrics(args) -> int:
     matrices_ok = (
         not verify_pseudometric(length)
         and (np.array_equal(intrinsic, length) or not verify_pseudometric(intrinsic))
-        and not verify_pseudometric(conn.matrix.d)
+        and not verify_pseudometric(conn.upper.d)
     )
     report = {
         "command": "metrics",
@@ -101,7 +101,7 @@ def cmd_minimize_graph(args) -> int:
     g, doc = _load(args.infile, "graph")
     tols = doc["tolerances"]
     out, cert = relax(
-        straighten(g),
+        g,
         tol_descent=args.tol_descent if args.tol_descent is not None else tols.get("descent", 1e-8),
         max_iter=args.max_iter,
     )

@@ -5,18 +5,22 @@ strictly saddle patch (principal curvatures of opposite sign everywhere),
 an array of four vector fields
 
     v1 = e1 / sqrt(|k1|),  v2 = e2 / sqrt(|k2|),
-    v3 = l1 * a1,          v4 = l2 * a2,
+    v3 = (l1, 0),          v4 = (0, l2),
 
-with e_i the unit principal directions and a_i the asymptotic coordinate
-fields, can be scaled so that the second-order operator
+with e_i the unit principal directions, can be scaled so that the
+second-order operator
 
     D_v s = sum_i v_i(v_i s)
 
-vanishes: the normal parts cancel by construction (the principal terms
-contribute opposite unit normal curvatures, the asymptotic terms have
-none), and the tangential parts cancel when w = (l1^2, l2^2) satisfies
-the semilinear system  dw1/dx = h1(x, y, w),  dw2/dy = h2(x, y, w)  along
-the two asymptotic coordinate directions.  In rotated coordinates
+vanishes.  v3 and v4 run along the grid axes, which must be the
+asymptotic coordinate directions (as for z = c x y): the solver checks
+that the second form's L and N vanish on them, so `curvature_frame`
+computes no asymptotic directions of its own.  The normal parts cancel
+by construction (the principal terms contribute opposite unit normal
+curvatures, the asymptotic terms have none), and the tangential parts
+cancel when w = (l1^2, l2^2) satisfies the semilinear system
+dw1/dx = h1(x, y, w),  dw2/dy = h2(x, y, w)  along the two asymptotic
+coordinate directions.  In rotated coordinates
 x = t + z, y = t - z this is a first-order hyperbolic system with
 characteristic speeds +-1; the solver marches it away from the grid
 anti-diagonal (the t = 0 line) with unit data, following each
@@ -43,7 +47,7 @@ per-trial pass over the grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -178,7 +182,6 @@ class FieldArray:
     lambda2: np.ndarray | None = None
     shrunk: bool = False
     window: tuple[int, int] | None = None
-    meta: dict = field(default_factory=dict)
 
 
 # --------------------------------------------------------------------------
@@ -191,8 +194,6 @@ class CurvatureFrame:
     kappa2: np.ndarray
     e1: np.ndarray
     e2: np.ndarray
-    a1: np.ndarray
-    a2: np.ndarray
     first_form: tuple[np.ndarray, np.ndarray, np.ndarray]    # E, F, G
     second_form: tuple[np.ndarray, np.ndarray, np.ndarray]   # L, M, N
     s_x: np.ndarray
@@ -206,7 +207,8 @@ def _orient(vfield: np.ndarray, reference: np.ndarray) -> np.ndarray:
 
 
 def curvature_frame(patch: HeightFieldPatch, strict_tol: float = 1e-10) -> CurvatureFrame:
-    """Principal and asymptotic data of a strictly saddle patch.
+    """Principal curvatures and directions and the two fundamental forms
+    of a strictly saddle patch.
 
     Raises (with the offending node) when the Gauss curvature is not
     negative beyond ``strict_tol`` everywhere, since asymptotic directions
@@ -263,27 +265,7 @@ def curvature_frame(patch: HeightFieldPatch, strict_tol: float = 1e-10) -> Curva
     e1 = _orient(e1, e1[center])
     e2 = _orient(e2, e2[center])
 
-    # null directions of the second form: L u^2 + 2 M u v + N v^2 = 0
-    disc = np.sqrt(M * M - L * N)
-    small_l = np.abs(L) <= 1e-12 * np.maximum(np.abs(M), 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u_plus = np.where(small_l, 1.0, (-M + disc) / L)
-        u_minus = np.where(small_l, -N / (2.0 * M), (-M - disc) / L)
-    a_plus = np.stack([u_plus, np.ones_like(u_plus)], axis=-1)
-    a_minus = np.stack([u_minus, np.ones_like(u_minus)], axis=-1)
-    a_zero = np.stack([np.ones_like(u_plus), np.zeros_like(u_plus)], axis=-1)
-    a_plus = np.where(small_l[..., None], a_zero, a_plus)
-    a_plus /= np.linalg.norm(a_plus, axis=-1, keepdims=True)
-    a_minus /= np.linalg.norm(a_minus, axis=-1, keepdims=True)
-    # a1 is the family closer to the +x axis
-    swap = np.abs(a_plus[..., 0]) < np.abs(a_minus[..., 0])
-    a1 = np.where(swap[..., None], a_minus, a_plus)
-    a2 = np.where(swap[..., None], a_plus, a_minus)
-    a1 = _orient(a1, np.array([1.0, 0.0]))
-    a2 = _orient(a2, np.array([0.0, 1.0]))
-    return CurvatureFrame(
-        kappa1, kappa2, e1, e2, a1, a2, (E, F, G), (L, M, N), s_x, s_y, normal
-    )
+    return CurvatureFrame(kappa1, kappa2, e1, e2, (E, F, G), (L, M, N), s_x, s_y, normal)
 
 
 # --------------------------------------------------------------------------
@@ -400,7 +382,7 @@ def solve_field_system(
     s = patch.values
     vv1, vv2 = _second_derivatives(patch, (v1, v2), (frame.s_x, frame.s_y))
     T = vv1 + vv2
-    A1 = _dd(s, patch.hx, 0)   # a1(a1 s) for the coordinate field a1
+    A1 = _dd(s, patch.hx, 0)   # s_xx, the axis field (1, 0) applied twice
     A2 = _dd(s, patch.hy, 1)
 
     t1, t2 = _tangential_coefficients(frame, T)

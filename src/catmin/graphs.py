@@ -13,7 +13,7 @@ runs Dijkstra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -330,6 +330,3 @@ class GraphInTarget:
     def outer_walk(self) -> list[int]:
         walks = self.faces()
         return walks[self.outer_face_index(walks)]
-
-    def with_points(self, points) -> "GraphInTarget":
-        return replace(self, points=list(points), edge_paths=dict(self.edge_paths))

@@ -94,10 +94,6 @@ class ConnectingResult:
     lower: np.ndarray
     exact: bool
 
-    @property
-    def matrix(self) -> PseudometricMatrix:
-        return self.upper
-
 
 def _exact_connecting(n: int, edges: list[tuple[int, int]], dimg: np.ndarray) -> np.ndarray:
     """Exact connecting pseudometric by array passes over all 2^n subsets.

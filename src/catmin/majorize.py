@@ -86,12 +86,11 @@ class ComparisonTriangle:
 
     Corners are X, Y, Z with ``|YZ| = a``, ``|XZ| = b``, ``|XY| = c``;
     X sits at the origin and Y on the positive x-axis.  Collinear data is
-    allowed and flagged.
+    allowed.
     """
 
     sides: tuple[float, float, float]
     coords: np.ndarray
-    degenerate: bool
 
     def corner_angles(self) -> tuple[float, float, float]:
         a, b, c = self.sides
@@ -102,10 +101,6 @@ class ComparisonTriangle:
             else:
                 out.append(0.0)  # collapsed corner carries no angle
         return tuple(out)
-
-    @property
-    def area(self) -> float:
-        return _triangle_area(self.coords)
 
 
 def _triangle_area(coords: np.ndarray) -> float:
@@ -130,7 +125,7 @@ def _third_corner(a, b, c):
 
 
 def comparison_triangle(a: float, b: float, c: float, slack: float = 1e-12) -> ComparisonTriangle:
-    """Planar triangle with sides (a, b, c); degenerate inputs are flagged.
+    """Planar triangle with sides (a, b, c), collinear ones included.
 
     Raises :class:`GlueError` when the triangle inequality fails beyond
     ``slack`` relative to the scale of the sides.
@@ -140,16 +135,11 @@ def comparison_triangle(a: float, b: float, c: float, slack: float = 1e-12) -> C
         raise GlueError(f"negative side length in {sides}")
     if _breaks_triangle_inequality(*sides, slack):
         raise GlueError(f"triangle inequality fails for sides {sides}")
-    scale = max(sides)
-    if scale == 0.0:
-        return ComparisonTriangle(sides, np.zeros((3, 2)), True)
     if sides[2] == 0.0:
-        coords = np.array([(0.0, 0.0), (0.0, 0.0), (sides[1], 0.0)])
-        return ComparisonTriangle(sides, coords, True)
+        # X = Y; Z lies at distance |XZ| on the x-axis
+        return ComparisonTriangle(sides, np.array([(0.0, 0.0), (0.0, 0.0), (sides[1], 0.0)]))
     x, y = _third_corner(*sides)
-    coords = np.array([(0.0, 0.0), (sides[2], 0.0), (x, y)])
-    degenerate = bool(y <= DEGENERATE_TOL * max(scale, 1.0))
-    return ComparisonTriangle(sides, coords, degenerate)
+    return ComparisonTriangle(sides, np.array([(0.0, 0.0), (sides[2], 0.0), (x, y)]))
 
 
 @dataclass
@@ -877,16 +867,20 @@ def eps_net_report(w: PolyhedralDisc, eps_fracs=(0.1, 0.05), subdiv: int = 12) -
     With l = L / (2 pi), the net seeds ceil(10 l / eps) boundary points at
     equal arclength and then adds farthest nodes while they are more than
     eps from everything chosen; the interior count must stay within
-    4 (l / eps)^2.
+    4 (l / eps)^2.  Each net is reported under the key ``L/k`` with k the
+    nearest integer to 1 / frac, so two fractions with the same key raise.
     """
     if not eps_fracs or not all(0.0 < frac < math.inf for frac in eps_fracs):
         raise ValueError(f"eps_fracs must be positive finite fractions, got {tuple(eps_fracs)}")
+    keys = [f"L/{round(1 / frac)}" for frac in eps_fracs]
+    if len(set(keys)) < len(keys):
+        raise ValueError(f"eps_fracs {tuple(eps_fracs)} give the same net keys {keys}")
     sg = w.surface_graph(subdiv)
     L = w.boundary_length()
     ell = L / (2.0 * math.pi)
     b_nodes, b_arcs = sg.boundary_node_arcs()
     results = {}
-    for frac in eps_fracs:
+    for key, frac in zip(keys, eps_fracs):
         eps = frac * L
         m = math.ceil(10.0 * ell / eps)
         chosen: list[int] = []
@@ -907,7 +901,7 @@ def eps_net_report(w: PolyhedralDisc, eps_fracs=(0.1, 0.05), subdiv: int = 12) -
             added += 1
             mind = np.minimum(mind, sg.rows([node])[0])
         bound_interior = 4.0 * (ell / eps) ** 2
-        results[f"L/{round(1 / frac)}"] = {
+        results[key] = {
             "eps": float(eps),
             "boundary_points": n_boundary,
             "boundary_bound": m,

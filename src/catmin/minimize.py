@@ -19,10 +19,11 @@ so within one `relax` call each star is solved once per change: a sweep
 reuses the t* and direction of every unchanged star, and so does the
 certificate that `relax` computes on its result.
 
-The certificate records, per free vertex, the program value t*; per edge,
-the deviation of its realization from the geodesic; and per interior
-vertex, the sum of consecutive comparison angles in rotation order, which
-must reach a full turn at a length-minimizing position.
+`relax` works on one straightened copy of its graph, so every edge it
+certifies is realized as the geodesic between its ends.  The certificate
+records, per free vertex, the program value t*, and per interior vertex,
+the sum of consecutive comparison angles in rotation order, which must
+reach a full turn at a length-minimizing position.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -278,14 +279,14 @@ def descent_direction(units, tol: float = 1e-12) -> tuple[float, np.ndarray | No
 
 
 def straighten(g: GraphInTarget) -> GraphInTarget:
-    """Replace every edge realization by the geodesic between its endpoints.
+    """A copy of the graph with every edge realized as the geodesic between
+    its endpoints.
 
     Vertex points are unchanged and no edge length increases, since a
-    geodesic is the shortest realization with the given endpoints.
+    geodesic is the shortest realization with the given endpoints.  The
+    copy has its own point list, so rebinding a point leaves ``g`` as it is.
     """
-    out = g.with_points(g.points)
-    out.edge_paths = {}
-    return out
+    return replace(g, points=list(g.points), edge_paths={})
 
 
 @dataclass
@@ -295,21 +296,15 @@ class MinimizationCertificate:
     t_star: dict[int, float]
     angle_sums: dict[int, float]
     interior_vertices: list[int]
-    residuals: dict[tuple[int, int], float]
     iterations: int
     converged: bool
     skipped_vertices: list[int] = field(default_factory=list)
     tol_descent: float = 1e-8
     tol_angle: float = 1e-6
-    tol_geo: float = 1e-9
 
     @property
     def worst_t_star(self) -> float:
         return max(self.t_star.values(), default=0.0)
-
-    @property
-    def worst_residual(self) -> float:
-        return max(self.residuals.values(), default=0.0)
 
     @property
     def worst_angle_deficit(self) -> float:
@@ -324,7 +319,6 @@ class MinimizationCertificate:
     def valid(self) -> bool:
         return (
             self.worst_t_star <= self.tol_descent
-            and self.worst_residual <= self.tol_geo
             and self.worst_angle_deficit <= self.tol_angle
         )
 
@@ -334,13 +328,11 @@ class MinimizationCertificate:
             "converged": bool(self.converged),
             "iterations": self.iterations,
             "worst_t_star": float(self.worst_t_star),
-            "worst_residual": float(self.worst_residual),
             "worst_angle_deficit": float(self.worst_angle_deficit),
             "skipped_vertices": list(self.skipped_vertices),
             "tolerances": {
                 "descent": self.tol_descent,
                 "angle": self.tol_angle,
-                "geodesic": self.tol_geo,
             },
         }
 
@@ -354,7 +346,7 @@ def _require_tolerances(**tols: float) -> None:
 
 
 def _require_euclidean(g: GraphInTarget) -> None:
-    """Relaxation and the descent test (condition (b)) read vertex stars as
+    """Relaxation and the descent test (condition (a)) read vertex stars as
     difference vectors, which only a Euclidean target has."""
     if not isinstance(g.target, EuclideanSpace):
         raise NotImplementedError(
@@ -376,19 +368,18 @@ def relax(
 ) -> tuple[GraphInTarget, MinimizationCertificate]:
     """Sweep free vertices into Pareto-stationary position.
 
-    Each accepted move strictly decreases every incident edge length
-    (backtracking line search, halving from the shortest incident edge),
-    so the final graph is edgewise dominated by the input.  Terminates
-    when no free vertex admits a shortening direction above ``tol_descent``
-    or when ``max_iter`` sweeps have run.
+    Works on `straighten` of ``g`` and returns that copy relaxed; ``g``
+    is left as it is.  Each accepted move strictly decreases every incident
+    edge length (backtracking line search, halving from the shortest
+    incident edge), so the final graph is edgewise dominated by the input.
+    Terminates when no free vertex admits a shortening direction above
+    ``tol_descent`` or when ``max_iter`` sweeps have run.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     _require_tolerances(tol_descent=tol_descent)
     _require_euclidean(g)
-    if g.edge_paths:
-        g = straighten(g)
-    work = g.with_points([np.array(p, dtype=float) for p in g.points])
+    work = straighten(g)
     nbrs = work.neighbors()
     free = [v for v in range(work.n_vertices) if v not in work.pinned]
     skipped: set[int] = set()
@@ -448,57 +439,33 @@ def relax(
     return work, cert
 
 
-def _edge_residual(g: GraphInTarget, u: int, v: int, samples: int = 8) -> float:
-    """Deviation of the edge realization from the endpoint geodesic."""
-    key = (min(u, v), max(u, v))
-    path = g.edge_paths.get(key)
-    if path is None:
-        return 0.0
-    pts = list(path)
-    seg = [0.0]
-    for i in range(len(pts) - 1):
-        seg.append(seg[-1] + g.target.distance(pts[i], pts[i + 1]))
-    total = seg[-1]
-    if total == 0.0:
-        return 0.0
-    worst = 0.0
-    for k in range(1, samples):
-        t = k / samples
-        want = g.target.geodesic_eval(pts[0], pts[-1], t)
-        s = t * total
-        j = int(np.searchsorted(seg, s)) - 1
-        j = max(0, min(j, len(pts) - 2))
-        local = 0.0 if seg[j + 1] == seg[j] else (s - seg[j]) / (seg[j + 1] - seg[j])
-        have = g.target.geodesic_eval(pts[j], pts[j + 1], local)
-        worst = max(worst, g.target.distance(want, have))
-    return worst
-
-
 def certify_conditions(
     g: GraphInTarget,
-    tol_geo: float = 1e-9,
     tol_descent: float = 1e-8,
     tol_angle: float = 1e-6,
     *,
     _t_star: dict[int, float] | None = None,
 ) -> MinimizationCertificate:
-    """Check the three necessary conditions of a length-minimizing position.
+    """Check the two necessary conditions of a length-minimizing position
+    of a graph whose edges are geodesics.
 
-    (a) every edge is realized as a geodesic (residual <= tol_geo);
-    (b) no free vertex admits an all-shortening direction (t* <= tol);
-    (c) at every interior vertex the consecutive comparison angles in
+    (a) no free vertex admits an all-shortening direction (t* <= tol);
+    (b) at every interior vertex the consecutive comparison angles in
         rotation order sum to at least a full turn.
-    The conditions are necessary only: configurations exist that satisfy
-    all three yet still admit a global shortening deformation.
+    The graph must have no ``edge_paths`` (`relax` and `straighten` return
+    such graphs); one with paths raises ValueError.  The conditions are
+    necessary only: configurations exist that satisfy both yet still admit
+    a global shortening deformation.
 
     ``_t_star`` is `relax`'s own: t* of the vertices whose stars it solved
     and did not change afterwards, which are not solved again.
     """
-    _require_tolerances(tol_geo=tol_geo, tol_descent=tol_descent, tol_angle=tol_angle)
+    _require_tolerances(tol_descent=tol_descent, tol_angle=tol_angle)
+    if g.edge_paths:
+        raise ValueError("certify_conditions needs geodesic edges: straighten the graph first")
     known = _t_star or {}
     _require_euclidean(g)
     nbrs = g.neighbors()
-    residuals = {e: _edge_residual(g, *e) for e in g.edges}
     t_star: dict[int, float] = {}
     skipped: list[int] = []
     for v in range(g.n_vertices):
@@ -542,11 +509,9 @@ def certify_conditions(
         t_star=t_star,
         angle_sums=angle_sums,
         interior_vertices=interior,
-        residuals=residuals,
         iterations=0,
         converged=True,
         skipped_vertices=sorted(set(skipped)),
         tol_descent=tol_descent,
         tol_angle=tol_angle,
-        tol_geo=tol_geo,
     )

@@ -21,6 +21,7 @@ as the target distances between their ends' images (`shortness_excess`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +29,7 @@ import numpy as np
 from .graphs import GraphInTarget, path_from
 from .majorize import Cat0Report, PolyhedralDisc, boundary_and_area, cat0_certificate, glue_disc
 from .mesh import MappedDisc, RefinedGraph, build_refined_graph
-from .minimize import MinimizationCertificate, relax, straighten
+from .minimize import MinimizationCertificate, relax
 __all__ = ["geodesic_graph", "run_key_lemma", "contraction_excess", "shortness_excess", "KeyLemmaResult"]
 
 
@@ -226,10 +227,13 @@ def run_key_lemma(
     Produces W and the vertex contraction p; the verification report
     records the worst per-edge contraction excess (`contraction_excess`),
     the boundary agreement and the worst per-side shortness excess of q
-    (`shortness_excess`).  ``shortness_samples`` and ``seed`` have no
-    effect, since no check samples; they stay only while
-    ``bench/workloads.py`` passes them (ROADMAP item 9).
+    (`shortness_excess`), each held to ``tol``, which must be finite and
+    >= 0.  ``shortness_samples`` and ``seed`` have no effect, since no
+    check samples; they stay only while ``bench/workloads.py`` passes them
+    (ROADMAP item 9).
     """
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
     sample = _checked_sample(disc, sample)
     boundary = disc.boundary_vertex_set()
     boundary_sample = [v for v in sample if v in boundary]
@@ -259,8 +263,7 @@ def run_key_lemma(
     gamma0, vmap = geodesic_graph(
         disc, kept, refinement, graph=g, paths=(dist_all[kept_rows], pred_all[kept_rows])
     )
-    gamma_straight = straighten(gamma0)
-    gamma, certificate = relax(gamma_straight, tol_descent=tol_descent, max_iter=max_iter)
+    gamma, certificate = relax(gamma0, tol_descent=tol_descent, max_iter=max_iter)
     w_disc, glue_report = glue_disc(gamma)
     cat0 = cat0_certificate(w_disc)
 

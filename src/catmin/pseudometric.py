@@ -56,10 +56,6 @@ class PseudometricMatrix:
         if self.d.ndim != 2 or self.d.shape[0] != self.d.shape[1]:
             raise ValueError("distance matrix must be square")
 
-    @property
-    def n(self) -> int:
-        return self.d.shape[0]
-
 
 def verify_pseudometric(d: np.ndarray, tol: float = VERIFY_TOL) -> list[str]:
     """Return a list of axiom violations (empty when ``d`` is a pseudometric).

@@ -90,6 +90,8 @@ class _PlaneSections:
     """
 
     def __init__(self, disc: MappedDisc, tol: float = 1e-9):
+        if not 0.0 <= tol < math.inf:
+            raise ValueError(f"tol must be finite and >= 0, got {tol}")
         self.img = np.asarray(disc.images, dtype=float)
         self.snap = tol * max(1.0, float(np.abs(self.img).max()))
         self.tris = np.asarray(disc.triangles).tolist()
@@ -212,14 +214,16 @@ def is_saddle_pl(
     offset also nudged both ways to break ties) plus seeded random planes.
     Degenerate (collinear) triples are skipped.  The witness is the first
     violation of the first violating plane, as `check_plane` lists them.
+    ``tol`` must be finite and >= 0: an infinite one puts every vertex on
+    every plane, and no plane finds a violation.
     """
     if extra_planes < 0:
         raise ValueError(f"extra_planes must be >= 0, got {extra_planes}")
     img = np.asarray(disc.images, dtype=float)
     if img.shape[1] != 3 or not isinstance(disc.target, EuclideanSpace):
         raise ValueError("the saddle predicate expects a disc mapped into Euclidean 3-space")
-    normals, offsets = _candidate_planes(disc, extra_planes, seed, nudge)
     sections = _PlaneSections(disc, tol)
+    normals, offsets = _candidate_planes(disc, extra_planes, seed, nudge)
     for normal, offset in zip(normals, offsets):
         violations = check_plane(disc, normal, offset, sections=sections)
         if violations:

@@ -104,7 +104,7 @@ def test_connecting_constant_map_zero():
     disc = make_mapped_disc(vertices, triangles, images)
     res = connecting_pseudometric(disc)
     assert res.exact
-    assert np.allclose(res.matrix.d, 0.0)
+    assert np.allclose(res.upper.d, 0.0)
 
 
 def test_connecting_path_graph_hand_value():
@@ -114,9 +114,9 @@ def test_connecting_path_graph_hand_value():
     dimg = np.abs(img - img.T)
     res = connecting_on_graph(3, [(0, 1), (1, 2)], dimg)
     assert res.exact
-    assert res.matrix.d[0, 2] == pytest.approx(10.0)
-    assert res.matrix.d[0, 1] == pytest.approx(10.0)
-    assert res.matrix.d[1, 2] == pytest.approx(9.0)
+    assert res.upper.d[0, 2] == pytest.approx(10.0)
+    assert res.upper.d[0, 1] == pytest.approx(10.0)
+    assert res.upper.d[1, 2] == pytest.approx(9.0)
 
 
 def test_connecting_matches_exhaustive_oracle_on_random_graphs():
@@ -134,7 +134,7 @@ def test_connecting_matches_exhaustive_oracle_on_random_graphs():
         got = connecting_on_graph(n, edges, dimg)
         assert got.exact
         want = connecting_matrix_oracle(n, edges, dimg)
-        assert np.allclose(got.matrix.d, want, atol=1e-12)
+        assert np.allclose(got.upper.d, want, atol=1e-12)
 
 
 def test_connecting_bracket_is_sound_on_larger_graph():
@@ -151,8 +151,8 @@ def test_connecting_bracket_is_sound_on_larger_graph():
     res = connecting_on_graph(n, edges, dimg, exact_limit=14)
     assert not res.exact
     exact = connecting_on_graph(n, edges, dimg, exact_limit=n)
-    assert np.all(res.lower <= exact.matrix.d + 1e-12)
-    assert np.all(exact.matrix.d <= res.upper.d + 1e-12)
+    assert np.all(res.lower <= exact.upper.d + 1e-12)
+    assert np.all(exact.upper.d <= res.upper.d + 1e-12)
     assert verify_pseudometric(res.upper.d) == []
 
 
@@ -386,14 +386,14 @@ def test_connecting_below_length_on_random_instances():
         disc = random_height_disc(seed + 100, max_vertices=14)
         length = length_pseudometric(disc, refinement=1).d
         conn = connecting_pseudometric(disc)
-        side = conn.matrix.d if conn.exact else conn.lower
+        side = conn.upper.d if conn.exact else conn.lower
         assert np.all(side <= length + 1e-9)
 
 
 def test_connecting_refinement_independent():
     disc = saddle_grid_disc(3)
-    a = connecting_pseudometric(disc).matrix.d
-    b = connecting_pseudometric(disc).matrix.d
+    a = connecting_pseudometric(disc).upper.d
+    b = connecting_pseudometric(disc).upper.d
     assert np.array_equal(a, b)  # depends only on the vertex set and skeleton
 
 
@@ -516,7 +516,7 @@ def test_all_induced_matrices_verify_as_pseudometrics():
         assert verify_pseudometric(length_pseudometric(disc, 2).d) == []
         assert verify_pseudometric(intrinsic_pseudometric(disc, refinement=2).d) == []
         conn = connecting_pseudometric(disc)
-        assert verify_pseudometric(conn.matrix.d) == []
+        assert verify_pseudometric(conn.upper.d) == []
 
 
 # ---------------------------------------------------------------- refined graph

@@ -406,7 +406,7 @@ def test_relax_and_cat0_reject_bad_limits():
             relax(g, tol_descent=bad)
         with pytest.raises(ValueError, match="tol_angle"):
             cat0_certificate(cone_disc(2 * math.pi, 4), tol_angle=bad)
-        for name in ("tol_geo", "tol_descent", "tol_angle"):
+        for name in ("tol_descent", "tol_angle"):
             with pytest.raises(ValueError, match=name):
                 certify_conditions(g, **{name: bad})
 

@@ -355,9 +355,10 @@ def test_relax_commutes_with_rigid_motion():
 # ------------------------------------------------------------- star memo
 
 
-def grid_geodesic_graph():
-    """Straightened geodesic graph of the 8x8 z = 1.2xy grid disc with 8
-    evenly spread boundary and 3 random interior sample vertices."""
+def grid_graph_with_paths():
+    """Geodesic graph, with its mesh polylines, of the 8x8 z = 1.2xy grid
+    disc with 8 evenly spread boundary and 3 random interior sample
+    vertices."""
     from catmin.meshgen import grid_disc, make_mapped_disc
     from catmin.pipeline import geodesic_graph
 
@@ -368,7 +369,12 @@ def grid_geodesic_graph():
     interior = sorted(set(range(disc.n_vertices)) - set(loop))
     sample = [loop[(j * len(loop)) // 8] for j in range(8)]
     sample += [int(v) for v in np.random.default_rng(8).choice(interior, size=3, replace=False)]
-    return straighten(geodesic_graph(disc, sample)[0])
+    return geodesic_graph(disc, sample)[0]
+
+
+def grid_geodesic_graph():
+    """`grid_graph_with_paths` straightened."""
+    return straighten(grid_graph_with_paths())
 
 
 def sweep_geodesic_graph(s):
@@ -394,7 +400,6 @@ def test_relax_certificate_reuses_exact_t_star(name):
     fresh = certify_conditions(out)
     assert cert.t_star == fresh.t_star
     assert cert.angle_sums == fresh.angle_sums
-    assert cert.residuals == fresh.residuals
 
 
 @pytest.mark.parametrize("name", ["grid8", "sweep1", "sweep3"])
@@ -409,6 +414,29 @@ def test_relax_on_enumerated_hull_is_bitwise_equal(monkeypatch, name):
         assert np.array_equal(p, q)
     assert cert.summary() == cert_oracle.summary()
     assert cert.t_star == cert_oracle.t_star
+
+
+def test_relax_straightens_a_copy_of_its_graph():
+    g = grid_graph_with_paths()
+    assert g.edge_paths
+    points = [p.copy() for p in g.points]
+    out, cert = relax(g)
+    assert out.edge_paths == {}
+    # the input keeps its points and paths
+    assert g.edge_paths
+    assert all(np.array_equal(p, q) for p, q in zip(g.points, points))
+    out_straight, cert_straight = relax(straighten(g))
+    assert len(out.points) == len(out_straight.points)
+    for p, q in zip(out.points, out_straight.points):
+        assert np.array_equal(p, q)
+    assert cert.summary() == cert_straight.summary()
+
+
+def test_certify_conditions_needs_geodesic_edges():
+    g = grid_graph_with_paths()
+    with pytest.raises(ValueError, match="geodesic edges"):
+        certify_conditions(g)
+    assert certify_conditions(straighten(g)).interior_vertices
 
 
 def test_relax_solves_each_unchanged_star_once(monkeypatch):
@@ -485,7 +513,7 @@ def test_certify_on_relax_outputs():
         g = euclidean_graph(pts, edges, boundary, positions=vertices)
         out, cert = relax(g, tol_descent=1e-8)
         assert cert.worst_t_star <= 1e-8, trial
-        assert cert.worst_residual <= 1e-9
+        assert out.edge_paths == {}
         assert cert.interior_vertices == [4]
         assert cert.worst_angle_deficit <= 1e-6, (trial, cert.angle_sums)
 

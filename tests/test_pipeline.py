@@ -1,3 +1,6 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -229,6 +232,35 @@ def test_key_lemma_reports_its_certificates():
     assert "shortness_pairs" not in res.verification
 
 
+def test_key_lemma_builds_two_graphs(monkeypatch):
+    # the geodesic graph and relax's one straightened copy of it
+    from catmin.graphs import GraphInTarget
+
+    built = []
+    post_init = GraphInTarget.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(GraphInTarget, "__post_init__", counted)
+    disc = saddle_grid(8, 1.2)
+    loop = list(disc.boundary_loop)
+    interior = sorted(set(range(disc.n_vertices)) - set(loop))
+    sample = [loop[(j * len(loop)) // 8] for j in range(8)]
+    sample += [int(v) for v in np.random.default_rng(8).choice(interior, size=3, replace=False)]
+    res = run_key_lemma(disc, sample)
+    assert res.verification["ok"]
+    assert [id(g) for g in built] == [id(res.graph_initial), id(res.graph)]
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan, -1.0])
+def test_key_lemma_rejects_a_non_finite_or_negative_tol(tol):
+    # an infinite tol passed every check, and NaN or -1 failed them all
+    with pytest.raises(ValueError, match="tol"):
+        run_key_lemma(saddle_grid(4, c=1.2), [0, 3, 12, 15, 5, 10], refinement=2, tol=tol)
+
+
 def test_key_lemma_traces_faces_once(monkeypatch):
     # certifying and gluing read the relaxed graph's faces four times; its
     # edges and rotation never change, so they are traced once
@@ -285,7 +317,7 @@ def test_contraction_certificate_fails_on_a_lengthened_edge(monkeypatch):
         free = min(set(range(relaxed.n_vertices)) - relaxed.pinned)
         points = list(relaxed.points)
         points[free] = points[free] + np.array([0.0, 0.0, 0.05])
-        return relaxed.with_points(points), certificate
+        return replace(relaxed, points=points), certificate
 
     monkeypatch.setattr(pipeline, "relax", doctored_relax)
     res = run_key_lemma(saddle_grid(4, c=1.2), [0, 3, 12, 15, 5, 10], refinement=2, tol=tol)
