@@ -62,7 +62,7 @@ def _emit(report: dict, out_path):
 
 def cmd_metrics(args) -> int:
     disc, doc = _load(args.infile, "mapped_disc")
-    zero_tol = doc["tolerances"].get("zero", 1e-9)
+    zero_tol = doc["tolerances"]["zero"]
     rep = induced.ordering_chain_report(disc, refinement=args.refine, zero_tol=zero_tol)
     chain_ok = rep["chain_holds"]
     conn = rep["connecting"]
@@ -102,7 +102,8 @@ def cmd_minimize_graph(args) -> int:
     tols = doc["tolerances"]
     out, cert = relax(
         g,
-        tol_descent=args.tol_descent if args.tol_descent is not None else tols.get("descent", 1e-8),
+        tol_descent=args.tol_descent if args.tol_descent is not None else tols["descent"],
+        tol_angle=tols["angle"],
         max_iter=args.max_iter,
     )
     report = {
@@ -123,7 +124,7 @@ def cmd_minimize_graph(args) -> int:
 def cmd_build_disc(args) -> int:
     g, doc = _load(args.infile, "graph")
     disc, glue_report = glue_disc(g)
-    cert = cat0_certificate(disc, tol_angle=doc["tolerances"].get("angle", 1e-6))
+    cert = cat0_certificate(disc, tol_angle=doc["tolerances"]["angle"])
     report = {
         "command": "build-disc",
         "disc": instances.poly_disc_instance(disc)["payload"],
@@ -146,7 +147,7 @@ def cmd_build_disc(args) -> int:
 
 def cmd_check_cat0(args) -> int:
     disc, doc = _load(args.infile, "polyhedral_disc")
-    tol_angle = args.tol_angle if args.tol_angle is not None else doc["tolerances"].get("angle", 1e-6)
+    tol_angle = args.tol_angle if args.tol_angle is not None else doc["tolerances"]["angle"]
     cert = cat0_certificate(disc, tol_angle=tol_angle)
     report = {
         "command": "check-cat0",
@@ -164,7 +165,9 @@ def cmd_key_lemma(args) -> int:
     sample = args.sample or doc.get("sample")
     if not sample:
         raise InputError("key-lemma needs a vertex sample (instance 'sample' or --sample)")
-    result = run_key_lemma(disc, [int(v) for v in sample], refinement=args.refine)
+    tols = doc["tolerances"]
+    result = run_key_lemma(disc, [int(v) for v in sample], refinement=args.refine,
+                           tol_descent=tols["descent"], tol_angle=tols["angle"])
     report = {
         "command": "key-lemma",
         "sample": result.sample,

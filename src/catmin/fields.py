@@ -67,6 +67,12 @@ __all__ = [
     "perturbation_evidence",
 ]
 
+STRICT_SADDLE_TOL = 1e-10  # Gauss curvature must stay below its negative
+ASYMPTOTIC_TOL = 1e-8  # largest |L|, |N| on the grid axes, relative to max |M|
+POSITIVITY_TOL = 1e-9  # squared scalings at most this have lost positivity
+BUMP_AMPLITUDE = 0.05  # of the perturbation bumps
+ENERGY_TOL = 1e-9  # energy margin and convexity slack of the perturbations
+
 
 class FieldSystemError(RuntimeError):
     """Raised when the field system cannot be solved on the given patch."""
@@ -206,12 +212,12 @@ def _orient(vfield: np.ndarray, reference: np.ndarray) -> np.ndarray:
     return vfield * sign
 
 
-def curvature_frame(patch: HeightFieldPatch, strict_tol: float = 1e-10) -> CurvatureFrame:
+def curvature_frame(patch: HeightFieldPatch) -> CurvatureFrame:
     """Principal curvatures and directions and the two fundamental forms
     of a strictly saddle patch.
 
     Raises (with the offending node) when the Gauss curvature is not
-    negative beyond ``strict_tol`` everywhere, since asymptotic directions
+    negative beyond `STRICT_SADDLE_TOL` everywhere, since asymptotic directions
     then degenerate.
     """
     s = patch.values
@@ -233,7 +239,7 @@ def curvature_frame(patch: HeightFieldPatch, strict_tol: float = 1e-10) -> Curva
     N = np.sum(s_yy * normal, axis=-1)
     det_i = E * G - F * F
     gauss = (L * N - M * M) / det_i
-    if np.any(gauss >= -strict_tol):
+    if np.any(gauss >= -STRICT_SADDLE_TOL):
         i, j = np.unravel_index(int(np.argmax(gauss)), gauss.shape)
         raise FieldSystemError(
             f"patch is not strictly saddle at node ({i},{j}): "
@@ -340,11 +346,7 @@ def _tangential_coefficients(frame: CurvatureFrame, u: np.ndarray):
     return c1, c2
 
 
-def solve_field_system(
-    patch: HeightFieldPatch,
-    pos_tol: float = 1e-9,
-    asym_tol: float = 1e-8,
-) -> FieldArray:
+def solve_field_system(patch: HeightFieldPatch) -> FieldArray:
     """Solve for the asymptotic scalings that cancel the operator.
 
     Requires the grid axes to be the asymptotic coordinate directions
@@ -368,7 +370,7 @@ def solve_field_system(
     E, F, G = frame.first_form
     L, M, N = frame.second_form
     scale = np.abs(M).max()
-    if np.abs(L).max() > asym_tol * scale or np.abs(N).max() > asym_tol * scale:
+    if np.abs(L).max() > ASYMPTOTIC_TOL * scale or np.abs(N).max() > ASYMPTOTIC_TOL * scale:
         raise FieldSystemError(
             "grid axes are not asymptotic: sample the patch in asymptotic "
             "coordinates (second form must vanish on the axes)"
@@ -426,12 +428,12 @@ def solve_field_system(
     window = (0, nx)
     if np.isnan(w1).any() or np.isnan(w2).any():
         raise FieldSystemError("marching failed to cover the grid")
-    if min(w1.min(), w2.min()) <= pos_tol:
+    if min(w1.min(), w2.min()) <= POSITIVITY_TOL:
         k = 0
         ok = -1
         while 2 * k < n:
             sl = slice(k, nx - k)
-            if min(w1[sl, sl].min(), w2[sl, sl].min()) > pos_tol:
+            if min(w1[sl, sl].min(), w2[sl, sl].min()) > POSITIVITY_TOL:
                 ok = k
                 break
             k += 1
@@ -587,31 +589,23 @@ def perturbation_evidence(
     fields: FieldArray,
     trials: int = 100,
     seed: int = 0,
-    amplitude: float = 0.05,
-    tol: float = 1e-9,
 ) -> dict:
     """Boundary-fixed random perturbations never decrease the energy.
 
     Each trial adds a random smooth bump b = m1 d1 + m2 d2 (scalar profiles
-    m_k, each a Gaussian blob with the boundary ring pinned and the next
-    ring at half the amplitude; directions d_k in R^3) and checks
-    E(s0 + b) >= E(s0) - tol.  E is a PSD quadratic form, so the margin is
-    2 <s0, b>_A + E(b), read off the per-node tensor A of `_node_tensor`,
-    and E(s0 + t b) - (1 - t) E(s0) - t E(s0 + b) = -t (1 - t) E(b) gives
+    m_k, each a Gaussian blob of amplitude `BUMP_AMPLITUDE` with the
+    boundary ring pinned and the next ring at half the amplitude; directions
+    d_k in R^3) and checks E(s0 + b) >= E(s0) - `ENERGY_TOL`.  E is a PSD
+    quadratic form, so the margin is 2 <s0, b>_A + E(b), read off the
+    per-node tensor A of `_node_tensor`, and E(s0 + t b) - (1 - t) E(s0) - t E(s0 + b) = -t (1 - t) E(b) gives
     convexity at each t in `_CONVEXITY_TS`: one `energy` call per run, for
     E(s0).  Each masked blob is a sum of outer products of 1-D factors
     (`_bump_factors`), and so are its gradients, so the margins of a block
     of `_TRIAL_BLOCK` trials are batched bilinear forms (`_bump_forms`),
-    with no per-trial pass over the grid.  At least one trial is required,
-    and the amplitude must be positive and finite and ``tol`` nonnegative
-    and finite: a zero bump measures nothing.
+    with no per-trial pass over the grid.  At least one trial is required.
     """
     if trials < 1:
         raise ValueError(f"perturbation evidence needs trials >= 1, got {trials}")
-    if not 0.0 < amplitude < np.inf:
-        raise ValueError(f"amplitude must be positive and finite, got {amplitude}")
-    if not 0.0 <= tol < np.inf:
-        raise ValueError(f"tol must be nonnegative and finite, got {tol}")
     if not (np.array_equal(patch.x, fields.patch.x) and np.array_equal(patch.y, fields.patch.y)):
         raise ValueError(
             f"patch grid {patch.shape} is not the solved grid {fields.patch.shape}: "
@@ -648,15 +642,15 @@ def perturbation_evidence(
         fx = _bump_factors(patch.x, blobs[:, 0], blobs[:, 2], patch.hx)
         fy = _bump_factors(patch.y, blobs[:, 1], blobs[:, 2], patch.hy)
         linear, quadratic = _bump_forms(tensor, p, q, fx, fy, directions)
-        eb = amplitude * amplitude * quadratic
-        min_margin = min(min_margin, float(np.min(2.0 * amplitude * linear + eb)))
+        eb = BUMP_AMPLITUDE * BUMP_AMPLITUDE * quadratic
+        min_margin = min(min_margin, float(np.min(2.0 * BUMP_AMPLITUDE * linear + eb)))
         worst_convexity = max(worst_convexity, float(np.max(convexity * eb[:, None])))
     return {
         "trials": trials,
         "energy": e0,
         "min_margin": float(min_margin),
-        "never_decreases": bool(min_margin >= -tol),
+        "never_decreases": bool(min_margin >= -ENERGY_TOL),
         "convexity_max_violation": float(worst_convexity),
-        "convex_ok": bool(worst_convexity <= tol),
-        "tolerance": tol,
+        "convex_ok": bool(worst_convexity <= ENERGY_TOL),
+        "tolerance": ENERGY_TOL,
     }

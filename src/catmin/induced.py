@@ -59,6 +59,8 @@ __all__ = [
 ]
 
 EXACT_CONNECTING_LIMIT = 14
+ZERO_TOL = 1e-9  # connecting distance that identifies vertices: the instance key "zero"
+CHAIN_SLACK = 1e-9  # of the ordering chain, on top of the identification tolerance
 
 
 def vertex_image_distances(disc: MappedDisc) -> np.ndarray:
@@ -281,18 +283,14 @@ def connecting_on_graph(
     )
 
 
-def connecting_pseudometric(
-    disc: MappedDisc, exact_limit: int = EXACT_CONNECTING_LIMIT
-) -> ConnectingResult:
+def connecting_pseudometric(disc: MappedDisc) -> ConnectingResult:
     """Minimal image diameter of connected 1-skeleton subsets joining pairs."""
-    return connecting_on_graph(
-        disc.n_vertices, disc.skeleton_edges(), vertex_image_distances(disc), exact_limit
-    )
+    return connecting_on_graph(disc.n_vertices, disc.skeleton_edges(), vertex_image_distances(disc))
 
 
 def intrinsic_pseudometric(
     disc: MappedDisc,
-    zero_tol: float = 1e-9,
+    zero_tol: float = ZERO_TOL,
     refinement: int = 1,
     graph: RefinedGraph | None = None,
     connecting: ConnectingResult | None = None,
@@ -332,13 +330,12 @@ def intrinsic_pseudometric(
     return PseudometricMatrix(d)
 
 
-def ordering_chain_report(
-    disc: MappedDisc, refinement: int = 1, zero_tol: float = 1e-9, slack: float = 1e-9
-) -> dict:
+def ordering_chain_report(disc: MappedDisc, refinement: int = 1, zero_tol: float = ZERO_TOL) -> dict:
     """Entrywise check of length >= intrinsic >= connecting on one instance.
 
     The connecting side uses the exact value when available and the sound
-    lower bracket otherwise.
+    lower bracket otherwise.  Both inequalities are held to ``zero_tol``
+    plus `CHAIN_SLACK`.
     """
     graph = build_refined_graph(disc, refinement)
     length = length_pseudometric(disc, refinement, graph=graph)
@@ -346,7 +343,7 @@ def ordering_chain_report(
     intrinsic = intrinsic_pseudometric(
         disc, zero_tol, refinement, graph=graph, connecting=conn, length=length
     )
-    allowed = slack + zero_tol
+    allowed = CHAIN_SLACK + zero_tol
     gap1 = intrinsic.d - length.d
     gap1 = gap1[np.isfinite(gap1)]
     conn_side = conn.upper.d if conn.exact else conn.lower

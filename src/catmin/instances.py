@@ -23,8 +23,10 @@ import numpy as np
 
 from .fields import HeightFieldPatch
 from .graphs import GraphInTarget
-from .majorize import GlueError, PolyhedralDisc
+from .induced import ZERO_TOL
+from .majorize import ANGLE_TOL, GlueError, PolyhedralDisc
 from .mesh import MappedDisc
+from .minimize import DESCENT_TOL
 from .targets import EuclideanSpace
 
 __all__ = [
@@ -46,13 +48,8 @@ __all__ = [
 
 FORMAT_VERSION = 1
 
-DEFAULT_TOLERANCES = {
-    "zero": 1e-9,
-    "descent": 1e-8,
-    "angle": 1e-6,
-    "geodesic": 1e-9,
-    "verify": 1e-9,
-}
+# zero: metrics; descent: minimize-graph, key-lemma; angle: minimize-graph, build-disc, check-cat0, key-lemma
+DEFAULT_TOLERANCES = {"zero": ZERO_TOL, "descent": DESCENT_TOL, "angle": ANGLE_TOL}
 
 FIXTURE_ENV = "CATMIN_FIXTURES"
 
@@ -276,12 +273,14 @@ def parse_instance(doc: dict):
 
     Returns (kind, object, doc); raises `InstanceError`, a ValueError, on
     malformed input.  The object is the one `validate_instance` checked:
-    each document is checked once.
+    each document is checked once.  The returned doc is a copy whose
+    tolerances block is merged over `DEFAULT_TOLERANCES`: a missing block
+    or key means the default.
     """
     problems, obj = _check_instance(doc)
     if problems:
         raise InstanceError(problems)
-    return doc["kind"], obj, doc
+    return doc["kind"], obj, {**doc, "tolerances": {**DEFAULT_TOLERANCES, **doc.get("tolerances", {})}}
 
 
 _KINDS = {"mapped_disc", "graph", "patch", "polyhedral_disc"}
@@ -312,7 +311,7 @@ def _check_instance(doc) -> tuple[list[str], object]:
     else:
         for key in sorted(tols):
             val = tols[key]
-            if not isinstance(val, (int, float)) or not 0 <= val < math.inf:
+            if isinstance(val, bool) or not isinstance(val, (int, float)) or not 0 <= val < math.inf:
                 problems.append(f"tolerance '{key}' must be a finite nonnegative number")
     if kind in _TARGET_KINDS:
         target = doc.get("target")

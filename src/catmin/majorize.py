@@ -67,6 +67,10 @@ __all__ = [
 
 GLUE_TOL = 1e-9
 DEGENERATE_TOL = 1e-12
+ANGLE_TOL = 1e-6  # largest angle deficit of a certificate: the instance key "angle"
+TRIANGLE_SLACK = 1e-12  # of the triangle inequality, relative to the sides
+WITNESS_ANGLE_TOL = 1e-9  # of the fan witness, planar >= target corner angle
+ISOPERIMETRIC_SLACK = 1e-9  # of A <= L^2 / (4 pi)
 #: thin-triangle allowance in units of the subdivision gap; calibrated
 #: against exact unfolding oracles in the test suite
 THIN_ALLOWANCE_GAPS = 3.0
@@ -108,11 +112,11 @@ def _triangle_area(coords: np.ndarray) -> float:
     return 0.5 * abs((x2 - x1) * (y3 - y1) - (x3 - x1) * (y2 - y1))
 
 
-def _breaks_triangle_inequality(a, b, c, slack: float = 1e-12):
+def _breaks_triangle_inequality(a, b, c):
     """Whether one of the sides (a, b, c) exceeds the sum of the other two
-    by more than ``slack`` relative to the scale of the sides; elementwise
-    on arrays."""
-    eps = slack * np.maximum(np.maximum(np.maximum(a, b), c), 1.0)
+    by more than `TRIANGLE_SLACK` relative to the scale of the sides;
+    elementwise on arrays."""
+    eps = TRIANGLE_SLACK * np.maximum(np.maximum(np.maximum(a, b), c), 1.0)
     return (a > b + c + eps) | (b > c + a + eps) | (c > a + b + eps)
 
 
@@ -124,16 +128,16 @@ def _third_corner(a, b, c):
     return x, np.sqrt(np.maximum(b ** 2 - x ** 2, 0.0))
 
 
-def comparison_triangle(a: float, b: float, c: float, slack: float = 1e-12) -> ComparisonTriangle:
+def comparison_triangle(a: float, b: float, c: float) -> ComparisonTriangle:
     """Planar triangle with sides (a, b, c), collinear ones included.
 
     Raises :class:`GlueError` when the triangle inequality fails beyond
-    ``slack`` relative to the scale of the sides.
+    `TRIANGLE_SLACK` relative to the scale of the sides.
     """
     sides = (float(a), float(b), float(c))
     if min(sides) < 0.0:
         raise GlueError(f"negative side length in {sides}")
-    if _breaks_triangle_inequality(*sides, slack):
+    if _breaks_triangle_inequality(*sides):
         raise GlueError(f"triangle inequality fails for sides {sides}")
     if sides[2] == 0.0:
         # X = Y; Z lies at distance |XZ| on the x-axis
@@ -152,7 +156,7 @@ class FaceMajorant:
     witness_ok: bool                  # planar >= target at every corner
 
 
-def face_majorant(loop_points: list, target: TargetSpace, angle_tol: float = 1e-9) -> FaceMajorant:
+def face_majorant(loop_points: list, target: TargetSpace) -> FaceMajorant:
     """Fan-triangulate a closed geodesic polygon from its first vertex.
 
     Each fan triangle is the comparison triangle of its target side
@@ -186,7 +190,7 @@ def face_majorant(loop_points: list, target: TargetSpace, angle_tol: float = 1e-
             )
         except ValueError:
             corner_target.append(0.0)  # collapsed corner: nothing to majorize
-    witness_ok = all(p >= t - angle_tol for p, t in zip(corner_planar, corner_target))
+    witness_ok = all(p >= t - WITNESS_ANGLE_TOL for p, t in zip(corner_planar, corner_target))
     return FaceMajorant(triangles, corner_planar, corner_target, witness_ok)
 
 
@@ -523,7 +527,7 @@ class Cat0Report:
         }
 
 
-def cat0_certificate(w: PolyhedralDisc, tol_angle: float = 1e-6) -> Cat0Report:
+def cat0_certificate(w: PolyhedralDisc, tol_angle: float = ANGLE_TOL) -> Cat0Report:
     """Nonpositive-curvature certificate: at least a full turn around every
     interior vertex, plus simple connectivity of the complex, which ``w``'s
     construction checked: a `PolyhedralDisc` exists only as a disc retract
@@ -536,14 +540,15 @@ def cat0_certificate(w: PolyhedralDisc, tol_angle: float = 1e-6) -> Cat0Report:
     return Cat0Report(worst <= tol_angle, sums, interior, worst, tol_angle)
 
 
-def boundary_and_area(w: PolyhedralDisc, slack: float = 1e-9) -> dict:
-    """Boundary length, area, and the planar isoperimetric flag."""
+def boundary_and_area(w: PolyhedralDisc) -> dict:
+    """Boundary length, area, and the planar isoperimetric flag, up to
+    `ISOPERIMETRIC_SLACK`."""
     L = w.boundary_length()
     A = w.area()
     return {
         "boundary_length": L,
         "area": A,
-        "isoperimetric_ok": bool(A <= L * L / (4.0 * math.pi) + slack),
+        "isoperimetric_ok": bool(A <= L * L / (4.0 * math.pi) + ISOPERIMETRIC_SLACK),
     }
 
 
@@ -782,14 +787,14 @@ def thin_triangle_test(
     samples: int = 10_000,
     seed: int = 0,
     subdiv: int = 24,
-    allowance_gaps: float = THIN_ALLOWANCE_GAPS,
 ) -> dict:
     """Sampled comparison inequality on random geodesic triangles.
 
     For random node triangles (A, B, C) and random points p on side AB and
     q on side AC, the intrinsic distance d(p, q) must not exceed the
     distance of the matching points on the planar comparison triangle,
-    up to the distance-approximation allowance.
+    up to the distance-approximation allowance of `THIN_ALLOWANCE_GAPS`
+    subdivision gaps.
 
     Candidate triangles are drawn in batches of ``samples`` node triples,
     one ``rng.integers`` call per batch, and tested as arrays.  A triple is
@@ -813,7 +818,7 @@ def thin_triangle_test(
     dist, pred = sg.all_pairs()
     rng = np.random.default_rng(seed)
     n = sg.n_nodes
-    allowance = allowance_gaps * sg.max_gap
+    allowance = THIN_ALLOWANCE_GAPS * sg.max_gap
     cap = 30 * samples
     kept: list[tuple[np.ndarray, ...]] = []  # accepted (a, b, c, hops_ab, hops_ac) per batch
     done = attempts = 0

@@ -16,15 +16,14 @@ __all__ = [
 ]
 
 
-def make_mapped_disc(vertices, triangles, images, target=None) -> MappedDisc:
-    """Assemble a MappedDisc, deriving the boundary loop from the triangles."""
+def make_mapped_disc(vertices, triangles, images) -> MappedDisc:
+    """Assemble a MappedDisc into the Euclidean space of its images,
+    deriving the boundary loop from the triangles."""
     vertices = np.asarray(vertices, dtype=float)
     triangles = np.asarray(triangles, dtype=int)
     images = np.asarray(images, dtype=float)
-    if target is None:
-        target = EuclideanSpace(images.shape[1])
     loop = boundary_loop_of(vertices, triangles)
-    return MappedDisc(vertices, triangles, loop, images, target)
+    return MappedDisc(vertices, triangles, loop, images, EuclideanSpace(images.shape[1]))
 
 
 def grid_disc(k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -36,6 +36,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .graphs import GraphInTarget
+from .majorize import ANGLE_TOL
 from .targets import EuclideanSpace
 
 __all__ = [
@@ -48,6 +49,8 @@ __all__ = [
 ]
 
 ZERO_EDGE_TOL = 1e-13
+DESCENT_TOL = 1e-8  # largest t* of a certified graph: the instance key "descent"
+STATIONARY_TOL = 1e-12  # a star with t* at most this has no shortening direction
 
 
 def min_norm_hull_point(units: np.ndarray) -> np.ndarray:
@@ -260,20 +263,21 @@ def _refine_projection_longdouble(pts64: np.ndarray) -> np.ndarray | None:
     return np.asarray(w, dtype=float)
 
 
-def descent_direction(units, tol: float = 1e-12) -> tuple[float, np.ndarray | None]:
+def descent_direction(units) -> tuple[float, np.ndarray | None]:
     """Best guaranteed shortening rate t* and its direction at a vertex star.
 
     ``units`` are unit vectors toward the neighbors.  Returns ``(t*, d)``
     with ``t* > 0`` iff some unit direction d shortens every incident edge
     at first order (rate at least t* each); ``t* == 0`` means the origin
-    lies in the convex hull of the stars and no such direction exists.
+    lies in the convex hull of the stars and no such direction exists
+    (up to `STATIONARY_TOL`).
     """
     u = np.asarray(units, dtype=float)
     if u.ndim != 2 or u.shape[0] == 0:
         raise ValueError("need a nonempty list of unit vectors")
     w = min_norm_hull_point(u)
     t_star = float(np.linalg.norm(w))
-    if t_star <= tol:
+    if t_star <= STATIONARY_TOL:
         return 0.0, None
     return t_star, w / t_star
 
@@ -299,8 +303,8 @@ class MinimizationCertificate:
     iterations: int
     converged: bool
     skipped_vertices: list[int] = field(default_factory=list)
-    tol_descent: float = 1e-8
-    tol_angle: float = 1e-6
+    tol_descent: float = DESCENT_TOL
+    tol_angle: float = ANGLE_TOL
 
     @property
     def worst_t_star(self) -> float:
@@ -363,7 +367,8 @@ def _vertex_star(g: GraphInTarget, nbrs: list[list[int]], v: int):
 
 def relax(
     g: GraphInTarget,
-    tol_descent: float = 1e-8,
+    tol_descent: float = DESCENT_TOL,
+    tol_angle: float = ANGLE_TOL,
     max_iter: int = 2000,
 ) -> tuple[GraphInTarget, MinimizationCertificate]:
     """Sweep free vertices into Pareto-stationary position.
@@ -373,11 +378,12 @@ def relax(
     edge length (backtracking line search, halving from the shortest
     incident edge), so the final graph is edgewise dominated by the input.
     Terminates when no free vertex admits a shortening direction above
-    ``tol_descent`` or when ``max_iter`` sweeps have run.
+    ``tol_descent`` or when ``max_iter`` sweeps have run.  The returned
+    certificate holds the result to ``tol_descent`` and ``tol_angle``.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    _require_tolerances(tol_descent=tol_descent)
+    _require_tolerances(tol_descent=tol_descent, tol_angle=tol_angle)
     _require_euclidean(g)
     work = straighten(g)
     nbrs = work.neighbors()
@@ -431,7 +437,7 @@ def relax(
             converged = worst <= tol_descent
             break
     cert = certify_conditions(
-        work, tol_descent=tol_descent, _t_star={v: t for v, (t, _) in solved.items()}
+        work, tol_descent, tol_angle, _t_star={v: t for v, (t, _) in solved.items()}
     )
     cert.iterations = iterations
     cert.converged = converged
@@ -441,8 +447,8 @@ def relax(
 
 def certify_conditions(
     g: GraphInTarget,
-    tol_descent: float = 1e-8,
-    tol_angle: float = 1e-6,
+    tol_descent: float = DESCENT_TOL,
+    tol_angle: float = ANGLE_TOL,
     *,
     _t_star: dict[int, float] | None = None,
 ) -> MinimizationCertificate:

@@ -21,16 +21,18 @@ as the target distances between their ends' images (`shortness_excess`).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .graphs import GraphInTarget, path_from
-from .majorize import Cat0Report, PolyhedralDisc, boundary_and_area, cat0_certificate, glue_disc
+from .majorize import ANGLE_TOL, Cat0Report, PolyhedralDisc, boundary_and_area, cat0_certificate, glue_disc
 from .mesh import MappedDisc, RefinedGraph, build_refined_graph
-from .minimize import MinimizationCertificate, relax
+from .minimize import DESCENT_TOL, MinimizationCertificate, relax
 __all__ = ["geodesic_graph", "run_key_lemma", "contraction_excess", "shortness_excess", "KeyLemmaResult"]
+
+KEY_LEMMA_TOL = 1e-6  # largest contraction, boundary and shortness excess of a PASS
+KEY_LEMMA_MAX_ITER = 5000  # relaxation sweeps
 
 
 def _checked_sample(disc: MappedDisc, sample: list[int]) -> list[int]:
@@ -216,24 +218,22 @@ def run_key_lemma(
     disc: MappedDisc,
     sample: list[int],
     refinement: int = 2,
-    tol: float = 1e-6,
     shortness_samples: int = 2000,
     seed: int = 0,
-    tol_descent: float = 1e-8,
-    max_iter: int = 5000,
+    tol_descent: float = DESCENT_TOL,
+    tol_angle: float = ANGLE_TOL,
 ) -> KeyLemmaResult:
     """Full factorization run with its certificates.
 
     Produces W and the vertex contraction p; the verification report
     records the worst per-edge contraction excess (`contraction_excess`),
     the boundary agreement and the worst per-side shortness excess of q
-    (`shortness_excess`), each held to ``tol``, which must be finite and
-    >= 0.  ``shortness_samples`` and ``seed`` have no effect, since no
-    check samples; they stay only while ``bench/workloads.py`` passes them
-    (ROADMAP item 9).
+    (`shortness_excess`), each held to `KEY_LEMMA_TOL`.  The relaxation
+    certificate holds to ``tol_descent`` and ``tol_angle``, and W's CAT(0)
+    certificate to ``tol_angle``.  ``shortness_samples`` and ``seed`` have
+    no effect, since no check samples; they stay only while
+    ``bench/workloads.py`` passes them (ROADMAP item 9).
     """
-    if not 0.0 <= tol < math.inf:
-        raise ValueError(f"tol must be finite and >= 0, got {tol}")
     sample = _checked_sample(disc, sample)
     boundary = disc.boundary_vertex_set()
     boundary_sample = [v for v in sample if v in boundary]
@@ -263,9 +263,11 @@ def run_key_lemma(
     gamma0, vmap = geodesic_graph(
         disc, kept, refinement, graph=g, paths=(dist_all[kept_rows], pred_all[kept_rows])
     )
-    gamma, certificate = relax(gamma0, tol_descent=tol_descent, max_iter=max_iter)
+    gamma, certificate = relax(
+        gamma0, tol_descent=tol_descent, tol_angle=tol_angle, max_iter=KEY_LEMMA_MAX_ITER
+    )
     w_disc, glue_report = glue_disc(gamma)
-    cat0 = cat0_certificate(w_disc)
+    cat0 = cat0_certificate(w_disc, tol_angle=tol_angle)
 
     p_map = {v: vmap[v] for v in kept}
     anchor_vertex = vmap[boundary_sample[0]]
@@ -281,9 +283,9 @@ def run_key_lemma(
 
     ba = boundary_and_area(w_disc)
     ok = (
-        worst_contraction <= tol
-        and worst_boundary <= tol
-        and worst_shortness <= tol
+        worst_contraction <= KEY_LEMMA_TOL
+        and worst_boundary <= KEY_LEMMA_TOL
+        and worst_shortness <= KEY_LEMMA_TOL
         and cat0.ok
         and ba["isoperimetric_ok"]
     )
@@ -298,7 +300,7 @@ def run_key_lemma(
         "area": ba["area"],
         "glue_witness_ok": bool(glue_report.witness_ok),
         "relax_converged": bool(certificate.converged),
-        "tolerance": tol,
+        "tolerance": KEY_LEMMA_TOL,
     }
     return KeyLemmaResult(
         sample=sample,

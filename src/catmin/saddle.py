@@ -58,6 +58,10 @@ HEXAGON_PARAMS = {
     "refinement": 2,
 }
 
+PLANE_SNAP_TOL = 1e-9  # vertices this near a plane lie on it, times the image scale
+PLANE_NUDGE = 1e-7  # offset shift of each vertex-triple plane, times the image scale
+SHORTEN_TOL = 1e-9  # length change that counts as growing or shrinking
+
 
 # --------------------------------------------------------------------------
 # the saddle predicate
@@ -89,11 +93,9 @@ class _PlaneSections:
     edge bounds one of its faces.
     """
 
-    def __init__(self, disc: MappedDisc, tol: float = 1e-9):
-        if not 0.0 <= tol < math.inf:
-            raise ValueError(f"tol must be finite and >= 0, got {tol}")
+    def __init__(self, disc: MappedDisc):
         self.img = np.asarray(disc.images, dtype=float)
-        self.snap = tol * max(1.0, float(np.abs(self.img).max()))
+        self.snap = PLANE_SNAP_TOL * max(1.0, float(np.abs(self.img).max()))
         self.tris = np.asarray(disc.triangles).tolist()
         # per face: (u, v, other face) across each interior edge, (u, v) of each boundary edge
         self.joins = [[] for _ in self.tris]
@@ -138,19 +140,19 @@ class _PlaneSections:
 
 
 def check_plane(
-    disc: MappedDisc, normal, offset: float, tol: float = 1e-9, *, sections: _PlaneSections | None = None
+    disc: MappedDisc, normal, offset: float, *, sections: _PlaneSections | None = None
 ) -> list[dict]:
     """Components of either open side of a plane section that miss the boundary.
 
-    Vertices within ``tol`` (times the image scale) of the plane count as
-    lying on it; a component of the positive or negative open side is a
-    violation when none of its triangles shows a positively/negatively
+    Vertices within `PLANE_SNAP_TOL` (times the image scale) of the plane
+    count as lying on it; a component of the positive or negative open side
+    is a violation when none of its triangles shows a positively/negatively
     sliced boundary edge.  ``sections`` is the disc's adjacency read once,
     as `is_saddle_pl` shares it across its planes; by default it is read
-    from ``disc`` with ``tol``.
+    from ``disc``.
     """
     if sections is None:
-        sections = _PlaneSections(disc, tol)
+        sections = _PlaneSections(disc)
     return sections.violations(np.asarray(normal, dtype=float), offset)
 
 
@@ -205,8 +207,6 @@ def is_saddle_pl(
     disc: MappedDisc,
     extra_planes: int = 200,
     seed: int = 0,
-    tol: float = 1e-9,
-    nudge: float = 1e-7,
 ) -> SaddleVerdict:
     """Saddle verdict at mesh resolution.
 
@@ -214,16 +214,14 @@ def is_saddle_pl(
     offset also nudged both ways to break ties) plus seeded random planes.
     Degenerate (collinear) triples are skipped.  The witness is the first
     violation of the first violating plane, as `check_plane` lists them.
-    ``tol`` must be finite and >= 0: an infinite one puts every vertex on
-    every plane, and no plane finds a violation.
     """
     if extra_planes < 0:
         raise ValueError(f"extra_planes must be >= 0, got {extra_planes}")
     img = np.asarray(disc.images, dtype=float)
     if img.shape[1] != 3 or not isinstance(disc.target, EuclideanSpace):
         raise ValueError("the saddle predicate expects a disc mapped into Euclidean 3-space")
-    sections = _PlaneSections(disc, tol)
-    normals, offsets = _candidate_planes(disc, extra_planes, seed, nudge)
+    sections = _PlaneSections(disc)
+    normals, offsets = _candidate_planes(disc, extra_planes, seed, PLANE_NUDGE)
     for normal, offset in zip(normals, offsets):
         violations = check_plane(disc, normal, offset, sections=sections)
         if violations:
@@ -309,19 +307,14 @@ def hexagon_graph(disc: MappedDisc | None = None):
     )
 
 
-def shorten_by_rotation(
-    disc: MappedDisc,
-    epsilon: float,
-    refinement: int | None = None,
-    strict_tol: float = 1e-9,
-) -> tuple[MappedDisc, dict]:
+def shorten_by_rotation(disc: MappedDisc, epsilon: float) -> tuple[MappedDisc, dict]:
     """Rotate the central triangle about the symmetry axis and compare.
 
     Returns the deformed disc plus a report comparing the vertex length
-    matrices: for a validated counterclockwise ``epsilon`` no entry grows
-    beyond ``strict_tol`` and at least one entry strictly shrinks, which
-    witnesses that the original map admits a shortening deformation with
-    fixed boundary.  The clockwise behavior at ``-epsilon`` is recorded as
+    matrices, at the refinement of `HEXAGON_PARAMS`: for a validated
+    counterclockwise ``epsilon`` no entry grows beyond `SHORTEN_TOL` and at
+    least one entry strictly shrinks, which witnesses that the original map
+    admits a shortening deformation with fixed boundary.  The clockwise behavior at ``-epsilon`` is recorded as
     an observation.
     """
     if abs(epsilon) > HEXAGON_PARAMS["max_epsilon"]:
@@ -329,7 +322,7 @@ def shorten_by_rotation(
             f"rotation angle {epsilon} outside the validated range "
             f"(+-{HEXAGON_PARAMS['max_epsilon']})"
         )
-    r = refinement if refinement is not None else HEXAGON_PARAMS["refinement"]
+    r = HEXAGON_PARAMS["refinement"]
     boundary = disc.boundary_vertex_set()
     free = sorted(v for v in range(disc.n_vertices) if v not in boundary)
 
@@ -357,8 +350,8 @@ def shorten_by_rotation(
         "refinement": int(r),
         "max_increase": float(diff.max()),
         "max_strict_decrease": float((-diff).max()),
-        "pareto": bool(diff.max() <= strict_tol),
-        "strictly_shorter_somewhere": bool((-diff).max() > strict_tol),
+        "pareto": bool(diff.max() <= SHORTEN_TOL),
+        "strictly_shorter_somewhere": bool((-diff).max() > SHORTEN_TOL),
         "boundary_unchanged": bool(
             np.allclose(
                 np.asarray(deformed.images)[sorted(boundary)],

@@ -13,6 +13,7 @@ import numpy as np
 from .graphs import GraphInTarget
 from .majorize import PolyhedralDisc
 from .mesh import MappedDisc
+from .saddle import PLANE_SNAP_TOL
 
 __all__ = ["svg_parameter_domain", "svg_graph", "svg_disc_layout", "svg_plane_sections"]
 
@@ -57,9 +58,9 @@ class _Canvas:
         Path(path).write_text("\n".join(self.parts), encoding="utf-8")
 
 
-def _fit(points: np.ndarray, pad: float = 0.1):
-    lo = points.min(axis=0) - pad
-    hi = points.max(axis=0) + pad
+def _fit(points: np.ndarray):
+    lo = points.min(axis=0) - 0.1  # a margin around the points
+    hi = points.max(axis=0) + 0.1
     span = hi - lo
 
     def to_canvas(p):
@@ -69,15 +70,12 @@ def _fit(points: np.ndarray, pad: float = 0.1):
     return to_canvas, span
 
 
-def svg_parameter_domain(disc: MappedDisc, path, highlight=None) -> None:
+def svg_parameter_domain(disc: MappedDisc, path) -> None:
     """Triangulated parameter disc with its boundary loop and vertex ids."""
     to_canvas, span = _fit(disc.vertices)
     cv = _Canvas(span[0], span[1])
-    highlight = set(highlight or ())
-    for f, tri in enumerate(disc.triangles):
-        pts = [to_canvas(disc.vertices[v]) for v in tri]
-        fill = "#f7d4ac" if f in highlight else "#e8eef7"
-        cv.polygon(pts, fill=fill)
+    for tri in disc.triangles:
+        cv.polygon([to_canvas(disc.vertices[v]) for v in tri])
     loop = disc.boundary_loop
     for i in range(len(loop)):
         a = to_canvas(disc.vertices[loop[i]])
@@ -138,14 +136,15 @@ def svg_disc_layout(w: PolyhedralDisc, path) -> None:
     cv.write(path)
 
 
-def svg_plane_sections(disc: MappedDisc, normal, offset, path, tol: float = 1e-9) -> None:
-    """Parameter domain colored by the sign of the plane section."""
+def svg_plane_sections(disc: MappedDisc, normal, offset, path) -> None:
+    """Parameter domain colored by the sign of the plane section; vertices
+    snap onto the plane as in `saddle.check_plane`."""
     img = np.asarray(disc.images, dtype=float)
     n = np.asarray(normal, dtype=float)
     n = n / np.linalg.norm(n)
     g = img @ n - float(offset)
     scale = max(1.0, float(np.abs(img).max()))
-    g = np.where(np.abs(g) <= tol * scale, 0.0, g)
+    g = np.where(np.abs(g) <= PLANE_SNAP_TOL * scale, 0.0, g)
     to_canvas, span = _fit(disc.vertices)
     cv = _Canvas(span[0], span[1])
     for tri in disc.triangles:

@@ -229,19 +229,6 @@ def test_perturbation_needs_a_trial(trials):
         perturbation_evidence(patch, fa, trials=trials)
 
 
-@pytest.mark.parametrize(
-    "name, value",
-    [("amplitude", 0.0), ("amplitude", -0.05), ("amplitude", np.nan), ("amplitude", np.inf),
-     ("tol", -1e-9), ("tol", np.nan), ("tol", np.inf)],
-)
-def test_perturbation_rejects_a_vacuous_bump_or_tolerance(name, value):
-    # amplitude 0 made all-zero bumps and a PASS that measured nothing
-    patch = bilinear_saddle_patch(0.5, 16, coef=1.0)
-    fa = solve_field_system(patch)
-    with pytest.raises(ValueError, match=name):
-        perturbation_evidence(patch, fa, trials=3, **{name: value})
-
-
 def test_perturbation_zero_is_equality():
     patch = bilinear_saddle_patch(0.5, 16, coef=1.0)
     fa = solve_field_system(patch)

@@ -848,3 +848,93 @@ def test_jsonable_rejects_nan_in_arrays():
                 {"m": np.array([math.nan])}):
         with pytest.raises(ValueError):
             jsonable(bad)
+
+
+# --------------------------------------------------------------- tolerance block
+
+
+def _hexagon_graph_instance(path):
+    from catmin.saddle import hexagon_graph
+
+    save_instance(graph_instance(hexagon_graph()), path)
+    return path
+
+
+def _edited(doc_path, path, edit):
+    doc = load_instance(doc_path)
+    edit(doc)
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("command, source", [
+    ("check-cat0", "cone_5pi2.json"),
+    ("metrics", "hexagon.json"),
+    ("build-disc", "pinwheel graph"),
+    ("minimize-graph", "pinwheel graph"),
+])
+def test_cli_instance_without_tolerances_reads_the_defaults(tmp_path, command, source):
+    # validate accepted the file, and the command died with KeyError: 'tolerances'
+    src = fixture_path(source) if source.endswith(".json") else _hexagon_graph_instance(tmp_path / "g.json")
+    bare = _edited(src, tmp_path / "bare.json", lambda d: d.pop("tolerances"))
+    assert run_cli("validate", "--in", str(bare), "--out", str(tmp_path / "v.json")) == 0
+    want, got = tmp_path / "want.json", tmp_path / "got.json"
+    assert run_cli(command, "--in", str(src), "--out", str(want)) == 0
+    assert run_cli(command, "--in", str(bare), "--out", str(got)) == 0
+    assert got.read_bytes() == want.read_bytes()
+
+
+def test_cli_boolean_tolerance_is_malformed(tmp_path, capsys):
+    # isinstance(True, int) holds, so "angle": true validated and check-cat0
+    # read it as 1.0
+    inst = _edited(fixture_path("cone_3pi2.json"), tmp_path / "bool.json",
+                   lambda d: d["tolerances"].update(angle=True))
+    out = tmp_path / "v.json"
+    assert run_cli("validate", "--in", str(inst), "--out", str(out)) == 1
+    assert load_instance(out)["diagnostics"] == ["tolerance 'angle' must be a finite nonnegative number"]
+    capsys.readouterr()
+    report = tmp_path / "r.json"
+    assert run_cli("check-cat0", "--in", str(inst), "--out", str(report)) == 2
+    assert capsys.readouterr().err.startswith("input error: ")
+    assert not report.exists()
+
+
+def test_cli_key_lemma_reads_the_tolerance_block(tmp_path):
+    inst = _edited(fixture_path("hexagon.json"), tmp_path / "h.json",
+                   lambda d: d["tolerances"].update(descent=0.5, angle=0.5))
+    out = tmp_path / "r.json"
+    assert run_cli("key-lemma", "--in", str(inst), "--sample", "0", "2", "4", "6", "--out", str(out)) == 0
+    assert load_instance(out)["certificate"]["tolerances"] == {"angle": 0.5, "descent": 0.5}
+
+
+def test_cli_minimize_graph_reads_the_tolerance_angle(tmp_path):
+    from catmin.saddle import hexagon_graph
+
+    inst = tmp_path / "g.json"
+    save_instance(graph_instance(hexagon_graph(), tolerances={"angle": 0.5}), inst)
+    out = tmp_path / "r.json"
+    assert run_cli("minimize-graph", "--in", str(inst), "--out", str(out)) == 0
+    assert load_instance(out)["certificate"]["tolerances"] == {"angle": 0.5, "descent": 1e-8}
+
+
+def test_parse_instance_merges_the_tolerance_block_over_the_defaults():
+    from catmin.instances import DEFAULT_TOLERANCES
+
+    doc = flat_instance()
+    doc["tolerances"] = {"angle": 0.25, "verify": 1e-9}
+    _, _, parsed = parse_instance(doc)
+    assert parsed["tolerances"] == {"zero": 1e-9, "descent": 1e-8, "angle": 0.25, "verify": 1e-9}
+    assert doc["tolerances"] == {"angle": 0.25, "verify": 1e-9}
+    del doc["tolerances"]
+    assert parse_instance(doc)[2]["tolerances"] == DEFAULT_TOLERANCES
+
+
+def test_builders_write_the_tolerances_that_commands_read():
+    from catmin import induced, majorize, minimize
+    from catmin.instances import DEFAULT_TOLERANCES
+
+    assert DEFAULT_TOLERANCES == {
+        "zero": induced.ZERO_TOL, "descent": minimize.DESCENT_TOL, "angle": majorize.ANGLE_TOL,
+    }
+    for doc in _builder_documents():
+        assert set(doc["tolerances"]) == {"zero", "descent", "angle"}, doc["kind"]

@@ -530,3 +530,18 @@ def test_faces_euler_and_outer_detection():
     assert sorted(set(outer)) == [0, 1, 2, 3]
     bounded = [w for w in walks if w != outer]
     assert sorted(len(w) for w in bounded) == [3, 3]
+
+
+@pytest.mark.parametrize("bad", [-1.0, float("inf"), float("nan")])
+def test_relax_rejects_a_bad_tol_angle_before_sweeping(bad, monkeypatch):
+    swept = []
+    monkeypatch.setattr(minimize, "descent_direction", lambda units: swept.append(units))
+    with pytest.raises(ValueError, match="tol_angle"):
+        relax(grid_geodesic_graph(), tol_angle=bad)
+    assert swept == []
+
+
+def test_relax_certificate_holds_to_its_tol_angle():
+    _, cert = relax(grid_geodesic_graph(), tol_angle=0.25)
+    assert cert.summary()["tolerances"] == {"descent": 1e-8, "angle": 0.25}
+    assert cert.valid == (cert.worst_t_star <= 1e-8 and cert.worst_angle_deficit <= 0.25)

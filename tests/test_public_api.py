@@ -2,6 +2,7 @@ import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -160,3 +161,99 @@ def test_every_definition_is_used_in_the_package():
     assert sorted(unused - USED_FROM_OUTSIDE) == []
     # used in the package now: drop it from the list
     assert sorted(USED_FROM_OUTSIDE - unused) == []
+
+
+# Keyword parameters with a default that no call in src/catmin, bench/ or
+# tools/ sets, each with the reason it stays.  Every other one is a setting
+# some caller chooses; a default that nothing overrides is a constant.
+_FIXTURE_SHAPE = "a shape parameter of a fixture generator"
+_INSTANCE_CONTENT = "what an instance builder writes besides the object"
+_DRAWING_STYLE = "a drawing default of the private SVG canvas"
+UNSET_ON_PURPOSE = {
+    "induced.connecting_on_graph(exact_limit)":
+        "the oracle comparisons force the exact or the bracketed search through it (ROADMAP item 11)",
+    "fields.energy(values)": "tests/oracles.py and the energy tests evaluate perturbed values through it",
+    "pseudometric.verify_pseudometric(tol)": "the oracle comparison checks it at other tolerances",
+    "fields.difference_saddle_patch(half_width)": _FIXTURE_SHAPE,
+    "fields.difference_saddle_patch(n)": _FIXTURE_SHAPE,
+    "majorize.cone_disc(radius)": _FIXTURE_SHAPE,
+    "meshgen.random_height_disc(dim)": _FIXTURE_SHAPE,
+    "meshgen.random_height_disc(height_scale)": _FIXTURE_SHAPE,
+    "meshgen.paraboloid_cap_disc(n_rim)": _FIXTURE_SHAPE,
+    "meshgen.paraboloid_cap_disc(rings)": _FIXTURE_SHAPE,
+    "instances.mapped_disc_instance(sample)": _INSTANCE_CONTENT,
+    "instances.mapped_disc_instance(tolerances)": _INSTANCE_CONTENT,
+    "instances.graph_instance(tolerances)": _INSTANCE_CONTENT,
+    "instances.graph_instance(metadata)": _INSTANCE_CONTENT,
+    "instances.patch_instance(tolerances)": _INSTANCE_CONTENT,
+    "instances.patch_instance(metadata)": _INSTANCE_CONTENT,
+    "instances.poly_disc_instance(tolerances)": _INSTANCE_CONTENT,
+    "instances.poly_disc_instance(metadata)": _INSTANCE_CONTENT,
+    "svgout._Canvas.polygon(stroke)": _DRAWING_STYLE,
+    "svgout._Canvas.polygon(width)": _DRAWING_STYLE,
+    "svgout._Canvas.text(fill)": _DRAWING_STYLE,
+}
+
+def _call_name(call: ast.Call) -> str | None:
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+
+
+def _sets(call: ast.Call, name: str, position: int | None) -> bool:
+    """Whether ``call`` sets the parameter ``name`` (at ``position`` among
+    the positional arguments it receives, None for keyword-only)."""
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    if position is None:
+        return False
+    return any(isinstance(a, ast.Starred) for a in call.args) or len(call.args) > position
+
+
+def _defaulted_parameters(tree: ast.Module):
+    """(qualified function name, call name, parameter, position) of each
+    parameter with a default, in every function and method; a method's
+    position skips self, and ``__init__`` is called by its class's name."""
+    def visit(node, cls, prefix):
+        for sub in ast.iter_child_nodes(node):
+            if isinstance(sub, ast.ClassDef):
+                yield from visit(sub, sub.name, f"{prefix}{sub.name}.")
+            elif isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = sub.args
+                positional = args.posonlyargs + args.args
+                skip = 1 if cls and positional and positional[0].arg in ("self", "cls") else 0
+                called = cls if cls and sub.name == "__init__" else sub.name
+                for arg in positional[len(positional) - len(args.defaults):]:
+                    yield f"{prefix}{sub.name}", called, arg.arg, positional.index(arg) - skip
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        yield f"{prefix}{sub.name}", called, arg.arg, None
+                yield from visit(sub, None, f"{prefix}{sub.name}.")
+            else:
+                yield from visit(sub, cls, prefix)
+
+    yield from visit(tree, None, "")
+
+
+def test_every_keyword_default_is_set_by_some_caller():
+    # calls are matched by bare name, as uses are above
+    root = Path(__file__).resolve().parents[1]
+    trees = {name: ast.parse(inspect.getsource(importlib.import_module(f"catmin.{name}"))) for name in MODULES}
+    callers = list(trees.values()) + [
+        ast.parse(path.read_text(encoding="utf-8"))
+        for folder in ("bench", "tools") for path in sorted((root / folder).glob("*.py"))
+    ]
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in callers:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and _call_name(node):
+                calls.setdefault(_call_name(node), []).append(node)
+    unset = {
+        f"{module}.{qualified}({name})"
+        for module, tree in trees.items()
+        for qualified, called, name, position in _defaulted_parameters(tree)
+        if not any(_sets(call, name, position) for call in calls.get(called, []))
+    }
+    # set by no caller: set it somewhere, make it a constant, or list it
+    assert sorted(unset - set(UNSET_ON_PURPOSE)) == []
+    # set by a caller now: drop it from the list
+    assert sorted(set(UNSET_ON_PURPOSE) - unset) == []

@@ -199,16 +199,6 @@ def test_check_plane_rejects_zero_normal():
         check_plane(flat_disc(), (0.0, 0.0, 0.0), 0.0)
 
 
-@pytest.mark.parametrize("tol", [math.inf, math.nan, -1.0])
-def test_saddle_predicate_rejects_a_non_finite_or_negative_tol(tol):
-    # an infinite tol puts every vertex on every plane: the cap passed
-    cap = paraboloid_cap_disc()
-    with pytest.raises(ValueError, match="tol"):
-        is_saddle_pl(cap, tol=tol)
-    with pytest.raises(ValueError, match="tol"):
-        check_plane(cap, (0.0, 0.0, 1.0), 0.5, tol=tol)
-
-
 @pytest.mark.parametrize("planes", [-1, -3])
 def test_is_saddle_rejects_negative_extra_planes(planes):
     with pytest.raises(ValueError, match="extra_planes"):
