@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 import numpy as np
@@ -23,17 +22,21 @@ from .saddle import hexagon_counterexample, is_saddle_pl, shorten_by_rotation
 from .pseudometric import verify_pseudometric
 
 
-class InputError(Exception):
-    pass
+class InputError(ValueError):
+    """Malformed input, exit 2."""
+
+
+def _read(path) -> dict:
+    """The JSON document at ``path``; an unreadable, non-UTF-8 or too deeply nested file is malformed."""
+    try:
+        return instances.load_instance(path)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise InputError(f"cannot read instance {path}: {exc}") from exc
 
 
 def _load(path, want_kind):
     try:
-        doc = instances.load_instance(path)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read instance {path}: {exc}") from exc
-    try:
-        kind, obj, doc = instances.parse_instance(doc)
+        kind, obj, doc = instances.parse_instance(_read(path))
     except instances.InstanceError as exc:
         raise InputError(f"invalid instance {path}: " + "; ".join(exc.problems)) from exc
     if kind != want_kind:
@@ -280,11 +283,7 @@ def cmd_perturb(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    try:
-        doc = instances.load_instance(args.infile)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read instance {args.infile}: {exc}") from exc
-    problems = instances.validate_instance(doc)
+    problems = instances.validate_instance(_read(args.infile))
     _emit({"command": "validate", "diagnostics": problems, "pass": not problems}, args.out)
     return 0 if not problems else 1
 
@@ -362,14 +361,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
     except GlueError as exc:
         # a well-formed instance whose faces cannot be glued: a FAIL verdict
         print(f"FAIL (glue): {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except ValueError as exc:  # an InputError among them
         print(f"input error: {exc}", file=sys.stderr)
         return 2
 

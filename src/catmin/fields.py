@@ -51,6 +51,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .targets import invalid
+
 __all__ = [
     "HeightFieldPatch",
     "FieldArray",
@@ -80,7 +82,8 @@ class FieldSystemError(RuntimeError):
 
 @dataclass
 class HeightFieldPatch:
-    """Uniform rectangular grid carrying a map into Euclidean 3-space."""
+    """Uniform rectangular grid carrying a map into Euclidean 3-space; a
+    malformed one raises a ValueError whose ``problems`` names its fault."""
 
     x: np.ndarray
     y: np.ndarray
@@ -92,15 +95,15 @@ class HeightFieldPatch:
         self.values = np.asarray(self.values, dtype=float)
         for arr, name in ((self.x, "x"), (self.y, "y"), (self.values, "values")):
             if not np.isfinite(arr).all():
-                raise ValueError(f"{name} must be finite")
+                raise invalid(self, [f"{name} must be finite"])
         if self.values.shape != (self.x.size, self.y.size, 3):
-            raise ValueError("values must have shape (len(x), len(y), 3)")
+            raise invalid(self, ["values must have shape (len(x), len(y), 3)"])
         for coords, name in ((self.x, "x"), (self.y, "y")):
             if coords.size < 5:
-                raise ValueError(f"{name} grid needs at least 5 nodes for stencils")
+                raise invalid(self, [f"{name} grid needs at least 5 nodes for stencils"])
             steps = np.diff(coords)
             if steps.min() <= 0 or np.ptp(steps) > 1e-9 * abs(steps[0]):
-                raise ValueError(f"{name} grid must be uniform and increasing")
+                raise invalid(self, [f"{name} grid must be uniform and increasing"])
 
     @property
     def hx(self) -> float:

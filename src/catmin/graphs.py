@@ -183,6 +183,7 @@ class GraphInTarget:
     def __post_init__(self):
         self.edges = sorted((min(int(u), int(v)), max(int(u), int(v))) for u, v in self.edges)
         self.pinned = {int(v) for v in self.pinned}
+        self.rotation = [[int(w) for w in rot] for rot in self.rotation]
         self.points = [np.asarray(p, dtype=float) for p in self.points]
         if self.positions is not None:
             self.positions = np.asarray(self.positions, dtype=float)
@@ -216,6 +217,8 @@ class GraphInTarget:
     def _diagnose(self) -> list[str]:
         problems: list[str] = []
         n = self.n_vertices
+        if n == 0:
+            return ["graph has no vertices"]
         for v, p in enumerate(self.points):
             if not (np.isfinite(p).all() and self.target.contains(p)):
                 problems.append(f"points[{v}] is not a finite point of {self.target!r}")
@@ -224,6 +227,10 @@ class GraphInTarget:
                 problems.append(f"edge ({u},{v}) out of range")
             if u == v:
                 problems.append(f"loop edge at {u}")
+        problems += [f"pinned vertex {v} out of range" for v in sorted(self.pinned) if not 0 <= v < n]
+        if self.positions is not None and not (
+                self.positions.shape == (n, 2) and np.isfinite(self.positions).all()):
+            problems.append("positions must be finite (n, 2) parameter coordinates")
         if problems:
             return problems
         nbrs = self.neighbors()
@@ -235,18 +242,16 @@ class GraphInTarget:
                 problems.append(f"rotation at {v} is not a permutation of its neighbors")
         if problems:
             return problems
-        # connectivity
-        if n > 0:
-            seen = {0}
-            stack = [0]
-            while stack:
-                x = stack.pop()
-                for y in nbrs[x]:
-                    if y not in seen:
-                        seen.add(y)
-                        stack.append(y)
-            if len(seen) != n:
-                problems.append("graph is not connected")
+        seen = {0}
+        stack = [0]
+        while stack:
+            x = stack.pop()
+            for y in nbrs[x]:
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        if len(seen) != n:
+            problems.append("graph is not connected")
         return problems
 
     def spherical_diagnostics(self) -> list[str]:

@@ -75,7 +75,10 @@ def length_pseudometric(
     """Shortest image length of refined-mesh paths between original vertices.
 
     Monotone non-increasing along nested refinements (r, 2r, 4r, ...) since
-    every coarse sub-edge is a union of collinear finer ones.
+    every coarse sub-edge is a union of collinear finer ones.  Its limit is
+    not the paper's length pseudometric |.|_s: the sub-edges run only along
+    each face's three sides, so on a face the limit is a hexagonal-norm
+    metric (ROADMAP item 12).  It bounds |.|_s from above on the vertices.
     """
     g = graph if graph is not None else build_refined_graph(disc, refinement)
     dist = g.shortest_paths(g.orig_index)

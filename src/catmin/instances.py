@@ -13,18 +13,21 @@ apart, and the document shares them with the object it describes.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
 import re
+import reprlib
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .fields import HeightFieldPatch
 from .graphs import GraphInTarget
 from .induced import ZERO_TOL
-from .majorize import ANGLE_TOL, GlueError, PolyhedralDisc
+from .majorize import ANGLE_TOL, PolyhedralDisc
 from .mesh import MappedDisc
 from .minimize import DESCENT_TOL
 from .targets import EuclideanSpace
@@ -110,14 +113,6 @@ def _jsonable(obj, spliced: list | None):
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def _parse_floats(obj):
-    if isinstance(obj, list):
-        return [_parse_floats(v) for v in obj]
-    if isinstance(obj, str) and obj in ("inf", "-inf"):
-        return float(obj)
-    return obj
-
-
 # A spliced array's marker: JSON escapes the NUL, so in the dumped text the
 # marker of array i reads "\u0000i", quotes included.
 _MARK = "\x00"
@@ -186,26 +181,80 @@ def load_instance(path) -> dict:
     return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
-def _target_doc(target) -> dict:
-    if isinstance(target, EuclideanSpace):
-        return {"type": "euclidean", "dimension": target.dimension}
-    raise TypeError("only Euclidean targets are declared in instance files")
+# ------------------------------------------------------------------ the schema
+
+_INT, _FLOAT = "integer", "number"
 
 
-def _target_from(doc: dict) -> EuclideanSpace:
-    if doc.get("type") != "euclidean":
-        raise ValueError(f"unsupported target type {doc.get('type')!r}")
-    return EuclideanSpace(int(doc["dimension"]))
+class _Field(NamedTuple):
+    """A key's entries (`_INT`: JSON integers; `_FLOAT`: JSON numbers, "inf"
+    or "-inf"; a tuple: one of these per column of a row), its size per axis
+    (None: any, the first row's for every row unless ``ragged``), and whether
+    it may be absent or null."""
+
+    elem: str | tuple
+    shape: tuple = ()
+    ragged: bool = False
+    optional: bool = False
 
 
-def _base(kind: str, target, tolerances, sample, metadata) -> dict:
+# kind: (its constructor, which takes the payload's fields as keywords, and the
+# target if the kind declares one; whether it does; payload and top-level fields)
+_KINDS = {
+    "mapped_disc": (MappedDisc, True, {
+        "vertices": _Field(_FLOAT, (None, 2)),
+        "triangles": _Field(_INT, (None, 3)),
+        "boundary_loop": _Field(_INT, (None,)),
+        "images": _Field(_FLOAT, (None, None)),
+    }, {"sample": _Field(_INT, (None,), optional=True)}),
+    "graph": (GraphInTarget, True, {
+        "points": _Field(_FLOAT, (None, None), ragged=True),
+        "edges": _Field(_INT, (None, 2)),
+        "pinned": _Field(_INT, (None,)),
+        "rotation": _Field(_INT, (None, None), ragged=True),
+        "positions": _Field(_FLOAT, (None, 2), optional=True),
+    }, {}),
+    "patch": (HeightFieldPatch, False, {
+        "x": _Field(_FLOAT, (None,)),
+        "y": _Field(_FLOAT, (None,)),
+        "values": _Field(_FLOAT, (None, None, 3)),
+    }, {}),
+    "polyhedral_disc": (PolyhedralDisc, False, {
+        "tri_coords": _Field(_FLOAT, (None, 3, 2)),
+        "tri_vertices": _Field(_INT, (None, 3)),
+        "gluings": _Field(_INT, (None, 2, 2)),
+        "bridges": _Field((_INT, _INT, _FLOAT), (None, 3)),
+        "boundary_walk": _Field(_INT, (None,)),
+        "boundary_lengths": _Field(_FLOAT, (None,)),
+        "n_vertices": _Field(_INT),
+    }, {}),
+}
+_HEADER_KEYS = {"format_version", "kind", "tolerances", "metadata", "payload"}
+# older files carry the last two; they are checked as tolerances and read by no command
+_TOLERANCE_KEYS = {*DEFAULT_TOLERANCES, "geodesic", "verify"}
+
+
+def _written(value):
+    """A payload value as written: arrays as they are; lists, tuples and sets (sorted) as new lists, deeply."""
+    if isinstance(value, (list, tuple, set)):
+        return [_written(v) for v in (sorted(value) if isinstance(value, set) else value)]
+    return value
+
+
+def _instance(kind: str, obj, tolerances, sample, metadata) -> dict:
+    """The document of ``obj``: each payload key of its kind is the
+    attribute of that name, which the kind's constructor took."""
+    _, has_target, payload_fields, _ = _KINDS[kind]
     doc = {
         "format_version": FORMAT_VERSION,
         "kind": kind,
         "tolerances": dict(DEFAULT_TOLERANCES, **(tolerances or {})),
+        "payload": {key: _written(getattr(obj, key)) for key in payload_fields},
     }
-    if target is not None:
-        doc["target"] = _target_doc(target)
+    if has_target:
+        if not isinstance(obj.target, EuclideanSpace):
+            raise TypeError("only Euclidean targets are declared in instance files")
+        doc["target"] = {"type": "euclidean", "dimension": obj.target.dimension}
     if sample is not None:
         doc["sample"] = [int(v) for v in sample]
     if metadata:
@@ -214,50 +263,19 @@ def _base(kind: str, target, tolerances, sample, metadata) -> dict:
 
 
 def mapped_disc_instance(disc: MappedDisc, sample=None, tolerances=None, metadata=None) -> dict:
-    doc = _base("mapped_disc", disc.target, tolerances, sample, metadata)
-    doc["payload"] = {
-        "vertices": disc.vertices,
-        "triangles": disc.triangles,
-        "boundary_loop": [int(v) for v in disc.boundary_loop],
-        "images": disc.images,
-    }
-    return doc
+    return _instance("mapped_disc", disc, tolerances, sample, metadata)
 
 
 def graph_instance(g: GraphInTarget, tolerances=None, metadata=None) -> dict:
-    doc = _base("graph", g.target, tolerances, None, metadata)
-    doc["payload"] = {
-        "points": list(g.points),
-        "edges": [[int(u), int(v)] for u, v in g.edges],
-        "pinned": sorted(int(v) for v in g.pinned),
-        "rotation": [[int(w) for w in rot] for rot in g.rotation],
-        "positions": g.positions,
-    }
-    return doc
+    return _instance("graph", g, tolerances, None, metadata)
 
 
 def patch_instance(patch: HeightFieldPatch, tolerances=None, metadata=None) -> dict:
-    doc = _base("patch", None, tolerances, None, metadata)
-    doc["payload"] = {
-        "x": patch.x,
-        "y": patch.y,
-        "values": patch.values,
-    }
-    return doc
+    return _instance("patch", patch, tolerances, None, metadata)
 
 
 def poly_disc_instance(w: PolyhedralDisc, tolerances=None, metadata=None) -> dict:
-    doc = _base("polyhedral_disc", None, tolerances, None, metadata)
-    doc["payload"] = {
-        "tri_coords": list(w.tri_coords),
-        "tri_vertices": [[int(a) for a in tri] for tri in w.tri_vertices],
-        "gluings": [[[int(f1), int(s1)], [int(f2), int(s2)]] for (f1, s1), (f2, s2) in w.gluings],
-        "bridges": [[int(u), int(v), float(ln)] for u, v, ln in w.bridges],
-        "boundary_walk": [int(v) for v in w.boundary_walk],
-        "boundary_lengths": list(w.boundary_lengths),
-        "n_vertices": int(w.n_vertices),
-    }
-    return doc
+    return _instance("polyhedral_disc", w, tolerances, None, metadata)
 
 
 class InstanceError(ValueError):
@@ -283,158 +301,125 @@ def parse_instance(doc: dict):
     return doc["kind"], obj, {**doc, "tolerances": {**DEFAULT_TOLERANCES, **doc.get("tolerances", {})}}
 
 
-_KINDS = {"mapped_disc", "graph", "patch", "polyhedral_disc"}
-_TARGET_KINDS = {"mapped_disc", "graph"}
-
-
 def validate_instance(doc) -> list[str]:
     """Schema and invariant diagnostics in deterministic order."""
     return _check_instance(doc)[0]
 
 
+def _unknown(where: str, obj: dict, known) -> list[str]:
+    return [f"{where}unknown key {key!r}" for key in sorted(set(obj) - set(known))]
+
+
+def _fit(entries: list, elem, shape: tuple) -> bool:
+    """Whether each of ``entries`` is a nested list of ``shape`` with entries of
+    type ``elem``, checked a level at a time across all of them at once."""
+    for size in shape:
+        if not ({list}.issuperset(map(type, entries)) and (size is None or {size}.issuperset(map(len, entries)))):
+            return False
+        entries = list(itertools.chain.from_iterable(entries))
+    if isinstance(elem, tuple):  # one type per column of the last axis
+        return all(_fit(entries[k::len(elem)], e, ()) for k, e in enumerate(elem))
+    numbers = {int, float} if elem == _FLOAT else {int}
+    return numbers.issuperset(map(type, entries)) or elem == _FLOAT and all(
+        type(x) in numbers or type(x) is str and x in ("inf", "-inf") for x in entries)
+
+
+def _describe(elem, shape: tuple) -> str:
+    """'an integer', 'a list of 3 lists of 2 numbers' and the like."""
+    if not shape:
+        return ("an " if elem == _INT else "a ") + elem
+    if isinstance(elem, tuple) and len(shape) == 1:
+        return "a list [" + ", ".join(elem) + "]"
+    word, _, rest = _describe(elem, shape[1:]).split(" ", 1)[1].partition(" ")
+    size = "" if shape[0] is None else f"{shape[0]} "
+    return f"a list of {size}{word}s" + (rest and f" {rest}")
+
+
+def _read(where: str, value, field: _Field):
+    """``value`` as an array of the field's type and shape (a list of 1-d
+    arrays when ragged; a scalar as it is).  Raises a ValueError naming the
+    first entry that does not fit.  A builder's document holds arrays, or
+    lists of them, where a file holds nested lists: they are read as such."""
+    elem, shape = field.elem, field.shape
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    elif type(value) is list and value and isinstance(value[0], np.ndarray):
+        value = [v.tolist() if isinstance(v, np.ndarray) else v for v in value]
+    if not (type(value) is list if shape else _fit([value], elem, ())):
+        raise ValueError(f"{where}: {reprlib.repr(value)} is not {_describe(elem, shape)}")
+    if not shape:
+        return value
+    rows = shape[1:]
+    if rows[:1] == (None,) and not field.ragged and value and type(value[0]) is list:
+        rows = (len(value[0]),) + rows[1:]
+    if not _fit(value, elem, rows):
+        i = next(i for i, row in enumerate(value) if not _fit([row], elem, rows))
+        raise ValueError(f"{where}[{i}]: {reprlib.repr(value[i])} is not {_describe(elem, rows)}")
+    dtype = np.int64 if elem == _INT else float
+    try:
+        if field.ragged:
+            return [np.array(row, dtype=dtype) for row in value]
+        return np.array(value, dtype=dtype).reshape(len(value), *(size or 0 for size in rows))
+    except OverflowError:
+        raise ValueError(f"{where}: an entry is too large") from None
+
+
 def _check_instance(doc) -> tuple[list[str], object]:
-    """Diagnostics of ``doc`` and the typed object they were read from
-    (None when the payload cannot be read)."""
-    problems: list[str] = []
-    obj = None
+    """Diagnostics of ``doc`` and the object read from it (None when there
+    are diagnostics): the header first, then each field of the kind's table;
+    the kind's constructor checks every range, index and topology invariant."""
     if not isinstance(doc, dict):
         return ["instance must be a JSON object"], None
-    if doc.get("format_version") != FORMAT_VERSION:
+    problems: list[str] = []
+    if type(doc.get("format_version")) is not int or doc["format_version"] != FORMAT_VERSION:
         problems.append(f"format_version must be {FORMAT_VERSION}")
-    kind = doc.get("kind")
-    if kind not in _KINDS:
+    if type(doc.get("kind")) is not str or doc["kind"] not in _KINDS:
         problems.append(f"kind must be one of {sorted(_KINDS)}")
         return problems, None
+    build, has_target, payload_fields, top_fields = _KINDS[doc["kind"]]
+    problems += _unknown("", doc, _HEADER_KEYS | top_fields.keys() | ({"target"} if has_target else set()))
     tols = doc.get("tolerances", {})
     if not isinstance(tols, dict):
         problems.append("tolerances must be an object")
     else:
-        for key in sorted(tols):
-            val = tols[key]
-            if isinstance(val, bool) or not isinstance(val, (int, float)) or not 0 <= val < math.inf:
+        problems += _unknown("tolerances: ", tols, _TOLERANCE_KEYS)
+        for key in sorted(_TOLERANCE_KEYS.intersection(tols)):
+            if type(tols[key]) not in (int, float) or not 0 <= tols[key] < math.inf:
                 problems.append(f"tolerance '{key}' must be a finite nonnegative number")
-    if kind in _TARGET_KINDS:
-        target = doc.get("target")
-        if not isinstance(target, dict) or target.get("type") != "euclidean":
-            problems.append("target must declare type 'euclidean'")
-        elif not isinstance(target.get("dimension"), int) or target["dimension"] < 1:
+    target = doc.get("target")
+    if has_target and (not isinstance(target, dict) or target.get("type") != "euclidean"):
+        problems.append("target must declare type 'euclidean'")
+    elif has_target:
+        problems += _unknown("target: ", target, ("type", "dimension"))
+        if type(target.get("dimension")) is not int or target["dimension"] < 1:
             problems.append("target.dimension must be a positive integer")
     payload = doc.get("payload")
     if not isinstance(payload, dict):
         problems.append("payload missing")
-        return problems, None
     if problems:
         return problems, None
 
-    if kind == "mapped_disc":
-        try:
-            vertices = np.asarray(payload["vertices"], dtype=float)
-            triangles = np.asarray(payload["triangles"], dtype=int)
-            images = np.asarray(payload["images"], dtype=float)
-            loop = [int(v) for v in payload["boundary_loop"]]
-        except (KeyError, ValueError, TypeError) as exc:
-            return [f"payload field error: {exc}"], None
-        n = len(vertices)
-        if triangles.size and (triangles.min() < 0 or triangles.max() >= n):
-            problems.append("payload.triangles: vertex index out of range")
-        if any(v < 0 or v >= n for v in loop):
-            problems.append("payload.boundary_loop: vertex index out of range")
-        if len(images) != n:
-            problems.append("payload.images: one image per vertex required")
-        if not problems:
-            try:
-                obj = MappedDisc(vertices, triangles, loop, images, _target_from(doc["target"]))
-            except ValueError as exc:
-                problems.extend("payload: " + p for p in exc.problems)
-        sample = doc.get("sample")
-        if sample is not None:
-            for v in sample:
-                if not isinstance(v, int) or v < 0 or v >= n:
-                    problems.append(f"sample: vertex index {v} out of range")
-                    break
-    elif kind == "graph":
-        try:
-            points = payload["points"]
-            edges = payload["edges"]
-            rotation = payload["rotation"]
-            pinned = payload["pinned"]
-        except KeyError as exc:
-            return [f"payload field missing: {exc}"], None
-        for name, value in (("points", points), ("edges", edges), ("rotation", rotation), ("pinned", pinned)):
-            if not isinstance(value, (list, tuple)):
-                return [f"payload.{name} must be a list"], None
-        n = len(points)
-        coords = []
-        for v, p in enumerate(points):
-            try:
-                coords.append(np.asarray(p, dtype=float))
-            except (TypeError, ValueError):
-                problems.append(f"payload.points: entry {p} of vertex {v} is not a point")
-                break
-        for edge in edges:
-            if (not isinstance(edge, (list, tuple)) or len(edge) != 2
-                    or not all(isinstance(x, int) for x in edge)):
-                problems.append(f"payload.edges: entry {edge} is not a pair of vertex indices")
-                break
-            u, v = edge
-            if not (0 <= u < n and 0 <= v < n):
-                problems.append(f"payload.edges: index ({u},{v}) out of range")
-                break
-        for v in pinned:
-            if not isinstance(v, int):
-                problems.append(f"payload.pinned: entry {v!r} is not a vertex index")
-                break
-            if not 0 <= v < n:
-                problems.append(f"payload.pinned: index {v} out of range")
-                break
-        if len(rotation) != n:
-            problems.append("payload.rotation must list every vertex")
-        for v, rot in enumerate(rotation):
-            if not isinstance(rot, (list, tuple)) or not all(isinstance(w, int) for w in rot):
-                problems.append(f"payload.rotation: entry {rot} of vertex {v} is not a list of vertex indices")
-                break
-            if not all(0 <= w < n for w in rot):
-                problems.append(f"payload.rotation: entry {rot} of vertex {v} has an index out of range")
-                break
-        if not problems:
-            try:
-                obj = GraphInTarget(
-                    points=coords,
-                    edges=[(int(u), int(v)) for u, v in edges],
-                    pinned=set(int(v) for v in pinned),
-                    rotation=[[int(w) for w in rot] for rot in rotation],
-                    target=_target_from(doc["target"]),
-                    positions=np.asarray(payload["positions"], dtype=float)
-                    if payload.get("positions") is not None
-                    else None,
-                )
-            except ValueError as exc:
-                problems.extend("payload: " + p for p in exc.problems)
-    elif kind == "patch":
-        try:
-            obj = HeightFieldPatch(
-                x=np.asarray(_parse_floats(payload["x"]), dtype=float),
-                y=np.asarray(_parse_floats(payload["y"]), dtype=float),
-                values=np.asarray(_parse_floats(payload["values"]), dtype=float),
-            )
-        except (KeyError, ValueError, TypeError) as exc:
-            problems.append(f"payload: {exc}")
-    elif kind == "polyhedral_disc":
-        try:
-            obj = PolyhedralDisc(
-                tri_coords=[np.asarray(c, dtype=float) for c in payload["tri_coords"]],
-                tri_vertices=[tuple(int(a) for a in tri) for tri in payload["tri_vertices"]],
-                gluings=[
-                    ((int(p[0][0]), int(p[0][1])), (int(p[1][0]), int(p[1][1])))
-                    for p in payload["gluings"]
-                ],
-                bridges=[(int(u), int(v), float(ln)) for u, v, ln in payload["bridges"]],
-                boundary_walk=[int(v) for v in payload["boundary_walk"]],
-                boundary_lengths=[float(x) for x in payload["boundary_lengths"]],
-                n_vertices=int(payload["n_vertices"]),
-            )
-        except GlueError as exc:
-            problems.extend("payload: " + p for p in exc.problems)
-        except (KeyError, ValueError, TypeError) as exc:
-            problems.append(f"payload: {exc}")
-    return problems, obj
+    problems += _unknown("payload: ", payload, payload_fields)
+    args, top = {}, {}
+    for prefix, block, fields, out in (("payload.", payload, payload_fields, args), ("", doc, top_fields, top)):
+        for key, field in fields.items():
+            if block.get(key) is None:
+                if not field.optional:
+                    problems.append(f"{prefix}{key} missing")
+            else:
+                try:
+                    out[key] = _read(prefix + key, block[key], field)
+                except ValueError as exc:
+                    problems.append(str(exc))
+    if problems:
+        return problems, None
+    if has_target:
+        args["target"] = EuclideanSpace(target["dimension"])
+    try:
+        obj = build(**args)
+    except ValueError as exc:
+        return ["payload: " + p for p in exc.problems], None
+    bad = [v for v in top.get("sample", []) if not 0 <= v < obj.n_vertices]
+    if bad:
+        return [f"sample: vertex index {bad[0]} out of range"], None
+    return [], obj

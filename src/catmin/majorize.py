@@ -223,6 +223,13 @@ class PolyhedralDisc:
     n_vertices: int
 
     def __post_init__(self):
+        self.tri_coords = [np.asarray(c, dtype=float) for c in self.tri_coords]
+        self.tri_vertices = [tuple(int(v) for v in tri) for tri in self.tri_vertices]
+        self.gluings = [((int(f1), int(s1)), (int(f2), int(s2))) for (f1, s1), (f2, s2) in self.gluings]
+        self.bridges = [(int(u), int(v), float(ln)) for u, v, ln in self.bridges]
+        self.boundary_walk = [int(v) for v in self.boundary_walk]
+        self.boundary_lengths = [float(ln) for ln in self.boundary_lengths]
+        self.n_vertices = int(self.n_vertices)
         problems = self._diagnose()
         if problems:
             raise invalid(self, problems, GlueError)

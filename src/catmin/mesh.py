@@ -90,6 +90,7 @@ class MappedDisc:
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=float)
         self.triangles = np.asarray(self.triangles, dtype=int)
+        self.boundary_loop = [int(v) for v in self.boundary_loop]
         self.images = np.asarray(self.images, dtype=float)
         problems = self._diagnose()
         if problems:

@@ -107,14 +107,18 @@ class _PlaneSections:
             if len(fs) == 1:
                 self.rims[fs[0]].append((u, v))
 
-    def violations(self, normal: np.ndarray, offset: float) -> list[dict]:
-        """The violations of the plane ``normal . x = offset``: the positive
-        side first, then components in the order of their smallest face."""
+    def heights(self, normal: np.ndarray, offset: float) -> np.ndarray:
+        """Signed distance of each image to the plane ``normal . x = offset``, 0 within the snap."""
         nn = np.linalg.norm(normal)
         if nn == 0.0:
             raise ValueError("zero normal")
         g = (self.img @ normal - float(offset)) / nn
-        g = np.where(np.abs(g) <= self.snap, 0.0, g)
+        return np.where(np.abs(g) <= self.snap, 0.0, g)
+
+    def violations(self, normal: np.ndarray, offset: float) -> list[dict]:
+        """The violations of the plane ``normal . x = offset``: the positive
+        side first, then components in the order of their smallest face."""
+        g = self.heights(normal, offset)
         found = []
         for side, up in (("positive", (g > 0.0).tolist()), ("negative", (g < 0.0).tolist())):
             seen = [False] * len(self.tris)

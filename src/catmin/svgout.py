@@ -13,7 +13,7 @@ import numpy as np
 from .graphs import GraphInTarget
 from .majorize import PolyhedralDisc
 from .mesh import MappedDisc
-from .saddle import PLANE_SNAP_TOL
+from .saddle import _PlaneSections
 
 __all__ = ["svg_parameter_domain", "svg_graph", "svg_disc_layout", "svg_plane_sections"]
 
@@ -137,14 +137,9 @@ def svg_disc_layout(w: PolyhedralDisc, path) -> None:
 
 
 def svg_plane_sections(disc: MappedDisc, normal, offset, path) -> None:
-    """Parameter domain colored by the sign of the plane section; vertices
-    snap onto the plane as in `saddle.check_plane`."""
-    img = np.asarray(disc.images, dtype=float)
-    n = np.asarray(normal, dtype=float)
-    n = n / np.linalg.norm(n)
-    g = img @ n - float(offset)
-    scale = max(1.0, float(np.abs(img).max()))
-    g = np.where(np.abs(g) <= PLANE_SNAP_TOL * scale, 0.0, g)
+    """Parameter domain colored by the sign of the plane section
+    ``normal . x = offset``, read as `saddle.check_plane` reads it."""
+    g = _PlaneSections(disc).heights(np.asarray(normal, dtype=float), offset)
     to_canvas, span = _fit(disc.vertices)
     cv = _Canvas(span[0], span[1])
     for tri in disc.triangles:

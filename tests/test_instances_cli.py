@@ -150,10 +150,17 @@ def test_cli_check_cat0_flat_cone_passes(tmp_path):
     assert code == 0
 
 
-def test_cli_malformed_input_exit_2(tmp_path):
+def test_cli_malformed_input_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")
     assert run_cli("metrics", "--in", str(bad)) == 2
+    # too deep for the decoder (a RecursionError) or no UTF-8 text
+    for name, data in (("deep.json", b"[" * 100000 + b"]" * 100000), ("binary.json", b"\xff\xfe{}")):
+        (tmp_path / name).write_bytes(data)
+        for command in ("validate", "check-cat0"):
+            capsys.readouterr()
+            assert run_cli(command, "--in", str(tmp_path / name)) == 2
+            assert capsys.readouterr().err.startswith(f"input error: cannot read instance {tmp_path / name}")
     doc = flat_instance()
     doc["payload"]["triangles"][0][0] = 99
     worse = tmp_path / "worse.json"
@@ -593,6 +600,20 @@ def test_svg_outputs(tmp_path):
     assert "<polygon" in p2.read_text()
 
 
+def test_svg_plane_sections_reads_the_plane_as_check_plane_does(tmp_path):
+    # normal . x = offset: a normal of length 2 with offset 0.6 is the plane
+    # z = 0.3, which check_plane tests; the figure drew z = 0.6
+    from catmin.svgout import svg_plane_sections
+
+    disc = hexagon_counterexample()
+    paths = {}
+    for name, normal, offset in (("long", (0, 0, 2), 0.6), ("unit", (0, 0, 1), 0.3), ("high", (0, 0, 1), 0.6)):
+        paths[name] = tmp_path / f"{name}.svg"
+        svg_plane_sections(disc, normal, offset, paths[name])
+    assert paths["long"].read_bytes() == paths["unit"].read_bytes()
+    assert paths["unit"].read_bytes() != paths["high"].read_bytes()
+
+
 def test_fixture_files_are_canonical_bytes():
     # serialize(parse(file)) reproduces each shipped fixture byte for byte
     for name in (
@@ -938,3 +959,113 @@ def test_builders_write_the_tolerances_that_commands_read():
     }
     for doc in _builder_documents():
         assert set(doc["tolerances"]) == {"zero", "descent", "angle"}, doc["kind"]
+
+
+# --------------------------------------------------------------- the schema
+
+
+def _pinwheel_graph_doc():
+    from catmin.saddle import hexagon_graph
+
+    return json.loads(instance_to_json(graph_instance(hexagon_graph())))
+
+
+def _cone_doc():
+    return json.loads(instance_to_json(poly_disc_instance(cone_disc(2 * math.pi, 6))))
+
+
+def _string_positions():
+    doc = _pinwheel_graph_doc()
+    doc["payload"]["positions"] = "abc"
+    return doc, "payload.positions: 'abc' is not a list of lists of 2 numbers", ["build-disc", "minimize-graph"]
+
+
+def _one_element_gluing():
+    doc = _cone_doc()
+    doc["payload"]["gluings"][0] = [[0]]
+    return doc, "payload.gluings[0]: [[0]] is not a list of 2 lists of 2 integers", ["check-cat0"]
+
+
+def _float_index():
+    doc = _cone_doc()
+    doc["payload"]["tri_vertices"][0][1] = 6.7
+    return doc, "payload.tri_vertices[0]: [0, 6.7, 2] is not a list of 3 integers", ["check-cat0"]
+
+
+def _float_vertex_count():
+    doc = _cone_doc()
+    doc["payload"]["n_vertices"] = 7.9
+    return doc, "payload.n_vertices: 7.9 is not an integer", ["check-cat0"]
+
+
+def _numeric_string():
+    doc = _saddle_disc_doc()
+    doc["payload"]["vertices"][0][0] = "0.5"
+    return doc, "payload.vertices[0]: ['0.5', 0.0] is not a list of 2 numbers", ["metrics", "check-saddle"]
+
+
+def _empty_graph():
+    # validated, then failed inside relax and glue_disc on an empty argmin
+    doc = _pinwheel_graph_doc()
+    doc["payload"].update(points=[], edges=[], pinned=[], rotation=[], positions=[])
+    return doc, "payload: graph has no vertices", ["build-disc", "minimize-graph"]
+
+
+def _unknown_top_level_key():
+    doc = _cone_doc()
+    doc["extra"] = 1
+    return doc, "unknown key 'extra'", ["check-cat0"]
+
+
+def _unknown_payload_key():
+    doc = _cone_doc()
+    doc["payload"]["bridge"] = []
+    return doc, "payload: unknown key 'bridge'", ["check-cat0"]
+
+
+def _unknown_tolerance_key():
+    # a misspelt angle fell back to the default and judged the cone with it
+    doc = load_instance(fixture_path("cone_3pi2.json"))
+    doc["tolerances"]["angel"] = 10.0
+    return doc, "tolerances: unknown key 'angel'", ["check-cat0"]
+
+
+@pytest.mark.parametrize("make", [
+    _string_positions, _one_element_gluing, _float_index, _float_vertex_count, _numeric_string,
+    _empty_graph, _unknown_top_level_key, _unknown_payload_key, _unknown_tolerance_key,
+])
+def test_cli_reports_a_field_of_the_wrong_type_shape_or_name(tmp_path, capsys, make):
+    # each of these crashed a command with a stack trace (exit 1), was read
+    # as something else (6.7 as 6, "0.5" as 0.5), was ignored, or validated
+    # and then failed a command (the empty graph)
+    doc, diagnostic, commands = make()
+    inst = tmp_path / "bad.json"
+    inst.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "v.json"
+    assert run_cli("validate", "--in", str(inst), "--out", str(out)) == 1
+    assert load_instance(out)["diagnostics"] == [diagnostic]
+    for command in commands:
+        capsys.readouterr()
+        assert run_cli(command, "--in", str(inst), "--out", str(tmp_path / "r.json")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: invalid instance") and diagnostic in err
+        assert not (tmp_path / "r.json").exists()
+
+
+def test_graph_rejects_a_pinned_vertex_out_of_range():
+    from catmin.graphs import GraphInTarget
+
+    with pytest.raises(ValueError) as err:
+        GraphInTarget(points=[(0.0, 0.0, 0.0), (1.0, 0.0, 0.0)], edges=[(0, 1)], pinned={5},
+                      rotation=[[1], [0]], target=EuclideanSpace(3))
+    assert err.value.problems == ["pinned vertex 5 out of range"]
+
+
+def test_patch_names_its_fault_like_the_other_constructors():
+    from catmin.fields import HeightFieldPatch
+
+    base = bilinear_saddle_patch(0.5, 4)
+    with pytest.raises(ValueError) as err:
+        HeightFieldPatch(base.x[:3], base.y[:3], base.values[:3, :3])
+    assert err.value.problems == ["x grid needs at least 5 nodes for stencils"]
+    assert str(err.value) == "invalid HeightFieldPatch: x grid needs at least 5 nodes for stencils"
