@@ -26,15 +26,16 @@ around each candidate center.  Per center, a union-find pass records the
 merges as a binary merge tree; it keeps its own parent list, and since the
 entering vertex's side and the neighbour's are already found as roots, a
 merge links them directly without finding them again.  In a depth-first
-leaf order of that forest every merge is a contiguous block, so in one
-permutation of the image distance matrix every merge's diameter and every
-pair's entry are cumulative maxima.  The bracket's ``upper`` is the metric (min-plus)
-closure of the raw grown-component diameters: the connecting pseudometric
-obeys the triangle inequality and lies below the raw values, so it lies
-below their closure too, and the closure is itself a pseudometric.
-``lower`` is ``max(raw / 2, image distance)``; an exact result is its own
-lower bound.  Entries ``<= zero_tol`` are joined by chains of raw entries
-``<= zero_tol``, so the closure keeps the zero classes.
+leaf order of that forest every merge is a contiguous block whose cross
+pairs are runs of consecutive positions, one per row of its entering side,
+so one gather over all runs reads each merge's cross block once.  The
+bracket's ``upper`` is the metric (min-plus) closure of the raw
+grown-component diameters: the connecting pseudometric obeys the triangle
+inequality and lies below the raw values, so it lies below their closure
+too, and the closure is itself a pseudometric.  ``lower`` is
+``max(raw / 2, image distance)``; an exact result is its own lower bound.
+Entries ``<= zero_tol`` are joined by chains of raw entries ``<= zero_tol``,
+so the closure keeps the zero classes.
 """
 
 from __future__ import annotations
@@ -213,16 +214,20 @@ def _bracket_connecting(
     diameter <= 2 diam K; hence upper/2 <= true value <= upper.
 
     Per center, the components' merge tree puts every merge on a contiguous
-    block of the leaf order.  In the once-permuted distance matrix, a
-    merge's diameter is the largest entry above the diagonal inside its
-    block; two cumulative maxima give that for every block at once.  A
-    pair's entry is the diameter at its lowest common merge; diameters only
-    grow up the tree, and the merges whose split lies between the pair's
-    leaf positions are that merge and its descendants, so the entry is the
-    range max of the split diameters (infinite between trees and at the
-    vertices never reached), a cumulative max along each row.  Both are
-    maxima of the same entries the merge-by-merge construction reads, so
-    the result is bitwise the same.
+    block of the leaf order: merge ``(lo, mid, hi)`` joins the entering
+    side at positions ``[lo, mid)`` to the neighbour's at ``[mid, hi)``.
+    Every pair of positions in one tree is a cross pair of exactly one
+    merge, its lowest common one, so the merges' cross blocks, read row by
+    row as runs of columns, cover each pair once.  One gather of the image
+    distances over all runs, grouped by merge, and one maximum per group
+    give each merge's cross maximum, read with the entering side as rows.
+    A merge's diameter is the largest cross maximum in its subtree, whose
+    merges are the ones split between positions ``lo + 1`` and ``hi - 1``:
+    a range maximum of the per-split cross maxima.  A pair's entry is the
+    diameter of its lowest common merge, written to the pair's run; pairs
+    in different trees or at vertices never reached stay infinite.  Every
+    value is a max or a min of the entries the merge-by-merge construction
+    reads, so the result is bitwise the same.
     """
     nbrs: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
@@ -230,27 +235,30 @@ def _bracket_connecting(
         nbrs[v].append(u)
     upper = np.full((n, n), np.inf)
     np.fill_diagonal(upper, 0.0)
-    after = np.triu(np.ones((n, n), dtype=bool), 1)   # position t after position s
+    flat_upper, flat_dimg = upper.reshape(-1), dimg.ravel()   # flat_upper is a view of upper
     for c in range(n):
         p, merges = _merge_forest(nbrs, dimg[c])
-        k = len(p)
-        entered = np.zeros(n, dtype=bool)
-        entered[p] = True
-        order = np.concatenate([np.asarray(p, dtype=np.int64), np.flatnonzero(~entered)])
-        split = np.full(n, np.inf)   # split[q]: the merge between positions q-1 and q
-        if merges:
-            dp = dimg.take(order[:k], axis=0).take(order[:k], axis=1)
-            # span[s, t]: largest dp[s', t'] with s <= s' < t' <= t
-            span = np.maximum.accumulate(np.where(after[:k, :k], dp, 0.0), axis=1)
-            span = np.maximum.accumulate(span[::-1], axis=0)[::-1]
-            lo, mid, hi = np.asarray(merges, dtype=np.int64)[:, :3].T
-            split[mid] = span[lo, hi - 1]
-        # reach[s, t]: largest split[q] with s < q <= t (0 where t <= s)
-        reach = np.maximum.accumulate(np.where(after, split, 0.0), axis=1)
-        block = np.maximum(reach, reach.T)
-        position = np.empty(n, dtype=np.int64)
-        position[order] = np.arange(n)
-        np.minimum(upper, block.take(position, axis=0).take(position, axis=1), out=upper)
+        if not merges:
+            continue
+        p = np.asarray(p)
+        lo, mid, hi = np.asarray(merges)[:, :3].T
+        rows, cols = mid - lo, hi - mid
+        # run r: row run_row[r] of merge run_merge[r], over its columns [mid, hi)
+        run_merge = np.repeat(np.arange(len(merges)), rows)
+        run_row = np.arange(len(run_merge)) + np.repeat(lo - np.cumsum(rows) + rows, rows)
+        run_len = cols[run_merge]
+        at = np.repeat(mid[run_merge] - np.cumsum(run_len) + run_len, run_len)
+        at += np.arange(len(at))                 # column position of each pair
+        flat = p.take(at)
+        flat += np.repeat(p[run_row] * n, run_len)
+        pairs = rows * cols
+        split = np.zeros(len(p) + 1)             # padded: a range may end at len(p)
+        split[mid] = np.maximum.reduceat(flat_dimg.take(flat), np.cumsum(pairs) - pairs)
+        diam = np.maximum.reduceat(split, np.stack([lo + 1, hi], axis=1).ravel())[::2]
+        entry = flat_upper.take(flat)
+        np.minimum(entry, np.repeat(diam, pairs), out=entry)
+        flat_upper[flat] = entry
+    upper = np.minimum(upper, upper.T)
     lower = np.maximum(upper / 2.0, dimg)
     np.fill_diagonal(lower, 0.0)
     return lower, upper

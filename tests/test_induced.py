@@ -270,6 +270,25 @@ def test_bracket_bitwise_equals_oracle_with_infinite_distances():
     assert_bracket_is_oracle(n, edges, skew)
 
 
+def test_bracket_bitwise_equals_oracle_on_multirow_cross_blocks_with_ties():
+    # a cycle with chords, image distances with few values per row: tied
+    # vertices enter in index order, so a vertex often joins two components
+    # grown apart, and the second merge's entering side holds several
+    # leaves; its cross block then spans several rows of runs
+    rng = np.random.default_rng(37)
+    n = 24
+    edges = [(i - 1, i) for i in range(1, n)] + [(0, n - 1), (2, 13), (7, 19)]
+    ring = np.arange(n)
+    gap = np.abs(ring[:, None] - ring[None, :])
+    dimg = (np.minimum(gap, n - gap) // 3).astype(float)
+    assert all(len(np.unique(row)) <= 5 for row in dimg)
+    nbrs = neighbour_lists(n, edges)
+    for dist in (dimg, dimg + np.triu(rng.integers(0, 2, size=(n, n)), 1)):
+        forests = [induced._merge_forest(nbrs, dist[c]) for c in range(n)]
+        assert any(mid - lo > 1 and hi - mid > 1 for _, merges in forests for lo, mid, hi, _, _ in merges)
+        assert_bracket_is_oracle(n, edges, dist)
+
+
 def neighbour_lists(n, edges):
     nbrs = [[] for _ in range(n)]
     for u, v in edges:

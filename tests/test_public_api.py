@@ -1,7 +1,10 @@
 import ast
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -257,3 +260,15 @@ def test_every_keyword_default_is_set_by_some_caller():
     assert sorted(unset - set(UNSET_ON_PURPOSE)) == []
     # set by a caller now: drop it from the list
     assert sorted(set(UNSET_ON_PURPOSE) - unset) == []
+
+
+def test_cli_import_loads_no_optional_heavy_module():
+    # a fresh `catmin` process pays for every module its imports load, and
+    # the benchmark's set-up time is mostly that
+    heavy = ("networkx", "hypothesis", "scipy.optimize", "scipy.spatial", "scipy.stats")
+    src = str(Path(catmin.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, catmin, catmin.cli; print(*sorted(sys.modules))"
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    loaded = run.stdout.split()
+    assert [m for m in loaded if m in heavy or m.startswith(tuple(h + "." for h in heavy))] == []
