@@ -8,8 +8,14 @@ vertex images (plus nudged offsets and random planes) decides the
 predicate at mesh resolution.
 
 The candidate planes are built as arrays, and the disc's face adjacency
-is read once per verdict; each plane is then one `check_plane` call, a
-depth-first search over that adjacency.  Verdicts, plane counts and witnesses
+is read once per verdict; each plane is then one `check_plane` call.
+Almost no plane cuts anything off, and a monotone walk shows it from the
+vertex heights alone (`_PlaneSections.climbs`): when every interior vertex
+beyond the snap has a neighbour strictly further out on its side, every
+component of either side reaches the boundary.  Only where the walk
+stalls, at an interior maximum, minimum or level plateau, does the plane
+run the depth-first search over the face adjacency, which finds and lists
+every violation.  Verdicts, plane counts and witnesses
 are bit for bit those of the former loop, which rebuilt the adjacency
 for every plane and is kept as the oracle in ``tests/oracles.py``.
 
@@ -34,6 +40,7 @@ import numpy as np
 from .induced import length_pseudometric
 from .mesh import MappedDisc
 from .meshgen import make_mapped_disc
+from .pseudometric import UnionFind
 from .targets import EuclideanSpace
 
 __all__ = [
@@ -90,7 +97,8 @@ class _PlaneSections:
     active when a vertex lies strictly on that side, and an edge is live
     when one of its ends does.  Active faces joined by live edges form the
     side's components; a component is a violation when no live boundary
-    edge bounds one of its faces.
+    edge bounds one of its faces.  Most planes are cleared by `climbs`
+    before that search.
     """
 
     def __init__(self, disc: MappedDisc):
@@ -100,25 +108,71 @@ class _PlaneSections:
         # per face: (u, v, other face) across each interior edge, (u, v) of each boundary edge
         self.joins = [[] for _ in self.tris]
         self.rims = [[] for _ in self.tris]
+        # corners 3 f + (position of v in face f), joined across v's interior edges
+        corners = UnionFind(3 * len(self.tris))
+        nbrs = [[] for _ in range(disc.n_vertices)]
+        on_rim = [False] * disc.n_vertices
         for (u, v), fs in disc.edge_faces().items():
+            nbrs[u].append(v)
+            nbrs[v].append(u)
             for a, b in zip(fs, fs[1:]):
                 self.joins[a].append((u, v, b))
                 self.joins[b].append((u, v, a))
+                for w in (u, v):
+                    corners.union(3 * a + self.tris[a].index(w), 3 * b + self.tris[b].index(w))
             if len(fs) == 1:
                 self.rims[fs[0]].append((u, v))
+                on_rim[u] = on_rim[v] = True
+        fans = {(w, corners.find(c)) for c, w in enumerate(itertools.chain.from_iterable(self.tris))}
+        # the interior vertices, and the skeleton neighbours of each as runs
+        # from ``starts``; None where the faces around some vertex form several fans
+        self.inner = self.nbrs = self.starts = None
+        if len(fans) == disc.n_vertices:
+            inner = [w for w in range(disc.n_vertices) if not on_rim[w]]
+            self.inner = np.array(inner, dtype=np.intp)
+            self.nbrs = np.array([u for w in inner for u in nbrs[w]], dtype=np.intp)
+            self.starts = np.cumsum([0] + [len(nbrs[w]) for w in inner], dtype=np.intp)[:-1]
 
-    def heights(self, normal: np.ndarray, offset: float) -> np.ndarray:
-        """Signed distance of each image to the plane ``normal . x = offset``, 0 within the snap."""
-        nn = np.linalg.norm(normal)
+    def distances(self, normal: np.ndarray, offset: float) -> np.ndarray:
+        """Signed distance of each image to the plane ``normal . x = offset``."""
+        # np.linalg.norm of a 1-D float array is sqrt(x @ x), bit for bit
+        nn = math.sqrt(normal @ normal)
+        if not (math.isfinite(nn) and math.isfinite(offset)):
+            raise ValueError(f"plane normal length and offset must be finite, got {normal.tolist()}, {offset}")
         if nn == 0.0:
             raise ValueError("zero normal")
-        g = (self.img @ normal - float(offset)) / nn
+        return (self.img @ normal - float(offset)) / nn
+
+    def heights(self, normal: np.ndarray, offset: float) -> np.ndarray:
+        """The signed distances, 0 within the snap: the sides `check_plane` reads."""
+        g = self.distances(normal, offset)
         return np.where(np.abs(g) <= self.snap, 0.0, g)
+
+    def climbs(self, g: np.ndarray) -> bool:
+        """Whether every interior vertex beyond the snap on either side has
+        a skeleton neighbour strictly further out, for signed distances ``g``;
+        False on a complex whose faces around some vertex form several fans.
+
+        Then every component of a side holds a vertex beyond the snap, and
+        a walk of strictly growing distance from it never repeats a vertex,
+        so it ends on the boundary.  The faces around each vertex it passes
+        form one fan joined through that vertex's edges, all live, so the
+        component holds the live boundary edges at the walk's last vertex.
+        """
+        if self.inner is None:
+            return False
+        gi, gn = g[self.inner], g[self.nbrs]
+        stuck = ((gi > self.snap) & (np.maximum.reduceat(gn, self.starts) <= gi)) | (
+            (gi < -self.snap) & (np.minimum.reduceat(gn, self.starts) >= gi))
+        return not np.count_nonzero(stuck)
 
     def violations(self, normal: np.ndarray, offset: float) -> list[dict]:
         """The violations of the plane ``normal . x = offset``: the positive
         side first, then components in the order of their smallest face."""
-        g = self.heights(normal, offset)
+        g = self.distances(normal, offset)
+        if self.climbs(g):
+            return []
+        g = np.where(np.abs(g) <= self.snap, 0.0, g)
         found = []
         for side, up in (("positive", (g > 0.0).tolist()), ("negative", (g < 0.0).tolist())):
             seen = [False] * len(self.tris)
@@ -154,10 +208,34 @@ def check_plane(
     sliced boundary edge.  ``sections`` is the disc's adjacency read once,
     as `is_saddle_pl` shares it across its planes; by default it is read
     from ``disc``.
+
+    A plane that the monotone walk of `_PlaneSections.climbs` clears has
+    no violation and returns ``[]`` at once; any other plane runs the
+    depth-first search over the faces, which lists every violation.  A
+    zero or non-finite normal, or a non-finite offset, raises `ValueError`.
     """
     if sections is None:
         sections = _PlaneSections(disc)
     return sections.violations(np.asarray(normal, dtype=float), offset)
+
+
+def _offset_keys(offsets: np.ndarray) -> np.ndarray:
+    """``[round(o, 9) for o in offsets]``, bit for bit, as an array.
+
+    Python's ``round`` takes the integer nearest the exact ``o * 10**9``,
+    ties to even, and ``np.rint`` the one nearest the product ``o * 1e9``.
+    Below 2**52 every half-integer is a double and rounding is monotone, so
+    the product lies on the same side of each half-integer as the exact
+    value, or on it.  Off the half-integers the two integers agree, and
+    dividing by 1e9 rounds both to the same double; Python's ``round``
+    keys the offsets whose product is a half-integer or beyond 2**52.
+    """
+    y = offsets * 1e9
+    whole = np.rint(y)
+    keys = whole / 1e9
+    for k in np.flatnonzero((np.abs(y - whole) == 0.5) | ~(np.abs(y) < 2.0**52)).tolist():
+        keys[k] = round(float(offsets[k]), 9)
+    return keys
 
 
 def _candidate_planes(disc: MappedDisc, extra_planes: int, seed: int, nudge: float):
@@ -195,10 +273,9 @@ def _candidate_planes(disc: MappedDisc, extra_planes: int, seed: int, nudge: flo
     flip = lead.any(axis=1) & (normals[np.arange(len(normals)), first] < 0)
     normals = np.where(flip[:, None], -normals, normals)
 
-    # a key row per plane: the normal rounded by np.round, the offset by
-    # Python's round (np.round does not match it near ties); sorting and !=
-    # take -0.0 for 0.0, as tuple keys do
-    keys = np.column_stack([np.round(normals, 9), [round(o, 9) for o in offsets.tolist()]])
+    # a key row per plane: the normal rounded by np.round, the offset as by
+    # Python's round; sorting and != take -0.0 for 0.0, as tuple keys do
+    keys = np.column_stack([np.round(normals, 9), _offset_keys(offsets)])
     order = np.lexsort(keys.T[::-1])
     ordered = keys[order]
     new = np.ones(len(order), dtype=bool)

@@ -9,6 +9,7 @@ from catmin.minimize import certify_conditions
 from catmin.saddle import (
     HEXAGON_PARAMS,
     _candidate_planes,
+    _offset_keys,
     _PlaneSections,
     check_plane,
     hexagon_counterexample,
@@ -86,10 +87,10 @@ def cone_disc(waves: int):
     return make_mapped_disc(vertices, triangles, np.column_stack([x, y, z]))
 
 
-def grid_saddle_disc(k: int):
+def grid_saddle_disc(k: int, c: float = 1.1):
     vertices, triangles = grid_disc(k)
     x, y = vertices[:, 0], vertices[:, 1]
-    return make_mapped_disc(vertices, triangles, np.column_stack([x, y, 1.1 * x * y]))
+    return make_mapped_disc(vertices, triangles, np.column_stack([x, y, c * x * y]))
 
 
 ORACLE_DISCS = {
@@ -199,6 +200,22 @@ def test_check_plane_rejects_zero_normal():
         check_plane(flat_disc(), (0.0, 0.0, 0.0), 0.0)
 
 
+@pytest.mark.parametrize("normal, offset", [
+    ((math.nan, 0.0, 1.0), 0.5),
+    ((0.0, math.inf, 1.0), 0.5),
+    ((0.0, 0.0, 1.0), math.inf),
+    ((0.0, 0.0, 1.0), math.nan),
+])
+def test_check_plane_rejects_a_plane_it_cannot_evaluate(normal, offset):
+    # z = 0.5 cuts off the cap's apex; a non-finite entry must not read as "no violation"
+    disc = paraboloid_cap_disc()
+    assert check_plane(disc, (0.0, 0.0, 1.0), 0.5)
+    with pytest.raises(ValueError, match="finite"):
+        check_plane(disc, normal, offset)
+    with pytest.raises(ValueError, match="finite"):
+        _PlaneSections(disc).heights(np.asarray(normal, dtype=float), offset)
+
+
 @pytest.mark.parametrize("planes", [-1, -3])
 def test_is_saddle_rejects_negative_extra_planes(planes):
     with pytest.raises(ValueError, match="extra_planes"):
@@ -233,6 +250,165 @@ def test_saddle_verdict_equals_oracle_on_random_discs():
         assert (verdict.saddle, verdict.planes_tested, verdict.witness) == want
         outcomes.add(verdict.saddle)
     assert outcomes == {True, False}
+
+
+# ------------------------------------------------------------- monotone-walk certificate
+
+
+def bumped_disc(k: int, heights: dict):
+    """The flat k x k grid disc with grid points (i, j) raised to the given heights."""
+    vertices, triangles = grid_disc(k)
+    z = np.zeros(len(vertices))
+    for (i, j), h in heights.items():
+        z[j * k + i] = h
+    return make_mapped_disc(vertices, triangles, np.column_stack([vertices, z]))
+
+
+# disc, plane offset (normal (0, 0, 1)), whether the walk clears the plane,
+# the sides cut off; the image scale is 1, so the snap distance is 1e-9
+FALLBACK_CASES = {
+    # a flat top: four level vertices above the plane, none with a higher neighbour
+    "plateau": (bumped_disc(6, {(2, 2): 1.0, (3, 2): 1.0, (2, 3): 1.0, (3, 3): 1.0}), 0.5, False, ["positive"]),
+    # a level ridge out to the rim: the walk stalls, yet nothing is cut off
+    "ridge": (bumped_disc(6, {(i, 2): 1.0 for i in range(4)}), 0.5, False, []),
+    # a strict interior maximum and a strict interior minimum
+    "peak_and_pit": (bumped_disc(5, {(1, 1): 1.0, (3, 3): -1.0}), 0.0, False, ["positive", "negative"]),
+    # a vertex at the snap distance lies on the plane; one ulp further it is cut off
+    "at_snap": (bumped_disc(5, {(2, 2): 1e-9}), 0.0, True, []),
+    "beyond_snap": (bumped_disc(5, {(2, 2): np.nextafter(1e-9, 1.0)}), 0.0, False, ["positive"]),
+    # a peak within the snap of the plane, over a level floor below it
+    "snapped_peak": (bumped_disc(5, {(2, 2): 1.0}), 1.0 - 0.5e-9, False, []),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FALLBACK_CASES))
+def test_check_plane_falls_back_to_the_face_search_where_the_walk_stalls(name):
+    disc, offset, cleared, sides = FALLBACK_CASES[name]
+    normal = np.array([0.0, 0.0, 1.0])
+    sections = _PlaneSections(disc)
+    assert sections.climbs(sections.distances(normal, offset)) is cleared
+    got = check_plane(disc, normal, offset, sections=sections)
+    assert got == check_plane_oracle(disc, normal, offset)
+    assert [v["side"] for v in got] == sides
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+@pytest.mark.parametrize("c", [1.1, -0.7])
+def test_check_plane_equals_oracle_on_planes_through_grid_lines(k, c):
+    # these planes pass through rows, columns and level sets of grid
+    # vertices, so neighbours tie on either side
+    disc = grid_saddle_disc(k, c)
+    xs = np.linspace(0.0, 1.0, k)
+    planes = [((1.0, 0.0, 0.0), t) for t in xs] + [((0.0, 1.0, 0.0), t) for t in xs]
+    planes += [((0.0, 0.0, 1.0), c * s * t) for s in xs for t in xs]
+    planes += [((1.0, -1.0, 0.0), 0.0), ((1.0, 1.0, 0.0), 1.0), ((1.0, 1.0, 0.0), xs[1])]
+    sections = _PlaneSections(disc)
+    for normal, offset in planes:
+        assert check_plane(disc, normal, offset, sections=sections) == check_plane_oracle(disc, normal, offset)
+
+
+def test_the_walk_clears_most_planes_of_the_saddle_grid(monkeypatch):
+    searched = []
+    climbs = _PlaneSections.climbs
+
+    def counted(self, g):
+        cleared = climbs(self, g)
+        searched.append(not cleared)
+        return cleared
+
+    monkeypatch.setattr(_PlaneSections, "climbs", counted)
+    verdict = is_saddle_pl(grid_saddle_disc(5), extra_planes=200, seed=1)
+    assert verdict.saddle
+    assert verdict.planes_tested == len(searched) == 1889
+    assert sum(searched) < 0.1 * verdict.planes_tested
+
+
+def test_a_disc_without_interior_vertices_clears_every_plane():
+    vertices, triangles = grid_disc(2)
+    x, y = vertices[:, 0], vertices[:, 1]
+    disc = make_mapped_disc(vertices, triangles, np.column_stack([x, y, x * y]))
+    sections = _PlaneSections(disc)
+    assert len(sections.inner) == 0
+    for normal, offset in zip(*_candidate_planes(disc, 20, 0, 1e-7)):
+        assert sections.climbs(sections.distances(normal, offset))
+        assert check_plane_oracle(disc, normal, offset) == []
+
+
+def pinched_disc():
+    """The 6 x 6 grid disc with a tetrahedron's surface glued on at two
+    interior vertices that share no neighbour.
+
+    Every edge keeps at most two faces and the Euler characteristic stays
+    1, so `MappedDisc` accepts it; but the faces around either glued vertex
+    form two fans, one in the grid and one in the tetrahedron.  The
+    tetrahedron's two other vertices lie on the plane z = 0, under the grid.
+    """
+    vertices, triangles = grid_disc(6)
+    q, r, s, t = 7, 28, 36, 37
+    vertices = np.vstack([vertices, [[0.3, 0.7], [0.7, 0.3]]])
+    triangles = np.vstack([triangles, [[q, r, s], [q, r, t], [q, s, t], [r, s, t]]])
+    x, y = vertices[:, 0], vertices[:, 1]
+    z = x + y + 1.0
+    z[[s, t]] = 0.0
+    return make_mapped_disc(vertices, triangles, np.column_stack([x, y, z]))
+
+
+def test_a_disc_with_split_vertex_fans_keeps_the_oracle_answers():
+    disc = pinched_disc()
+    sections = _PlaneSections(disc)
+    assert sections.inner is None
+    # on z = 0 every interior vertex above the plane has a higher neighbour,
+    # yet the tetrahedron is cut off: the walk's argument needs one fan per vertex
+    normal, offset = np.array([0.0, 0.0, 1.0]), 0.0
+    g = sections.distances(normal, offset)
+    edge_faces = disc.edge_faces()
+    rim = {w for e, fs in edge_faces.items() if len(fs) == 1 for w in e}
+    higher = {w: False for w in range(disc.n_vertices)}
+    for u, v in edge_faces:
+        higher[u] = higher[u] or g[v] > g[u]
+        higher[v] = higher[v] or g[u] > g[v]
+    assert all(higher[w] for w in range(disc.n_vertices) if w not in rim and g[w] > 1e-9)
+    got = check_plane(disc, normal, offset, sections=sections)
+    assert [v["side"] for v in got] == ["positive"]
+    assert got == check_plane_oracle(disc, normal, offset)
+    verdict = is_saddle_pl(disc, extra_planes=20, seed=0)
+    assert (verdict.saddle, verdict.planes_tested, verdict.witness) == is_saddle_oracle(
+        disc, extra_planes=20, seed=0
+    )
+
+
+def test_offset_keys_bitwise_equal_python_round():
+    rng = np.random.default_rng(24)
+    k = np.arange(-3000, 3000)
+    near_ties = (k + 0.5) * 1e-9
+    edge = 2.0**52 / 1e9
+    offsets = np.concatenate([
+        k / 1024.0,  # offset * 1e9 is an exact half-integer for odd k
+        near_ties, np.nextafter(near_ties, np.inf), np.nextafter(near_ties, -np.inf),
+        edge * (1.0 + np.arange(-20, 21) * 2.0**-52), [-edge, 2.0 * edge, 1e300, -1e300],
+        [0.0, -0.0, 5e-10, -5e-10, 1e-320, -1e-320],
+        rng.uniform(-1.0, 1.0, 3000) * 10.0 ** rng.integers(-12, 9, 3000),
+    ])
+    want = [round(o, 9) for o in offsets.tolist()]
+    with np.errstate(over="ignore", invalid="ignore"):  # 1e300 * 1e9
+        assert np.array_equal(bits(_offset_keys(offsets)), bits(want))
+        # np.round alone differs on some of them
+        assert not np.array_equal(bits(np.round(offsets, 9)), bits(want))
+
+
+def test_candidate_planes_bitwise_equal_oracle_at_offset_half_ties():
+    # images on a 1/1024 lattice: the planes x = const have offsets whose
+    # product with 1e9 is an exact half-integer
+    vertices, triangles = grid_disc(4)
+    i, j = np.divmod(np.arange(16), 4)
+    images = np.column_stack([2 * j + 1, 2 * i + 1, 2 * ((i * j) % 3) + 1]) / 1024.0
+    disc = make_mapped_disc(vertices, triangles, images)
+    normals, offsets = _candidate_planes(disc, 40, 3, 1e-7)
+    assert np.any(np.abs(offsets * 1e9 % 1.0 - 0.5) == 0.0)
+    want = candidate_planes_oracle(disc, 40, 3, 1e-7)
+    assert len(want) == len(normals) == len(offsets)
+    assert np.array_equal(bits(normals), bits([n for n, _ in want]))
+    assert np.array_equal(bits(offsets), bits([o for _, o in want]))
 
 
 # ------------------------------------------------------------- pinwheel
