@@ -530,6 +530,37 @@ def test_cli_malformed_polyhedral_disc(tmp_path, capsys, edit, diagnostic):
     assert capsys.readouterr().err.startswith("input error: invalid instance")
 
 
+def test_cli_rejects_a_projective_plane(tmp_path, capsys):
+    # every side glued to the other side on its vertex pair: Euler
+    # characteristic 1 and connected, but closed, so no disc retract
+    from catmin.majorize import comparison_triangle
+
+    tris = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 1),
+            (1, 2, 4), (2, 3, 5), (3, 4, 1), (4, 5, 2), (5, 1, 3)]
+    sides: dict = {}
+    for f, tri in enumerate(tris):
+        for s in range(3):
+            sides.setdefault(frozenset((tri[s], tri[(s + 1) % 3])), []).append([f, s])
+    payload = {
+        "tri_coords": [comparison_triangle(1.0, 1.0, 1.0).coords.tolist()] * len(tris),
+        "tri_vertices": [list(tri) for tri in tris],
+        "gluings": list(sides.values()),
+        "bridges": [],
+        "boundary_walk": list(range(6)),
+        "boundary_lengths": [1.0] * 6,
+        "n_vertices": 6,
+    }
+    inst = tmp_path / "rp2.json"
+    inst.write_text(json.dumps({"format_version": 1, "kind": "polyhedral_disc", "payload": payload}))
+    out = tmp_path / "v.json"
+    assert run_cli("validate", "--in", str(inst), "--out", str(out)) == 1
+    closed = "triangles [0, 1, 2, 3, 4, 5, 6, 7, 8, 9] are glued into a closed surface"
+    assert any(closed in p for p in load_instance(out)["diagnostics"])
+    capsys.readouterr()
+    assert run_cli("check-cat0", "--in", str(inst)) == 2
+    assert closed in capsys.readouterr().err
+
+
 def _edge_triple(payload):
     payload["edges"][0] = payload["edges"][0] + [2]
 

@@ -373,6 +373,92 @@ def test_polyhedral_disc_is_checked_when_built():
     assert str(err.value) == "invalid PolyhedralDisc: " + err.value.problems[0]
 
 
+#: the six-vertex projective plane: ten triangles, each of the 15 vertex pairs on two
+PROJECTIVE_PLANE = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 1),
+                    (1, 2, 4), (2, 3, 5), (3, 4, 1), (4, 5, 2), (5, 1, 3)]
+
+
+def unit_complex(tri_vertices, boundary_walk):
+    """The fields of unit equilateral triangles with each side glued to the
+    other side on the same vertex pair, and a walk of unit steps."""
+    sides: dict = {}
+    for f, tri in enumerate(tri_vertices):
+        for s in range(3):
+            sides.setdefault(frozenset((tri[s], tri[(s + 1) % 3])), []).append((f, s))
+    return dict(
+        tri_coords=[comparison_triangle(1.0, 1.0, 1.0).coords] * len(tri_vertices),
+        tri_vertices=tri_vertices,
+        gluings=[tuple(pair) for pair in sides.values() if len(pair) == 2],
+        bridges=[],
+        boundary_walk=boundary_walk,
+        boundary_lengths=[1.0] * len(boundary_walk),
+        n_vertices=1 + max(max(tri) for tri in tri_vertices),
+    )
+
+
+def test_a_projective_plane_is_no_disc_retract():
+    # connected with Euler characteristic 1, yet closed: no side is unglued
+    with pytest.raises(GlueError) as err:
+        PolyhedralDisc(**unit_complex(PROJECTIVE_PLANE, list(range(6))))
+    assert err.value.problems[0] == (
+        "triangles [0, 1, 2, 3, 4, 5, 6, 7, 8, 9] are glued into a closed surface: none of their sides is unglued"
+    )
+
+
+def test_a_triangle_beside_an_annulus_is_no_disc_retract():
+    # Euler characteristic 1 + 0, in two pieces
+    annulus = [(3, 4, 6), (4, 7, 6), (4, 5, 7), (5, 8, 7), (5, 3, 8), (3, 6, 8)]
+    with pytest.raises(GlueError) as err:
+        PolyhedralDisc(**unit_complex([(0, 1, 2)] + annulus, [0, 1, 2]))
+    assert err.value.problems[0] == "the triangles and bridges do not form one connected complex"
+
+
+def test_a_disc_wedged_to_a_projective_plane_is_no_disc_retract():
+    # connected with Euler characteristic 1 + 1 - 1
+    with pytest.raises(GlueError) as err:
+        PolyhedralDisc(**unit_complex(PROJECTIVE_PLANE + [(5, 6, 7)], [5, 6, 7]))
+    assert err.value.problems == [
+        "triangles [0, 1, 2, 3, 4, 5, 6, 7, 8, 9] are glued into a closed surface: none of their sides is unglued"
+    ]
+
+
+def test_boundary_walk_runs_along_the_boundary_sides():
+    tri = comparison_triangle(1.0, 1.0, 1.0)
+    fields = dict(tri_coords=[tri.coords], tri_vertices=[(0, 1, 2)], gluings=[], bridges=[],
+                  boundary_walk=[2, 1, 0], boundary_lengths=[1.0, 1.0, 1.0], n_vertices=3)
+    assert PolyhedralDisc(**fields).boundary_length() == 3.0
+    # two steps of lengths 5 and 7 along a unit triangle's side (0, 1)
+    with pytest.raises(GlueError) as err:
+        PolyhedralDisc(**dict(fields, boundary_walk=[0, 1], boundary_lengths=[5.0, 7.0]))
+    assert err.value.problems == [
+        "boundary_walk steps [0, 1] run along no boundary side or bridge of their length",
+        "boundary sides [(0, 0), (0, 1), (0, 2)] are not on boundary_walk",
+    ]
+    # a bridge is walked twice (out and back) or not at all
+    bridged = dict(fields, bridges=[(2, 3, 2.0)], n_vertices=4)
+    PolyhedralDisc(**dict(bridged, boundary_walk=[0, 1, 2, 3, 2], boundary_lengths=[1.0, 1.0, 2.0, 2.0, 1.0]))
+    with pytest.raises(GlueError) as err:
+        PolyhedralDisc(**dict(bridged, boundary_walk=[0, 1, 2, 3], boundary_lengths=[1.0, 1.0, 2.0, 1.0]))
+    assert err.value.problems == [
+        "boundary_walk steps [3] run along no boundary side or bridge of their length",
+        "boundary sides [(0, 2)] are not on boundary_walk",
+        "bridges [(2, 3)] are on boundary_walk once, not twice or never",
+    ]
+
+
+def test_a_bridge_inside_a_face_stays_off_the_outer_walk():
+    # a whisker from vertex 0 into the triangle (0, 1, 2), inside the square
+    g = euclidean_graph(
+        [(0.0, 0.0, 0.0), (2.0, 0.0, 0.0), (2.0, 2.0, 0.0), (0.0, 2.0, 0.0), (1.2, 0.5, 0.0)],
+        [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2), (0, 4)],
+    )
+    disc, _ = glue_disc(g)
+    assert [(u, v) for u, v, _ in disc.bridges] == [(0, 4)]
+    assert 4 not in disc.boundary_walk
+    assert sorted(disc.boundary_walk) == [0, 1, 2, 3]
+    assert disc.boundary_length() == pytest.approx(8.0, abs=1e-12)
+
+
 def test_graph_is_checked_when_built():
     with pytest.raises(ValueError) as err:
         euclidean_graph([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)], [(0, 1)])

@@ -1,9 +1,12 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from catmin.cli import main
 from catmin.induced import length_pseudometric
+from catmin.mesh import MappedDisc, boundary_loop_of
 from catmin.meshgen import fan_disc, grid_disc, make_mapped_disc, paraboloid_cap_disc, random_height_disc
 from catmin.minimize import certify_conditions
 from catmin.saddle import (
@@ -17,6 +20,7 @@ from catmin.saddle import (
     is_saddle_pl,
     shorten_by_rotation,
 )
+from catmin.targets import EuclideanSpace
 
 from oracles import candidate_planes_oracle, check_plane_oracle, is_saddle_oracle
 
@@ -336,45 +340,38 @@ def test_a_disc_without_interior_vertices_clears_every_plane():
 
 def pinched_disc():
     """The 6 x 6 grid disc with a tetrahedron's surface glued on at two
-    interior vertices that share no neighbour.
+    interior vertices that share no neighbour, as the fields of a
+    `MappedDisc` into R^3.
 
-    Every edge keeps at most two faces and the Euler characteristic stays
-    1, so `MappedDisc` accepts it; but the faces around either glued vertex
-    form two fans, one in the grid and one in the tetrahedron.  The
-    tetrahedron's two other vertices lie on the plane z = 0, under the grid.
+    Every edge keeps at most two faces, the Euler characteristic stays 1
+    and the boundary is the grid's one cycle; but the faces around either
+    glued vertex form two fans, one in the grid and one in the tetrahedron,
+    so the complex is no disc.
     """
     vertices, triangles = grid_disc(6)
+    loop = boundary_loop_of(vertices, triangles)
     q, r, s, t = 7, 28, 36, 37
     vertices = np.vstack([vertices, [[0.3, 0.7], [0.7, 0.3]]])
     triangles = np.vstack([triangles, [[q, r, s], [q, r, t], [q, s, t], [r, s, t]]])
     x, y = vertices[:, 0], vertices[:, 1]
     z = x + y + 1.0
     z[[s, t]] = 0.0
-    return make_mapped_disc(vertices, triangles, np.column_stack([x, y, z]))
+    return vertices, triangles, loop, np.column_stack([x, y, z]), EuclideanSpace(3)
 
 
-def test_a_disc_with_split_vertex_fans_keeps_the_oracle_answers():
-    disc = pinched_disc()
-    sections = _PlaneSections(disc)
-    assert sections.inner is None
-    # on z = 0 every interior vertex above the plane has a higher neighbour,
-    # yet the tetrahedron is cut off: the walk's argument needs one fan per vertex
-    normal, offset = np.array([0.0, 0.0, 1.0]), 0.0
-    g = sections.distances(normal, offset)
-    edge_faces = disc.edge_faces()
-    rim = {w for e, fs in edge_faces.items() if len(fs) == 1 for w in e}
-    higher = {w: False for w in range(disc.n_vertices)}
-    for u, v in edge_faces:
-        higher[u] = higher[u] or g[v] > g[u]
-        higher[v] = higher[v] or g[u] > g[v]
-    assert all(higher[w] for w in range(disc.n_vertices) if w not in rim and g[w] > 1e-9)
-    got = check_plane(disc, normal, offset, sections=sections)
-    assert [v["side"] for v in got] == ["positive"]
-    assert got == check_plane_oracle(disc, normal, offset)
-    verdict = is_saddle_pl(disc, extra_planes=20, seed=0)
-    assert (verdict.saddle, verdict.planes_tested, verdict.witness) == is_saddle_oracle(
-        disc, extra_planes=20, seed=0
-    )
+def test_a_disc_with_split_vertex_fans_is_rejected(tmp_path):
+    with pytest.raises(ValueError) as err:
+        MappedDisc(*pinched_disc())
+    assert err.value.problems == ["faces around vertices [7, 28] form more than one fan"]
+    vertices, triangles, loop, images, _ = pinched_disc()
+    doc = {"format_version": 1, "kind": "mapped_disc", "target": {"type": "euclidean", "dimension": 3},
+           "payload": {"vertices": vertices.tolist(), "triangles": triangles.tolist(),
+                       "boundary_loop": loop, "images": images.tolist()}}
+    path = tmp_path / "pinched.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", "--in", str(path), "--out", str(tmp_path / "v.json")]) == 1
+    assert main(["metrics", "--in", str(path), "--out", str(tmp_path / "m.json")]) == 2
+    assert main(["check-saddle", "--in", str(path), "--out", str(tmp_path / "s.json")]) == 2
 
 
 def test_offset_keys_bitwise_equal_python_round():
