@@ -21,7 +21,30 @@ from scipy.sparse.csgraph import dijkstra as _dijkstra
 
 from .targets import TargetSpace, invalid
 
-__all__ = ["GraphInTarget", "PathGraph", "path_from", "path_hops", "rotation_from_positions", "walk_back"]
+__all__ = ["GraphInTarget", "PathGraph", "components", "path_from", "path_hops", "rotation_from_positions",
+           "signed_area", "walk_back"]
+
+
+def components(n: int, a, b) -> np.ndarray:
+    """Each node's component in the graph on ``range(n)`` with edges
+    ``(a[k], b[k])``, named by its smallest node: each round hooks every
+    root onto the smallest root it is joined to and points every node at
+    its root, until no edge joins two roots."""
+    label = np.arange(n)
+    while True:
+        la, lb = label[a], label[b]
+        if np.array_equal(la, lb):
+            return label
+        np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
+        while not np.array_equal(label[label], label):
+            label = label[label]
+
+
+def signed_area(points: np.ndarray) -> float:
+    """Area of the closed polygon through the rows (x, y) of ``points``,
+    positive when it runs counterclockwise."""
+    x, y = points[:, 0], points[:, 1]
+    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
 def path_from(pred_row: np.ndarray, a: int, b: int) -> list[int]:
@@ -242,15 +265,8 @@ class GraphInTarget:
                 problems.append(f"rotation at {v} is not a permutation of its neighbors")
         if problems:
             return problems
-        seen = {0}
-        stack = [0]
-        while stack:
-            x = stack.pop()
-            for y in nbrs[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        if len(seen) != n:
+        ends = np.asarray(self.edges, dtype=np.intp).reshape(-1, 2)
+        if components(n, ends[:, 0], ends[:, 1]).any():
             problems.append("graph is not connected")
         return problems
 
@@ -310,27 +326,9 @@ class GraphInTarget:
         if walks is None:
             walks = self.faces()
         if self.positions is not None:
-            areas = []
-            for walk in walks:
-                pts = self.positions[walk]
-                areas.append(
-                    0.5
-                    * float(
-                        np.sum(
-                            pts[:, 0] * np.roll(pts[:, 1], -1)
-                            - np.roll(pts[:, 0], -1) * pts[:, 1]
-                        )
-                    )
-                )
-            return int(np.argmin(areas))
-        lengths = []
-        for walk in walks:
-            tot = 0.0
-            for i, u in enumerate(walk):
-                v = walk[(i + 1) % len(walk)]
-                tot += self.edge_length(u, v)
-            lengths.append(tot)
-        return int(np.argmax(lengths))
+            return int(np.argmin([signed_area(self.positions[walk]) for walk in walks]))
+        return int(np.argmax([sum(self.edge_length(u, v) for u, v in zip(walk, walk[1:] + walk[:1]))
+                              for walk in walks]))
 
     def outer_walk(self) -> list[int]:
         walks = self.faces()

@@ -12,6 +12,10 @@ Edges of the graph that bound no face (whiskers, tree parts) survive in W
 as one-dimensional *bridge* segments; a graph with no faces at all glues
 to a metric tree, which is a legitimate degenerate disc retract.
 
+The angle sums certify CAT(0) only on a simply connected W (Bridson and
+Haefliger, II.4.1 and II.5.5), which `PolyhedralDisc` checks when it is
+built, from its side pairing (`~catmin.mesh.side_pairing`).
+
 Intrinsic distances on W are overestimated by Dijkstra runs on an
 edge-subdivided surface graph whose faces carry complete chord
 connections, a `~catmin.graphs.PathGraph`; every query can report a
@@ -25,24 +29,20 @@ from those, through ``SurfaceGraph.rows``.
 and the nets on one W share one graph and one all-pairs run.  The key
 lemma reads no distances on W: it certifies its maps side by side.
 
-The thin-triangle test works on arrays: it draws candidate triangles in
-batches and filters each batch against its rejection rules, up to a cap
-of 30 candidates per sample; it reads hop counts and interior path points
-off the all-pairs predecessor table for all samples at once
-(`~catmin.graphs.path_hops`, `~catmin.graphs.walk_back`) and measures every
-sample in one pass with `comparison_triangle`'s formulas.  A seed fixes
-its draws; they are not those of the former one-triangle-at-a-time loop.
+The thin-triangle test works on arrays, all samples at once (see
+`thin_triangle_test`).
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .graphs import GraphInTarget, PathGraph, path_hops, walk_back
+from .mesh import SidePairing, side_pairing
 from .targets import TargetSpace, angle_from_sides, invalid
 
 __all__ = [
@@ -205,13 +205,22 @@ class PolyhedralDisc:
     ``gluings`` identifies triangle sides isometrically; side ``s`` of a
     triangle joins its corners ``s`` and ``(s+1) % 3``.  Sides not listed
     in any gluing are boundary sides.  ``boundary_walk`` is the closed
-    vertex walk of the boundary curve with matching segment lengths.
+    vertex walk of the boundary curve with matching segment lengths: its
+    steps run along the boundary sides, each once, and along bridges, each
+    twice (out and back) or never.
 
     A disc is checked when it is built, and a malformed one raises a
-    `GlueError` whose ``problems`` lists the diagnostics; every disc is a
-    disc retract of Euler characteristic 1.  A disc is immutable once
-    constructed: ``surface_graph`` hands out a graph built from it earlier,
-    and discs compare and hash by identity.
+    `GlueError` whose ``problems`` lists the diagnostics.  Its sides are
+    paired once (`~catmin.mesh.side_pairing`), and the checks read the
+    pairing: the vertices its triangles and bridges use are connected, the
+    Euler characteristic is 1, and no closed component (triangles joined
+    through gluings with no unglued side) exists.  So W is simply
+    connected: a 2-cycle lives on closed components, so H_2 = 0, and then
+    Euler characteristic 1 forces H_1 = 0; each piece of triangles has an
+    unglued side, so W collapses onto a graph, which H_1 = 0 makes a tree,
+    and its fundamental group is trivial.  A disc is immutable once built:
+    ``surface_graph`` hands out a graph built from it earlier, and discs
+    compare and hash by identity.
     """
 
     tri_coords: list[np.ndarray]
@@ -221,6 +230,10 @@ class PolyhedralDisc:
     boundary_walk: list[int]
     boundary_lengths: list[float]
     n_vertices: int
+    # worked out once when built: the side pairing, and each boundary_walk
+    # step's segment, a boundary side's number 3 f + s or -1 - b for bridge b
+    pairing: SidePairing | None = field(default=None, init=False, repr=False)
+    walk_segments: list[int] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.tri_coords = [np.asarray(c, dtype=float) for c in self.tri_coords]
@@ -246,40 +259,14 @@ class PolyhedralDisc:
         p = self.tri_coords[f]
         return float(np.linalg.norm(p[s] - p[(s + 1) % 3]))
 
-    def glued_sides(self) -> set[tuple[int, int]]:
-        out = set()
-        for pair in self.gluings:
-            out.update(pair)
-        return out
-
     def boundary_sides(self) -> list[tuple[int, int]]:
-        glued = self.glued_sides()
-        return [
-            (f, s) for f in range(self.n_triangles) for s in range(3) if (f, s) not in glued
-        ]
+        return [divmod(side, 3) for side in self.pairing.boundary.tolist()]
 
     def n_edges(self) -> int:
-        return len(self.gluings) + len(self.boundary_sides()) + len(self.bridges)
+        return self.pairing.n_edges + len(self.bridges)
 
     def used_vertices(self) -> set[int]:
-        verts: set[int] = set()
-        for tri in self.tri_vertices:
-            verts.update(tri)
-        for u, v, _ in self.bridges:
-            verts.update((u, v))
-        return verts
-
-    def skeleton_edges(self) -> list[tuple[int, int]]:
-        out = set()
-        for (f1, s1), _ in self.gluings:
-            u, v = self.side_corners(f1, s1)
-            out.add((min(u, v), max(u, v)))
-        for f, s in self.boundary_sides():
-            u, v = self.side_corners(f, s)
-            out.add((min(u, v), max(u, v)))
-        for u, v, _ in self.bridges:
-            out.add((min(u, v), max(u, v)))
-        return sorted(out)
+        return {v for tri in self.tri_vertices for v in tri} | {v for u, w, _ in self.bridges for v in (u, w)}
 
     def corner_angle(self, f: int, corner: int) -> float:
         p = self.tri_coords[f]
@@ -300,16 +287,12 @@ class PolyhedralDisc:
         return sums
 
     def interior_vertices(self) -> list[int]:
-        """Vertices fully surrounded by glued triangles."""
-        exposed = set(self.boundary_walk)
-        for f, s in self.boundary_sides():
-            exposed.update(self.side_corners(f, s))
-        for u, v, _ in self.bridges:
-            exposed.update((u, v))
-        incident: set[int] = set()
-        for tri in self.tri_vertices:
-            incident.update(tri)
-        return sorted(v for v in incident if v not in exposed)
+        """Vertices fully surrounded by glued triangles: on a triangle and on
+        no boundary side.  Their triangles form one closed fan (a second fan
+        would split the boundary walk); a bridge at one leaves that fan's
+        turn in its link."""
+        exposed = {v for f, s in self.boundary_sides() for v in self.side_corners(f, s)}
+        return sorted({v for tri in self.tri_vertices for v in tri} - exposed)
 
     def _diagnose(self) -> list[str]:
         # shapes and vertex indices first: every later check reads them
@@ -349,17 +332,49 @@ class PolyhedralDisc:
                 seen_sides.add((f, s))
             l1, l2 = self.side_length(f1, s1), self.side_length(f2, s2)
             if abs(l1 - l2) > GLUE_TOL:
-                problems.append(
-                    f"glued sides ({f1},{s1})~({f2},{s2}) differ in length by {abs(l1 - l2):.3g}"
-                )
+                problems.append(f"glued sides ({f1},{s1})~({f2},{s2}) differ in length by {abs(l1 - l2):.3g}")
             if set(self.side_corners(f1, s1)) != set(self.side_corners(f2, s2)):
-                problems.append(
-                    f"glued sides ({f1},{s1})~({f2},{s2}) join different vertex pairs"
-                )
-        euler = len(self.used_vertices()) - self.n_edges() + self.n_triangles
+                problems.append(f"glued sides ({f1},{s1})~({f2},{s2}) join different vertex pairs")
+        if problems:
+            return problems
+        glued = [(3 * f1 + s1, 3 * f2 + s2) for (f1, s1), (f2, s2) in self.gluings]
+        self.pairing = pairing = side_pairing(self.tri_vertices, glued, [(u, v) for u, v, _ in self.bridges])
+        used = sorted(self.used_vertices())
+        if len(set(pairing.component[used].tolist())) > 1:
+            problems.append("the triangles and bridges do not form one connected complex")
+        euler = len(used) - self.n_edges() + self.n_triangles
         if euler != 1:
             problems.append(f"Euler characteristic {euler}, expected 1 for a disc retract")
-        return problems
+        for piece in np.setdiff1d(pairing.piece, pairing.piece[pairing.boundary // 3]).tolist():
+            problems.append(f"triangles {np.flatnonzero(pairing.piece == piece).tolist()} are glued into a "
+                            "closed surface: none of their sides is unglued")
+        return problems + self._match_walk()
+
+    def _match_walk(self) -> list[str]:
+        """Match each boundary_walk step to the boundary side on its vertex
+        pair, with a length within `GLUE_TOL` of the step's, or to the bridge
+        there, of the step's length, and keep the matches; the problems of a
+        walk off the boundary.  (Of several sides and bridges on one pair,
+        which only a complex rejected for a cycle has, the last is taken.)"""
+        pool: dict[frozenset, list[tuple[int, float]]] = {}
+        for f, s in self.boundary_sides():
+            pool.setdefault(frozenset(self.side_corners(f, s)), []).append((3 * f + s, self.side_length(f, s)))
+        for b, (u, v, ln) in enumerate(self.bridges):
+            pool.setdefault(frozenset((u, v)), []).extend([(-1 - b, ln)] * 2)
+        walk, self.walk_segments, stray = self.boundary_walk, [], []
+        for i, (u, v, ln) in enumerate(zip(walk, walk[1:] + walk[:1], self.boundary_lengths)):
+            entries = pool.get(frozenset((u, v)))
+            if entries and abs(entries[-1][1] - ln) <= (GLUE_TOL if entries[-1][0] >= 0 else 0.0):
+                self.walk_segments.append(entries.pop()[0])
+            else:
+                stray.append(i)
+        left = [seg for entries in pool.values() for seg, _ in entries]
+        sides = sorted(divmod(seg, 3) for seg in left if seg >= 0)
+        once = sorted(self.bridges[-1 - seg][:2] for seg in left if seg < 0 and left.count(seg) == 1)
+        return [problem for problem, found in (
+            (f"boundary_walk steps {stray} run along no boundary side or bridge of their length", stray),
+            (f"boundary sides {sides} are not on boundary_walk", sides),
+            (f"bridges {once} are on boundary_walk once, not twice or never", once)) if found]
 
     def area(self) -> float:
         return float(sum(_triangle_area(c) for c in self.tri_coords))
@@ -536,9 +551,10 @@ class Cat0Report:
 
 def cat0_certificate(w: PolyhedralDisc, tol_angle: float = ANGLE_TOL) -> Cat0Report:
     """Nonpositive-curvature certificate: at least a full turn around every
-    interior vertex, plus simple connectivity of the complex, which ``w``'s
-    construction checked: a `PolyhedralDisc` exists only as a disc retract
-    of Euler characteristic 1.  ``tol_angle`` must be finite and >= 0."""
+    interior vertex, which makes ``w`` CAT(0) as it is simply connected: a
+    `PolyhedralDisc` is built only connected, of Euler characteristic 1 and
+    with no closed component, hence with trivial homology and a free, so
+    trivial, fundamental group.  ``tol_angle`` must be finite and >= 0."""
     if not 0.0 <= tol_angle < math.inf:
         raise ValueError(f"tol_angle must be finite and >= 0, got {tol_angle}")
     sums = w.vertex_angle_sums()
@@ -560,65 +576,23 @@ def boundary_and_area(w: PolyhedralDisc) -> dict:
 
 
 def cut_vertices(w: PolyhedralDisc) -> dict:
-    """Articulation vertices of the 1-skeleton and its 2-connected blocks."""
-    cuts, blocks = _biconnected(sorted(w.used_vertices()), w.skeleton_edges())
-    return {"cut_vertices": sorted(cuts), "blocks": sorted(sorted(b) for b in blocks)}
+    """Articulation vertices of the 1-skeleton and its 2-connected blocks.
 
-
-def _biconnected(vertices: list[int], edges: list[tuple[int, int]]) -> tuple[set[int], list[list[int]]]:
-    """Cut vertices and blocks (2-connected components, bridges included)
-    of a simple graph, by Hopcroft and Tarjan's depth-first search
-    ("Algorithm 447", CACM 16(6), 1973), run with an explicit stack.
-
-    ``low[v]`` is the earliest discovery time reachable from v's subtree by
-    one back edge.  When a child v of u has ``low[v] >= disc[u]``, u
-    separates v's subtree from the rest: the vertices stacked since v,
-    with u, form a block, and u is a cut vertex unless it is a root with a
-    single child.  Isolated vertices lie in no block.
+    W is simply connected, so its pieces (triangles joined through gluings)
+    and bridges meet at single vertices, as in a tree: a cycle of the
+    skeleton stays in one piece, and no vertex splits a piece, whose
+    triangles around each vertex form one fan.  Each piece's vertices and
+    each bridge's ends are a block, and a cut vertex lies on two blocks.
     """
-    nbrs: dict[int, list[int]] = {v: [] for v in vertices}
-    for u, v in edges:
-        if u != v:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-    disc: dict[int, int] = {}
-    low: dict[int, int] = {}
-    cuts: set[int] = set()
-    blocks: list[list[int]] = []
-    for root in vertices:
-        if root in disc:
-            continue
-        disc[root] = low[root] = len(disc)
-        stacked = [root]
-        todo = [(root, -1, iter(nbrs[root]))]
-        root_children = 0
-        while todo:
-            v, parent, rest = todo[-1]
-            w = next(rest, None)
-            if w is not None:
-                if w not in disc:
-                    disc[w] = low[w] = len(disc)
-                    stacked.append(w)
-                    todo.append((w, v, iter(nbrs[w])))
-                elif w != parent:
-                    low[v] = min(low[v], disc[w])
-                continue
-            todo.pop()
-            if parent < 0:
-                continue
-            low[parent] = min(low[parent], low[v])
-            if low[v] >= disc[parent]:
-                block = [parent]
-                while block[-1] != v:
-                    block.append(stacked.pop())
-                blocks.append(block)
-                if parent == root:
-                    root_children += 1
-                else:
-                    cuts.add(parent)
-        if root_children > 1:
-            cuts.add(root)
-    return cuts, blocks
+    pieces: dict[int, set[int]] = {}
+    for piece, tri in zip(w.pairing.piece.tolist(), w.tri_vertices):
+        pieces.setdefault(piece, set()).update(tri)
+    blocks = [sorted(b) for b in pieces.values()] + [sorted((u, v)) for u, v, _ in w.bridges]
+    seen, cuts = set(), set()
+    for block in blocks:
+        cuts.update(seen.intersection(block))
+        seen.update(block)
+    return {"cut_vertices": sorted(cuts), "blocks": sorted(blocks)}
 
 
 # --------------------------------------------------------------------------
@@ -665,10 +639,7 @@ class SurfaceGraph(PathGraph):
         bridge segment as an edge (a, b) of length w."""
         disc = self.disc
         r = self.subdiv
-        glue_partner: dict[tuple[int, int], tuple[int, int]] = {}
-        for (f1, s1), (f2, s2) in disc.gluings:
-            glue_partner[(f1, s1)] = (f2, s2)
-            glue_partner[(f2, s2)] = (f1, s1)
+        partner = disc.pairing.partner.tolist()
 
         def vertex_node(v: int) -> int:
             if v not in self._vertex_node:
@@ -686,10 +657,9 @@ class SurfaceGraph(PathGraph):
             interior = [self._new_node(u, v, k / r) for k in range(1, r)]
             chain = [vertex_node(u)] + interior + [vertex_node(v)]
             self._side_chain[(f, s)] = chain
-            partner = glue_partner.get((f, s))
-            if partner is not None:
-                pu, _ = disc.side_corners(*partner)
-                self._side_chain[partner] = chain if pu == u else chain[::-1]
+            if partner[3 * f + s] >= 0:
+                glued = divmod(partner[3 * f + s], 3)
+                self._side_chain[glued] = chain if disc.side_corners(*glued)[0] == u else chain[::-1]
             max_gap = max(max_gap, disc.side_length(f, s) / r)
             return chain
 
@@ -750,38 +720,18 @@ class SurfaceGraph(PathGraph):
     def boundary_node_arcs(self) -> tuple[list[int], list[float]]:
         """Nodes along the boundary walk with cumulative arclengths."""
         disc = self.disc
-        pool: dict[tuple[int, int], list[tuple[str, tuple]]] = {}
-        for f, s in disc.boundary_sides():
-            u, v = disc.side_corners(f, s)
-            pool.setdefault((min(u, v), max(u, v)), []).append(("side", (f, s)))
-        for b_idx, (u, v, _) in enumerate(disc.bridges):
-            key = (min(u, v), max(u, v))
-            pool.setdefault(key, []).extend([("bridge", (b_idx,))] * 2)
-        walk = disc.boundary_walk
         nodes: list[int] = []
         arcs: list[float] = []
         acc = 0.0
-        for i in range(len(walk)):
-            u, v = walk[i], walk[(i + 1) % len(walk)]
-            seg = disc.boundary_lengths[i]
-            key = (min(u, v), max(u, v))
-            entries = pool.get(key)
-            chain = None
-            if entries:
-                kind, ref = entries.pop()
-                if kind == "side":
-                    chain = list(self.side_chain(*ref))
-                else:
-                    chain = list(self.bridge_chain(ref[0]))
-                if chain[0] != self.vertex_node(u):
-                    chain = chain[::-1]
-            else:
-                chain = [self.vertex_node(u), self.vertex_node(v)]
+        for u, segment, length in zip(disc.boundary_walk, disc.walk_segments, disc.boundary_lengths):
+            chain = self.side_chain(*divmod(segment, 3)) if segment >= 0 else self.bridge_chain(-1 - segment)
+            if chain[0] != self.vertex_node(u):
+                chain = chain[::-1]
             m = len(chain) - 1
             for k, node in enumerate(chain[:-1]):
                 nodes.append(node)
-                arcs.append(acc + seg * (k / m if m else 0.0))
-            acc += seg
+                arcs.append(acc + length * (k / m))
+            acc += length
         return nodes, arcs
 
 
@@ -940,21 +890,14 @@ def cone_disc(total_angle: float, n_triangles: int = 6, radius: float = 1.0) -> 
     if apex >= math.pi:
         raise ValueError("per-triangle apex angle must be < pi")
     rim = 2.0 * radius * math.sin(apex / 2.0)
-    tri_coords = []
-    tri_vertices = []
-    gluings = []
-    for i in range(n_triangles):
-        tri = comparison_triangle(rim, radius, radius)  # corners (apex, rim_i, rim_{i+1})
-        tri_coords.append(tri.coords)
-        tri_vertices.append((0, 1 + i, 1 + (i + 1) % n_triangles))
-    for i in range(n_triangles):
-        gluings.append(((i, 2), ((i + 1) % n_triangles, 0)))  # shared spoke
+    ring = range(n_triangles)
     return PolyhedralDisc(
-        tri_coords=tri_coords,
-        tri_vertices=tri_vertices,
-        gluings=gluings,
+        # corners (apex, rim_i, rim_{i+1}); neighbours share a spoke
+        tri_coords=[comparison_triangle(rim, radius, radius).coords for _ in ring],
+        tri_vertices=[(0, 1 + i, 1 + (i + 1) % n_triangles) for i in ring],
+        gluings=[((i, 2), ((i + 1) % n_triangles, 0)) for i in ring],
         bridges=[],
-        boundary_walk=[1 + i for i in range(n_triangles)],
+        boundary_walk=[1 + i for i in ring],
         boundary_lengths=[rim] * n_triangles,
         n_vertices=n_triangles + 1,
     )

@@ -21,52 +21,113 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import PathGraph
-from .pseudometric import UnionFind
+from .graphs import PathGraph, components, signed_area
 from .targets import EuclideanSpace, TargetSpace, invalid
 
-__all__ = ["MappedDisc", "RefinedGraph", "build_refined_graph", "boundary_loop_of"]
+__all__ = ["MappedDisc", "RefinedGraph", "SidePairing", "build_refined_graph", "boundary_loop_of", "side_pairing"]
 
 
-def _edges_of_triangles(triangles: np.ndarray) -> dict[tuple[int, int], list[int]]:
-    """Map each undirected edge to the list of face indices containing it."""
-    out: dict[tuple[int, int], list[int]] = {}
-    for f, tri in enumerate(triangles):
-        a, b, c = (int(x) for x in tri)
-        for u, v in ((a, b), (b, c), (c, a)):
-            key = (min(u, v), max(u, v))
-            out.setdefault(key, []).append(f)
-    return out
+@dataclass(frozen=True)
+class SidePairing:
+    """Side pairing, vertex fans and pieces of a complex of triangles: side
+    ``3 f + s`` is side ``s`` of triangle ``f``; it joins the corners
+    ``3 f + s`` and ``3 f + (s + 1) % 3``, corner ``3 f + c`` being the
+    triangle's corner ``c``.  A fan is a set of one vertex's corners joined
+    across paired sides at that vertex, a piece a set of triangles joined
+    through paired sides; both are named by their smallest member.
+    """
+
+    partner: np.ndarray     # (3m,) the side paired with each side, -1 if none
+    boundary: np.ndarray    # the sides on no other side, increasing
+    crowded: list           # ((u, v), k): k > 2 sides on the vertex pair (u, v), left unpaired
+    n_edges: int            # one per side pair, per crowded vertex pair and per boundary side
+    fan: np.ndarray         # (3m,) each corner's fan
+    piece: np.ndarray       # (m,) each triangle's piece
+    component: np.ndarray   # each vertex's component through sides and links, by smallest vertex
+
+
+def side_pairing(triangles, gluings, links) -> SidePairing:
+    """Pair the sides of ``triangles``, an (m, 3) vertex index array, and
+    find their fans, pieces and vertex components.  A mapped disc passes
+    ``gluings`` None: two sides on one vertex pair are paired, three or
+    more are crowded.  A glued disc passes its pairs of side numbers, each
+    side in one pair at most, and its bridges as ``links``, vertex pairs
+    joined without a side.  Across a paired side the corners at one vertex
+    join one fan.
+    """
+    tri = np.asarray(triangles, dtype=np.intp).reshape(-1, 3)
+    m = len(tri)
+    side = np.arange(3 * m)
+    ahead = side - side % 3 + (side + 1) % 3   # a side's second corner
+    a = tri.ravel()
+    b = a[ahead]
+    partner = np.full(3 * m, -1)
+    crowded = []
+    if gluings is None:
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        key = lo * (1 + hi.max(initial=0)) + hi
+        order = np.argsort(key, kind="stable")
+        first = np.flatnonzero(np.diff(key[order], prepend=-1))
+        size = np.diff(first, append=3 * m)
+        two = first[size == 2]
+        partner[order[two]], partner[order[two + 1]] = order[two + 1], order[two]
+        boundary = np.sort(order[first[size == 1]])
+        crowded = [((int(lo[order[i]]), int(hi[order[i]])), int(k)) for i, k in zip(first, size) if k > 2]
+        n_edges = len(first)
+    else:
+        pairs = np.asarray(gluings, dtype=np.intp).reshape(-1, 2)
+        partner[pairs[:, 0]], partner[pairs[:, 1]] = pairs[:, 1], pairs[:, 0]
+        boundary = np.flatnonzero(partner < 0)
+        n_edges = 3 * m - len(pairs)
+    p = np.flatnonzero(partner > side)
+    q = partner[p]
+    same = a[p] == a[q]   # the two sides run the same way
+    fan = components(3 * m, np.concatenate([p, ahead[p]]),
+                     np.concatenate([np.where(same, q, ahead[q]), np.where(same, ahead[q], q)]))
+    ends = np.concatenate([np.stack([a, b], axis=1), np.asarray(links, dtype=np.intp).reshape(-1, 2)])
+    return SidePairing(partner, boundary, crowded, n_edges, fan, components(m, p // 3, q // 3),
+                       components(1 + int(ends.max(initial=-1)), ends[:, 0], ends[:, 1]))
+
+
+_last_pairing: dict[bytes, SidePairing] = {}
+
+
+def _pair_by_vertices(triangles: np.ndarray) -> SidePairing:
+    """The mapped-disc pairing of an int triangle array.  The last one is
+    kept, and read, never written, by every disc on the same triangles:
+    `make_mapped_disc` derives the loop, then builds the disc, on one pairing."""
+    key = triangles.tobytes()
+    if key not in _last_pairing:
+        _last_pairing.clear()
+        _last_pairing[key] = side_pairing(triangles, None, ())
+    return _last_pairing[key]
 
 
 def boundary_loop_of(vertices: np.ndarray, triangles: np.ndarray) -> list[int]:
     """Derive the boundary cycle of a simplicial disc, counterclockwise,
     starting at its smallest vertex index."""
-    edge_faces = _edges_of_triangles(triangles)
-    boundary_edges = [e for e, fs in edge_faces.items() if len(fs) == 1]
-    if not boundary_edges:
+    tri = np.asarray(triangles, dtype=int)
+    boundary = _pair_by_vertices(tri).boundary.tolist()
+    if not boundary:
         raise ValueError("mesh has no boundary")
+    tri = tri.ravel()
     nbr: dict[int, list[int]] = {}
-    for u, v in boundary_edges:
+    for s in boundary:
+        u, v = int(tri[s]), int(tri[s - s % 3 + (s + 1) % 3])
         nbr.setdefault(u, []).append(v)
         nbr.setdefault(v, []).append(u)
     for v, ns in nbr.items():
         if len(ns) != 2:
             raise ValueError(f"boundary is not a single cycle at vertex {v}")
-    start = min(nbr)
-    loop = [start, nbr[start][0]]
-    while loop[-1] != start:
+    # every vertex has two neighbours, so the walk comes back to its start
+    loop = [min(nbr), nbr[min(nbr)][0]]
+    while loop[-1] != loop[0]:
         prev, cur = loop[-2], loop[-1]
-        ns = nbr[cur]
-        loop.append(ns[0] if ns[1] == prev else ns[1])
-        if len(loop) > len(boundary_edges) + 1:
-            raise ValueError("boundary is not a single cycle")
+        loop.append(nbr[cur][0] if nbr[cur][1] == prev else nbr[cur][1])
     loop.pop()
-    if len(loop) != len(boundary_edges):
+    if len(loop) != len(boundary):
         raise ValueError("boundary has more than one component")
-    pts = vertices[loop]
-    area2 = float(np.sum(pts[:, 0] * np.roll(pts[:, 1], -1) - np.roll(pts[:, 0], -1) * pts[:, 1]))
-    if area2 < 0.0:
+    if signed_area(np.asarray(vertices, dtype=float)[loop]) < 0.0:
         loop = [loop[0]] + loop[:0:-1]
     return loop
 
@@ -76,7 +137,11 @@ class MappedDisc:
     """Simplicial parameter disc plus per-vertex images in a target space.
 
     A disc is checked when it is built: a malformed one raises a
-    ValueError whose ``problems`` lists the diagnostics.
+    ValueError whose ``problems`` lists the diagnostics.  Its sides are
+    paired once (`side_pairing`), and the checks read the pairing: every
+    edge lies on one or two triangles, the triangles around each vertex
+    form one fan, the complex is connected with Euler characteristic 1,
+    and ``boundary_loop`` traverses its one boundary cycle.
     """
 
     vertices: np.ndarray              # (n, 2) parameter coordinates
@@ -85,6 +150,7 @@ class MappedDisc:
     images: np.ndarray                # (n, dim) per-vertex target points
     target: TargetSpace
     # worked out once: nothing changes a disc after it is built
+    pairing: SidePairing | None = field(default=None, init=False, repr=False, compare=False)
     _edge_faces: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -105,9 +171,14 @@ class MappedDisc:
         return self.triangles.shape[0]
 
     def edge_faces(self) -> dict[tuple[int, int], list[int]]:
-        """Each undirected edge's faces, built on the first call and kept."""
+        """Each undirected edge's faces, in increasing order, read off the
+        side pairing on the first call and kept."""
         if self._edge_faces is None:
-            self._edge_faces = _edges_of_triangles(self.triangles)
+            partner = self.pairing.partner
+            later = np.flatnonzero(partner < np.arange(len(partner)))  # each boundary side, each pair's later side
+            ends = np.sort(self.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)[later], axis=1).tolist()
+            faces = [[f] if t < 0 else [t // 3, f] for f, t in zip((later // 3).tolist(), partner[later].tolist())]
+            self._edge_faces = dict(sorted(zip(map(tuple, ends), faces)))
         return self._edge_faces
 
     def skeleton_edges(self) -> list[tuple[int, int]]:
@@ -123,44 +194,41 @@ class MappedDisc:
             problems.append(f"parameter vertices not finite: {bad}")
         if m == 0:
             return ["mesh has no triangles"]
-        if self.triangles.min(initial=0) < 0 or self.triangles.max(initial=-1) >= n:
+        t = self.triangles
+        if t.ndim != 2 or t.shape[1] != 3:
+            return problems + ["triangles must be (m, 3) vertex index triples"]
+        if t.min(initial=0) < 0 or t.max(initial=-1) >= n:
             problems.append("triangle index out of range")
             return problems
-        for f, tri in enumerate(self.triangles):
-            if len(set(int(v) for v in tri)) != 3:
-                problems.append(f"triangle {f} has repeated vertices")
+        repeated = (t[:, 0] == t[:, 1]) | (t[:, 1] == t[:, 2]) | (t[:, 2] == t[:, 0])
+        problems += [f"triangle {f} has repeated vertices" for f in np.flatnonzero(repeated).tolist()]
         if problems:
             return problems
         used = np.zeros(n, dtype=bool)
         used[self.triangles.ravel()] = True
         if not used.all():
             problems.append(f"vertices not in any triangle: {np.where(~used)[0].tolist()}")
-        edge_faces = self.edge_faces()
-        for e, fs in edge_faces.items():
-            if len(fs) > 2:
-                problems.append(f"edge {e} lies in {len(fs)} triangles")
-        n_edges = len(edge_faces)
-        euler = n - n_edges + m
+        self.pairing = pairing = _pair_by_vertices(self.triangles)
+        for e, k in pairing.crowded:
+            problems.append(f"edge {e} lies in {k} triangles")
+        euler = n - pairing.n_edges + m
         if euler != 1:
             problems.append(f"Euler characteristic {euler}, expected 1")
-        uf = UnionFind(n)
-        for u, v in edge_faces:
-            uf.union(u, v)
-        roots = {uf.find(i) for i in range(n) if used[i]}
-        if len(roots) > 1:
+        fans_at = np.bincount(t.ravel()[pairing.fan == np.arange(3 * m)], minlength=n)  # each fan at its vertex
+        if (fans_at > 1).any():
+            problems.append(f"faces around vertices {np.flatnonzero(fans_at > 1).tolist()} form more than one fan")
+        if len(np.unique(pairing.component[np.flatnonzero(used)])) > 1:
             problems.append("mesh is not connected")
         try:
-            derived = boundary_loop_of(self.vertices, self.triangles)
+            derived = boundary_loop_of(self.vertices, self.triangles)  # reads the same pairing
         except ValueError as exc:
             problems.append(str(exc))
             return problems
-        bl = list(self.boundary_loop)
-        want = {(min(derived[i], derived[(i + 1) % len(derived)]),
-                 max(derived[i], derived[(i + 1) % len(derived)]))
-                for i in range(len(derived))}
-        got = {(min(bl[i], bl[(i + 1) % len(bl)]), max(bl[i], bl[(i + 1) % len(bl)]))
-               for i in range(len(bl))} if len(bl) >= 3 else set()
-        if want != got:
+
+        def steps(loop):
+            return {(min(u, v), max(u, v)) for u, v in zip(loop, loop[1:] + loop[:1])}
+
+        if len(self.boundary_loop) < 3 or steps(self.boundary_loop) != steps(derived):
             problems.append("boundary_loop does not traverse the single-triangle edges")
         n_img = len(self.images)
         if n_img != n:

@@ -19,10 +19,8 @@ __all__ = [
 def make_mapped_disc(vertices, triangles, images) -> MappedDisc:
     """Assemble a MappedDisc into the Euclidean space of its images,
     deriving the boundary loop from the triangles."""
-    vertices = np.asarray(vertices, dtype=float)
-    triangles = np.asarray(triangles, dtype=int)
     images = np.asarray(images, dtype=float)
-    loop = boundary_loop_of(vertices, triangles)
+    loop = boundary_loop_of(vertices, triangles)  # pairs the sides for the disc too
     return MappedDisc(vertices, triangles, loop, images, EuclideanSpace(images.shape[1]))
 
 

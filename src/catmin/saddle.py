@@ -40,7 +40,6 @@ import numpy as np
 from .induced import length_pseudometric
 from .mesh import MappedDisc
 from .meshgen import make_mapped_disc
-from .pseudometric import UnionFind
 from .targets import EuclideanSpace
 
 __all__ = [
@@ -92,13 +91,13 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class _PlaneSections:
     """One disc's face adjacency, read once, cut by one plane at a time.
 
-    Each edge joins consecutive faces around it, and an edge with one face
-    is a boundary edge.  For a plane and a side (positive first) a face is
-    active when a vertex lies strictly on that side, and an edge is live
-    when one of its ends does.  Active faces joined by live edges form the
-    side's components; a component is a violation when no live boundary
-    edge bounds one of its faces.  Most planes are cleared by `climbs`
-    before that search.
+    `MappedDisc` checked when built that the disc is one: each edge has two
+    faces, or one on the boundary, and the faces around each vertex form
+    one fan.  For a plane and a side (positive first) a face is active when
+    a vertex lies strictly on that side, and an edge is live when one of
+    its ends does.  Active faces joined by live edges form the side's
+    components; a component is a violation when no live boundary edge
+    bounds one of its faces.  Most planes are cleared by `climbs` first.
     """
 
     def __init__(self, disc: MappedDisc):
@@ -108,8 +107,6 @@ class _PlaneSections:
         # per face: (u, v, other face) across each interior edge, (u, v) of each boundary edge
         self.joins = [[] for _ in self.tris]
         self.rims = [[] for _ in self.tris]
-        # corners 3 f + (position of v in face f), joined across v's interior edges
-        corners = UnionFind(3 * len(self.tris))
         nbrs = [[] for _ in range(disc.n_vertices)]
         on_rim = [False] * disc.n_vertices
         for (u, v), fs in disc.edge_faces().items():
@@ -118,20 +115,14 @@ class _PlaneSections:
             for a, b in zip(fs, fs[1:]):
                 self.joins[a].append((u, v, b))
                 self.joins[b].append((u, v, a))
-                for w in (u, v):
-                    corners.union(3 * a + self.tris[a].index(w), 3 * b + self.tris[b].index(w))
             if len(fs) == 1:
                 self.rims[fs[0]].append((u, v))
                 on_rim[u] = on_rim[v] = True
-        fans = {(w, corners.find(c)) for c, w in enumerate(itertools.chain.from_iterable(self.tris))}
-        # the interior vertices, and the skeleton neighbours of each as runs
-        # from ``starts``; None where the faces around some vertex form several fans
-        self.inner = self.nbrs = self.starts = None
-        if len(fans) == disc.n_vertices:
-            inner = [w for w in range(disc.n_vertices) if not on_rim[w]]
-            self.inner = np.array(inner, dtype=np.intp)
-            self.nbrs = np.array([u for w in inner for u in nbrs[w]], dtype=np.intp)
-            self.starts = np.cumsum([0] + [len(nbrs[w]) for w in inner], dtype=np.intp)[:-1]
+        # the interior vertices, and the skeleton neighbours of each as runs from ``starts``
+        inner = [w for w in range(disc.n_vertices) if not on_rim[w]]
+        self.inner = np.array(inner, dtype=np.intp)
+        self.nbrs = np.array([u for w in inner for u in nbrs[w]], dtype=np.intp)
+        self.starts = np.cumsum([0] + [len(nbrs[w]) for w in inner], dtype=np.intp)[:-1]
 
     def distances(self, normal: np.ndarray, offset: float) -> np.ndarray:
         """Signed distance of each image to the plane ``normal . x = offset``."""
@@ -150,17 +141,17 @@ class _PlaneSections:
 
     def climbs(self, g: np.ndarray) -> bool:
         """Whether every interior vertex beyond the snap on either side has
-        a skeleton neighbour strictly further out, for signed distances ``g``;
-        False on a complex whose faces around some vertex form several fans.
+        a skeleton neighbour strictly further out, for signed distances ``g``.
 
         Then every component of a side holds a vertex beyond the snap, and
         a walk of strictly growing distance from it never repeats a vertex,
         so it ends on the boundary.  The faces around each vertex it passes
         form one fan joined through that vertex's edges, all live, so the
         component holds the live boundary edges at the walk's last vertex.
+        One fan per vertex is what `MappedDisc` checks when it is built: a
+        complex whose faces around some vertex split into several fans is
+        no disc, and the walk could then leave a component it started in.
         """
-        if self.inner is None:
-            return False
         gi, gn = g[self.inner], g[self.nbrs]
         stuck = ((gi > self.snap) & (np.maximum.reduceat(gn, self.starts) <= gi)) | (
             (gi < -self.snap) & (np.minimum.reduceat(gn, self.starts) >= gi))

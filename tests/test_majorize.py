@@ -20,7 +20,6 @@ from catmin.majorize import (
     strip_disc,
     thin_triangle_test,
 )
-from catmin import majorize
 from catmin.meshgen import grid_disc, make_mapped_disc
 from catmin.pipeline import run_key_lemma
 from catmin.targets import EuclideanSpace, angle_from_sides
@@ -34,6 +33,14 @@ from oracles import (
     surface_graph_matrix_oracle,
     thin_triangle_test_oracle,
 )
+
+
+def skeleton_of(disc):
+    """The 1-skeleton of a glued disc: the vertex pairs of its triangle
+    sides and bridges, sorted."""
+    pairs = {(min(u, v), max(u, v)) for u, v, _ in disc.bridges}
+    pairs.update((min(tri[s], tri[s - 2]), max(tri[s], tri[s - 2])) for tri in disc.tri_vertices for s in range(3))
+    return sorted(pairs)
 
 
 def euclidean_graph(points, edges, pinned=()):
@@ -175,6 +182,22 @@ def test_glue_hexagonal_wheel_interior_full_turn():
     assert cert.interior_vertices == [0]
     assert cert.angle_sums[0] == pytest.approx(2 * math.pi, abs=1e-12)
     assert cert.ok
+
+
+def test_a_whisker_does_not_hide_a_cone_point():
+    # a raised five-spoke wheel, its hub short of a full turn, with a
+    # whisker from the hub into one face: the whisker becomes a bridge
+    pts = [(0.0, 0.0, 0.5)] + [(math.cos(0.4 * math.pi * k), math.sin(0.4 * math.pi * k), 0.0) for k in range(5)]
+    edges = [(0, k) for k in range(1, 6)] + [(min(k, k % 5 + 1), max(k, k % 5 + 1)) for k in range(1, 6)]
+    whiskered = euclidean_graph(pts + [(0.3, 0.1, 0.5)], edges + [(0, 6)])
+    disc, _ = glue_disc(whiskered)
+    assert [(u, v) for u, v, _ in disc.bridges] == [(0, 6)]
+    cert = cat0_certificate(disc)
+    assert cert.interior_vertices == [0]
+    assert cert.angle_sums[0] < 2 * math.pi - 0.5
+    assert not cert.ok
+    # the same verdict as the wheel without the whisker
+    assert cat0_certificate(glue_disc(euclidean_graph(pts, edges))[0]).summary() == cert.summary()
 
 
 # ---------------------------------------------------------- cones
@@ -354,7 +377,7 @@ def test_cut_vertices_two_triangles_sharing_vertex():
     )  # built, so it passed the disc's checks
     out = cut_vertices(disc)
     assert out["cut_vertices"] == [2]
-    assert articulation_oracle(5, disc.skeleton_edges()) == [2]
+    assert articulation_oracle(5, skeleton_of(disc)) == [2]
 
 
 def test_polyhedral_disc_is_checked_when_built():
@@ -489,7 +512,7 @@ def test_cut_vertices_bowtie_chain():
     )
     out = cut_vertices(disc)
     assert out["cut_vertices"] == [2, 4]
-    assert articulation_oracle(7, disc.skeleton_edges()) == [2, 4]
+    assert articulation_oracle(7, skeleton_of(disc)) == [2, 4]
     assert len(out["blocks"]) == 3
 
 
@@ -500,17 +523,29 @@ def _blocks_of(nx, vertices, edges):
     return sorted(sorted(b) for b in nx.biconnected_components(g))
 
 
-def test_cut_vertices_and_blocks_match_oracles_on_random_graphs():
-    # forests, cycles with chords, isolated vertices, several components
+def test_cut_vertices_and_blocks_match_oracles_on_random_glued_graphs():
+    # planar graphs from a 4 x 4 grid disc's skeleton with random edges
+    # dropped: faces of every shape, whiskers, trees, several blocks
     nx = pytest.importorskip("networkx")
     rng = np.random.default_rng(47)
-    for trial in range(300):
-        n = int(rng.integers(1, 16))
-        pairs = rng.integers(0, n, size=(int(rng.integers(0, 2 * n + 2)), 2)).tolist()
-        edges = sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v})
-        cuts, blocks = majorize._biconnected(list(range(n)), edges)
-        assert sorted(cuts) == articulation_oracle(n, edges), trial
-        assert sorted(sorted(b) for b in blocks) == _blocks_of(nx, range(n), edges), trial
+    vertices, triangles = grid_disc(4)
+    points = np.column_stack([vertices, 0.3 * vertices[:, 0] * vertices[:, 1]])
+    skeleton = make_mapped_disc(vertices, triangles, points).skeleton_edges()
+    built = 0
+    for trial in range(200):
+        edges = [e for e in skeleton if rng.random() < rng.uniform(0.3, 0.9)]
+        try:
+            g = GraphInTarget(list(points), edges, set(), rotation_from_positions(16, edges, vertices),
+                              EuclideanSpace(3), vertices)
+        except ValueError:
+            continue  # not connected
+        disc, _ = glue_disc(g)
+        built += 1
+        used, edges = sorted(disc.used_vertices()), skeleton_of(disc)
+        out = cut_vertices(disc)
+        assert out["cut_vertices"] == [v for v in articulation_oracle(disc.n_vertices, edges) if v in used], trial
+        assert out["blocks"] == _blocks_of(nx, used, edges), trial
+    assert built >= 50
 
 
 def test_cut_vertices_and_blocks_match_oracles_on_glued_discs():
@@ -531,7 +566,7 @@ def test_cut_vertices_and_blocks_match_oracles_on_glued_discs():
     loop = list(grid.boundary_loop)
     w = run_key_lemma(grid, [loop[0], loop[5], loop[10], loop[15], 14]).disc
     for disc in (chain, strip_disc((1.0, 1.0, 1.0), (1.0, 1.0, 1.0)), cone_disc(5 * math.pi / 2, 5), w):
-        used, edges = sorted(disc.used_vertices()), disc.skeleton_edges()
+        used, edges = sorted(disc.used_vertices()), skeleton_of(disc)
         out = cut_vertices(disc)
         assert out["cut_vertices"] == [v for v in articulation_oracle(disc.n_vertices, edges) if v in used]
         assert out["blocks"] == _blocks_of(nx, used, edges)
