@@ -29,8 +29,8 @@ from those, through ``SurfaceGraph.rows``.
 and the nets on one W share one graph and one all-pairs run.  The key
 lemma reads no distances on W: it certifies its maps side by side.
 
-The thin-triangle test works on arrays, all samples at once (see
-`thin_triangle_test`).
+The thin-triangle test measures all its samples at once, their paths read
+off the all-pairs predecessor table (see `thin_triangle_test`).
 """
 
 from __future__ import annotations
