@@ -529,6 +529,18 @@ def test_ordering_chain_on_random_instances():
         )
 
 
+def test_ordering_chain_matrices_are_finite():
+    # a MappedDisc is connected: the chain compares finite matrices, exact,
+    # bracketed and with a collapsed class alike
+    discs = [random_height_disc(50, max_vertices=13), random_height_disc(1002, max_vertices=30),
+             collapsed_interior_disc()]
+    for disc in discs:
+        report = ordering_chain_report(disc, refinement=2)
+        conn = report["connecting"]
+        for d in (report["length"].d, report["intrinsic"].d, conn.upper.d, conn.lower):
+            assert np.isfinite(d).all()
+
+
 def test_all_induced_matrices_verify_as_pseudometrics():
     for seed in (0, 7):
         disc = random_height_disc(seed + 300, max_vertices=12)

@@ -258,6 +258,16 @@ def test_thin_triangles_positive_cone_fails():
     assert rep["worst_violation"] > rep["allowance"]
 
 
+@pytest.mark.parametrize("total, n", [(5 * math.pi / 2, 5), (3 * math.pi / 2, 3)])
+def test_thin_test_cones_have_finite_surface_distances(total, n):
+    # the thin-triangle test reads its sides off the all-pairs table, and
+    # the net seeds its boundary points off arcs that start at 0
+    sg = cone_disc(total, n).surface_graph(24)
+    dist, _ = sg.all_pairs()
+    assert np.isfinite(dist).all()
+    assert sg.boundary_node_arcs()[1][0] == 0.0
+
+
 @pytest.mark.parametrize("samples", [0, -5])
 def test_thin_triangle_test_needs_a_sample(samples):
     with pytest.raises(ValueError, match="samples"):

@@ -7,6 +7,7 @@ import pytest
 from catmin import pipeline
 from catmin.induced import length_pseudometric
 from catmin.majorize import GlueError, glue_disc
+from catmin.mesh import build_refined_graph
 from catmin.meshgen import grid_disc, make_mapped_disc, random_height_disc
 from catmin.minimize import relax
 from catmin.pipeline import (
@@ -15,6 +16,7 @@ from catmin.pipeline import (
     run_key_lemma,
     shortness_excess,
 )
+from catmin.saddle import hexagon_counterexample, hexagon_graph
 
 from oracles import all_pairs_dijkstra_oracle, key_lemma_sampled_oracle
 
@@ -206,6 +208,60 @@ def test_key_lemma_passes_on_collapsing_sweep_instance(s):
     disc, sample = sweep_instance(s)
     result = run_key_lemma(disc, sample)
     assert result.ok, result.verification
+
+
+# ------------------------------------------------------ what the stages rely on
+
+
+def test_refined_graph_rows_are_finite_from_every_vertex():
+    # a MappedDisc is connected, so Dijkstra from any vertex reaches every
+    # refined node: each sample vertex is joined to every other one
+    discs = [sweep_instance(s)[0] for s in range(120)]
+    discs += [saddle_grid(k, 1.2) for k in (3, 8, 12, 16)] + [flat_grid(5)]
+    for disc in discs:
+        g = build_refined_graph(disc, 2)
+        assert np.isfinite(g.shortest_paths(g.orig_index)).all()
+
+
+def test_zero_length_sub_edges_join_their_ends():
+    # a disc whose images all coincide has only sub-edges of length 0, and
+    # the path graph keeps them as edges: every row is finite, all zero
+    vertices, triangles = grid_disc(3)
+    disc = make_mapped_disc(vertices, triangles, np.zeros((len(vertices), 3)))
+    g = build_refined_graph(disc, 2)
+    assert not g.weights.any()
+    assert not g.shortest_paths(g.orig_index).any()
+
+
+def uses_each_directed_edge_once(graph):
+    steps = [(u, v) for walk in graph.faces() for u, v in zip(walk, walk[1:] + walk[:1])]
+    return sorted(steps) == sorted([(u, v) for u, v in graph.edges] + [(v, u) for u, v in graph.edges])
+
+
+@pytest.mark.parametrize("s", [0, 1, 2, 3, 14, 22])
+def test_face_walks_use_each_directed_edge_once(s):
+    # so an edge bounds at most two of the polygons glue_disc fills
+    disc, sample = sweep_instance(s)
+    gamma, _ = geodesic_graph(disc, sample)
+    assert uses_each_directed_edge_once(gamma)
+
+
+def test_hexagon_graph_face_walks_use_each_directed_edge_once():
+    assert uses_each_directed_edge_once(hexagon_graph())
+
+
+@pytest.mark.parametrize("disc, sample", [
+    (hexagon_counterexample(), [0, 2, 4, 6]),
+    (hexagon_counterexample(), [0]),
+    (hexagon_counterexample(), [7]),
+    (hexagon_counterexample(), [0, 7, 8]),
+    (saddle_grid(4, c=1.2), [0, 3, 12, 15, 5, 10]),
+    sweep_instance(0),
+    sweep_instance(3),
+])
+def test_p_map_covers_exactly_the_sample(disc, sample):
+    res = run_key_lemma(disc, sample)
+    assert sorted(res.p_map) == res.sample == sorted(set(sample))
 
 
 # ------------------------------------------------------ certificates
