@@ -175,7 +175,6 @@ def cmd_key_lemma(args) -> int:
         "command": "key-lemma",
         "sample": result.sample,
         "boundary_sample": result.boundary_sample,
-        "collapsed": result.collapsed,
         "one_point": result.one_point,
         "verification": result.verification,
         "p_map": {str(k): int(v) for k, v in sorted(result.p_map.items())},

@@ -243,7 +243,7 @@ class GraphInTarget:
         if n == 0:
             return ["graph has no vertices"]
         for v, p in enumerate(self.points):
-            if not (np.isfinite(p).all() and self.target.contains(p)):
+            if not (p.ndim == 1 and np.isfinite(p).all() and self.target.contains(p)):
                 problems.append(f"points[{v}] is not a finite point of {self.target!r}")
         for u, v in self.edges:
             if not (0 <= u < n and 0 <= v < n):

@@ -44,9 +44,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import PathGraph
+from .graphs import PathGraph, components
 from .mesh import MappedDisc, RefinedGraph, build_refined_graph
-from .pseudometric import PseudometricMatrix, UnionFind
+from .pseudometric import PseudometricMatrix
 
 __all__ = [
     "length_pseudometric",
@@ -318,19 +318,16 @@ def intrinsic_pseudometric(
     result is a copy of the length pseudometric.
     """
     conn = connecting if connecting is not None else connecting_pseudometric(disc)
-    uf = UnionFind(disc.n_vertices)
-    ii, jj = np.where(conn.upper.d <= zero_tol)
-    for i, j in zip(ii.tolist(), jj.tolist()):
-        if i < j:
-            uf.union(i, j)
-    if all(root == i for i, root in enumerate(uf.parent)):
+    n = disc.n_vertices
+    ii, jj = np.nonzero(np.triu(conn.upper.d <= zero_tol, k=1))
+    root = components(n, ii, jj)   # each class named by its smallest vertex
+    if np.array_equal(root, np.arange(n)):
         if length is None:
             length = length_pseudometric(disc, refinement, graph=graph)
         return PseudometricMatrix(length.d.copy())
     g = graph if graph is not None else build_refined_graph(disc, refinement)
-    n = disc.n_vertices
     canon = np.arange(g.n_nodes)
-    canon[g.orig_index] = g.orig_index[[uf.find(i) for i in range(n)]]
+    canon[g.orig_index] = g.orig_index[root]
     labels, node_of = np.unique(canon, return_inverse=True)
     quotient = PathGraph(len(labels), node_of[g.edges[:, 0]], node_of[g.edges[:, 1]], g.weights)
     sources = node_of[g.orig_index]
@@ -346,7 +343,8 @@ def ordering_chain_report(disc: MappedDisc, refinement: int = 1, zero_tol: float
 
     The connecting side uses the exact value when available and the sound
     lower bracket otherwise.  Both inequalities are held to ``zero_tol``
-    plus `CHAIN_SLACK`.
+    plus `CHAIN_SLACK`.  A `MappedDisc` is connected, so all three
+    matrices are finite.
     """
     graph = build_refined_graph(disc, refinement)
     length = length_pseudometric(disc, refinement, graph=graph)
@@ -355,13 +353,9 @@ def ordering_chain_report(disc: MappedDisc, refinement: int = 1, zero_tol: float
         disc, zero_tol, refinement, graph=graph, connecting=conn, length=length
     )
     allowed = CHAIN_SLACK + zero_tol
-    gap1 = intrinsic.d - length.d
-    gap1 = gap1[np.isfinite(gap1)]
     conn_side = conn.upper.d if conn.exact else conn.lower
-    gap2 = conn_side - intrinsic.d
-    gap2 = gap2[np.isfinite(gap2)]
-    worst1 = float(gap1.max()) if gap1.size else 0.0
-    worst2 = float(gap2.max()) if gap2.size else 0.0
+    worst1 = float((intrinsic.d - length.d).max())
+    worst2 = float((conn_side - intrinsic.d).max())
     return {
         "length": length,
         "intrinsic": intrinsic,

@@ -237,7 +237,8 @@ class MappedDisc:
         finite = np.isfinite(self.images).reshape(n_img, -1).all(axis=1)
         if not finite.all():
             problems.append(f"images not finite at vertices: {np.flatnonzero(~finite).tolist()}")
-        foreign = [v for v in np.flatnonzero(finite).tolist() if not self.target.contains(self.images[v])]
+        member = self.target.contains(self.images) if self.images.ndim == 2 else False
+        foreign = np.flatnonzero(finite & ~np.asarray(member)).tolist()
         if foreign:
             problems.append(f"images not points of {self.target!r} at vertices: {foreign}")
         return problems

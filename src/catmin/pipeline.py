@@ -27,7 +27,7 @@ import numpy as np
 
 from .graphs import GraphInTarget, path_from
 from .majorize import ANGLE_TOL, Cat0Report, PolyhedralDisc, boundary_and_area, cat0_certificate, glue_disc
-from .mesh import MappedDisc, RefinedGraph, build_refined_graph
+from .mesh import MappedDisc, build_refined_graph
 from .minimize import DESCENT_TOL, MinimizationCertificate, relax
 __all__ = ["geodesic_graph", "run_key_lemma", "contraction_excess", "shortness_excess", "KeyLemmaResult"]
 
@@ -46,42 +46,36 @@ def _checked_sample(disc: MappedDisc, sample: list[int]) -> list[int]:
     return sample
 
 
-def _union_paths(sources: list[int], dist: np.ndarray, pred: np.ndarray) -> set[tuple[int, int]]:
+def _union_paths(sources: list[int], pred: np.ndarray) -> set[tuple[int, int]]:
     """Union of shortest-path edge sets between all source-node pairs.
 
-    ``dist`` and ``pred`` hold one Dijkstra row per source, in order.
+    ``pred`` holds one Dijkstra predecessor row per source, in order.
     """
     edges: set[tuple[int, int]] = set()
     for a_row, a_node in enumerate(sources):
         for b_node in sources[a_row + 1:]:
-            if np.isfinite(dist[a_row, b_node]):
-                path = path_from(pred[a_row], a_node, b_node)
-                edges.update((min(u, v), max(u, v)) for u, v in zip(path, path[1:]))
+            path = path_from(pred[a_row], a_node, b_node)
+            edges.update((min(u, v), max(u, v)) for u, v in zip(path, path[1:]))
     return edges
 
 
 def geodesic_graph(
-    disc: MappedDisc, sample: list[int], refinement: int = 2,
-    graph: RefinedGraph | None = None,
-    paths: tuple[np.ndarray, np.ndarray] | None = None,
+    disc: MappedDisc, sample: list[int], refinement: int = 2
 ) -> tuple[GraphInTarget, dict[int, int]]:
     """Embedded union of refined-mesh shortest paths between sample vertices.
 
+    A `MappedDisc` is connected, so every pair of sample vertices is joined.
     Degree-2 chains between sample vertices and path intersections are
     contracted into single edges carrying their polylines, so the result
     is a small piecewise-geodesic graph; the rotation system is inherited
     from the parameter-plane embedding.  Returns the graph and the map
-    from mesh vertex index to graph vertex index.  ``paths`` may pass in the
-    ``(dist, pred)`` rows of ``graph.shortest_paths`` from the sorted,
-    deduplicated sample, so a caller that already ran them does not repeat
-    the Dijkstra.
+    from mesh vertex index to graph vertex index.
     """
     sample = _checked_sample(disc, sample)
-    g = graph if graph is not None else build_refined_graph(disc, refinement)
+    g = build_refined_graph(disc, refinement)
     source_nodes = [int(g.orig_index[v]) for v in sample]
-    if paths is None:
-        paths = g.shortest_paths(np.asarray(source_nodes), return_predecessors=True)
-    edge_set = _union_paths(source_nodes, *paths)
+    _, pred = g.shortest_paths(np.asarray(source_nodes), return_predecessors=True)
+    edge_set = _union_paths(source_nodes, pred)
 
     adj: dict[int, set[int]] = {}
     for u, v in edge_set:
@@ -92,8 +86,6 @@ def geodesic_graph(
 
     essential = {n for n in adj if len(adj[n]) != 2}
     essential.update(source_nodes)
-    if not essential:
-        essential.add(min(adj))  # pure cycle: anchor one vertex
 
     # walk maximal chains between essential nodes
     chains: list[list[int]] = []
@@ -176,7 +168,6 @@ def geodesic_graph(
 class KeyLemmaResult:
     sample: list[int]
     boundary_sample: list[int]
-    collapsed: list[int]
     graph_initial: GraphInTarget | None
     graph: GraphInTarget | None
     certificate: MinimizationCertificate | None
@@ -191,12 +182,11 @@ class KeyLemmaResult:
         return bool(self.verification.get("ok", False))
 
 
-def _one_point_result(sample, boundary_sample, collapsed, note) -> KeyLemmaResult:
+def _one_point_result(sample, boundary_sample, note) -> KeyLemmaResult:
     """The factorization through a one-point space, which needs no check."""
     return KeyLemmaResult(
         sample=sample,
         boundary_sample=boundary_sample,
-        collapsed=collapsed,
         graph_initial=None,
         graph=None,
         certificate=None,
@@ -240,39 +230,18 @@ def run_key_lemma(
 
     if not boundary_sample:
         # nothing pins the graph: a single point factors everything
-        return _one_point_result(sample, [], [], "no boundary sample: one-point space")
+        return _one_point_result(sample, [], "no boundary sample: one-point space")
+    if len(sample) == 1:
+        # the one-point space already satisfies the contraction and carries
+        # the constant short map
+        return _one_point_result(sample, boundary_sample, "single usable sample vertex: one-point space")
 
-    g = build_refined_graph(disc, refinement)
-    source_nodes = [int(g.orig_index[v]) for v in sample]
-    dist_all, pred_all = g.shortest_paths(np.asarray(source_nodes), return_predecessors=True)
-
-    # keep the part of the sample at finite mesh distance from the boundary
-    anchor_row = sample.index(boundary_sample[0])
-    finite_mask = np.isfinite(dist_all[anchor_row, source_nodes])
-    kept = [v for v, keep in zip(sample, finite_mask) if keep]
-    collapsed = [v for v, keep in zip(sample, finite_mask) if not keep]
-
-    if len(kept) <= 1:
-        # a single usable vertex: the one-point space already satisfies
-        # the contraction and carries the constant short map
-        return _one_point_result(
-            sample, boundary_sample, collapsed, "single usable sample vertex: one-point space"
-        )
-
-    kept_rows = [i for i, keep in enumerate(finite_mask) if keep]
-    gamma0, vmap = geodesic_graph(
-        disc, kept, refinement, graph=g, paths=(dist_all[kept_rows], pred_all[kept_rows])
-    )
+    gamma0, vmap = geodesic_graph(disc, sample, refinement)
     gamma, certificate = relax(
         gamma0, tol_descent=tol_descent, tol_angle=tol_angle, max_iter=KEY_LEMMA_MAX_ITER
     )
     w_disc, glue_report = glue_disc(gamma)
     cat0 = cat0_certificate(w_disc, tol_angle=tol_angle)
-
-    p_map = {v: vmap[v] for v in kept}
-    anchor_vertex = vmap[boundary_sample[0]]
-    for v in collapsed:
-        p_map[v] = anchor_vertex
 
     worst_contraction = contraction_excess(w_disc, gamma0)
     worst_shortness = shortness_excess(w_disc, gamma)
@@ -305,14 +274,13 @@ def run_key_lemma(
     return KeyLemmaResult(
         sample=sample,
         boundary_sample=boundary_sample,
-        collapsed=collapsed,
         graph_initial=gamma0,
         graph=gamma,
         certificate=certificate,
         disc=w_disc,
         cat0=cat0,
         one_point=False,
-        p_map=p_map,
+        p_map=vmap,
         verification=verification,
     )
 

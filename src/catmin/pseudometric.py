@@ -1,10 +1,11 @@
-"""Pseudometric matrices, their axiom check, and union-find.
+"""Pseudometric matrices and their axiom check.
 
 A pseudometric on a finite point set is stored as a dense symmetric matrix
 with zero diagonal.  Entries may be ``+inf``; infinity propagates through
 min/plus arithmetic and is never encoded by a sentinel.  Distances of zero
 between distinct points are legal; `catmin.induced.intrinsic_pseudometric`
-collapses the connecting pseudometric's zero classes with `UnionFind`.
+collapses the connecting pseudometric's zero classes with
+`catmin.graphs.components`.
 """
 
 from __future__ import annotations
@@ -16,33 +17,12 @@ import numpy as np
 __all__ = [
     "PseudometricMatrix",
     "verify_pseudometric",
-    "UnionFind",
 ]
 
 #: slack used whenever a matrix is checked for the pseudometric axioms
 VERIFY_TOL = 1e-9
 #: detour entries built at once by the triangle check (a few MB)
 PIVOT_BLOCK_ENTRIES = 1 << 19
-
-
-class UnionFind:
-    """Plain union-find over ``range(n)`` with path halving; a union makes
-    the smaller root the parent of the larger."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, i: int) -> int:
-        p = self.parent
-        while p[i] != i:
-            p[i] = p[p[i]]
-            i = p[i]
-        return i
-
-    def union(self, i: int, j: int) -> None:
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[max(ri, rj)] = min(ri, rj)
 
 
 @dataclass

@@ -102,7 +102,9 @@ class _PlaneSections:
 
     def __init__(self, disc: MappedDisc):
         self.img = np.asarray(disc.images, dtype=float)
-        self.snap = PLANE_SNAP_TOL * max(1.0, float(np.abs(self.img).max()))
+        # the image scale: the snap and the candidate planes' nudge and bounds are relative to it
+        self.scale = max(1.0, float(np.abs(self.img).max()))
+        self.snap = PLANE_SNAP_TOL * self.scale
         self.tris = np.asarray(disc.triangles).tolist()
         # per face: (u, v, other face) across each interior edge, (u, v) of each boundary edge
         self.joins = [[] for _ in self.tris]
@@ -229,23 +231,23 @@ def _offset_keys(offsets: np.ndarray) -> np.ndarray:
     return keys
 
 
-def _candidate_planes(disc: MappedDisc, extra_planes: int, seed: int, nudge: float):
+def _candidate_planes(sections: _PlaneSections, extra_planes: int, seed: int):
     """Unit normals and offsets of the planes through vertex-image triples
-    (each also nudged both ways) and of seeded random planes.
+    (each also nudged both ways by `PLANE_NUDGE`) and of seeded random
+    planes, for the images and scale of ``sections``.
 
     Each normal's sign is fixed by its first coordinate beyond 1e-12, and
     planes repeating an earlier (normal, offset) rounded to 9 digits are
     dropped, so the order is that of first appearance.
     """
-    img = np.asarray(disc.images, dtype=float)
-    scale = max(1.0, float(np.abs(img).max()))
+    img, scale = sections.img, sections.scale
     i, j, k = np.array(list(itertools.combinations(range(len(img)), 3)), dtype=np.intp).reshape(-1, 3).T
     cross = np.cross(img[j] - img[i], img[k] - img[i])
     nn = np.sqrt(_row_dots(cross, cross))
     keep = ~(nn <= 1e-12 * scale * scale)
     unit = cross[keep] / nn[keep][:, None]
     base = _row_dots(unit, img[i[keep]])
-    offsets = [np.stack([base, base + nudge * scale, base - nudge * scale], axis=1).ravel()]
+    offsets = [np.stack([base, base + PLANE_NUDGE * scale, base - PLANE_NUDGE * scale], axis=1).ravel()]
     normals = [np.repeat(unit, 3, axis=0)]
     rng = np.random.default_rng(seed)
     lo, hi = img.min(), img.max()
@@ -293,7 +295,7 @@ def is_saddle_pl(
     if img.shape[1] != 3 or not isinstance(disc.target, EuclideanSpace):
         raise ValueError("the saddle predicate expects a disc mapped into Euclidean 3-space")
     sections = _PlaneSections(disc)
-    normals, offsets = _candidate_planes(disc, extra_planes, seed, PLANE_NUDGE)
+    normals, offsets = _candidate_planes(sections, extra_planes, seed)
     for normal, offset in zip(normals, offsets):
         violations = check_plane(disc, normal, offset, sections=sections)
         if violations:

@@ -86,7 +86,10 @@ class TargetSpace:
         c = self.distance(p, q)
         return angle_from_sides(a, b, c)
 
-    def contains(self, p) -> bool:
+    def contains(self, p):
+        """Whether ``p`` is a point of the space; for an (n, k) array of n
+        points, which rows are, or one answer for all.  Every ``p`` is, by
+        default."""
         return True
 
 
@@ -104,8 +107,10 @@ class EuclideanSpace(TargetSpace):
             raise ValueError(f"expected a point of dimension {self.dimension}")
         return p
 
-    def contains(self, p) -> bool:
+    def contains(self, p):
         p = np.asarray(p, dtype=float)
+        if p.ndim == 2:  # one finite point per row, as one array test
+            return (p.shape[1] == self.dimension) & np.isfinite(p).all(axis=1)
         return p.shape == (self.dimension,) and bool(np.all(np.isfinite(p)))
 
     def distance(self, p, q) -> float:

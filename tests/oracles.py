@@ -33,6 +33,27 @@ class RuledEuclidean(TargetSpace):
         return (1.0 - t) * np.asarray(p) + t * np.asarray(q)
 
 
+class UnionFind:
+    """Plain union-find over ``range(n)`` with path halving; a union makes
+    the smaller root the parent of the larger, so each root is its class's
+    smallest member."""
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, i: int) -> int:
+        p = self.parent
+        while p[i] != i:
+            p[i] = p[p[i]]
+            i = p[i]
+        return i
+
+    def union(self, i: int, j: int) -> None:
+        ri, rj = self.find(i), self.find(j)
+        if ri != rj:
+            self.parent[max(ri, rj)] = min(ri, rj)
+
+
 def dijkstra_oracle(n_nodes, weighted_edges, source):
     """Textbook heap Dijkstra over an undirected weighted edge list."""
     adj = [[] for _ in range(n_nodes)]
@@ -110,8 +131,6 @@ def bracket_connecting_oracle(n, edges, dimg):
     diameter into ``upper`` for each cross pair.  Returns (lower, upper)
     with ``lower = max(upper / 2, dimg)``; ``upper`` is not metric-closed.
     """
-    from catmin.pseudometric import UnionFind
-
     nbrs = [[] for _ in range(n)]
     for u, v in edges:
         nbrs[u].append(v)
@@ -168,8 +187,6 @@ def merge_forest_oracle(
     entering vertex's side is node ``a`` on ``p[lo:mid]`` and the neighbour's
     side is node ``b`` on ``p[mid:hi]``.
     """
-    from catmin.pseudometric import UnionFind
-
     n = len(row)
     uf = UnionFind(n)            # the grown components
     node = list(range(n))        # root vertex -> its merge-tree node
@@ -642,8 +659,6 @@ def laplacian_oracle(patch, vecs):
 def check_plane_oracle(disc, normal, offset, tol=1e-9):
     """One plane section, its face adjacency rebuilt and its components
     found by a per-edge union-find (the saddle predicate's per-plane loop)."""
-    from catmin.pseudometric import UnionFind
-
     img = np.asarray(disc.images, dtype=float)
     normal = np.asarray(normal, dtype=float)
     nn = np.linalg.norm(normal)
@@ -814,7 +829,6 @@ def intrinsic_quotient_oracle(disc, zero_tol=1e-9, refinement=1):
 
     from catmin.induced import connecting_pseudometric
     from catmin.mesh import build_refined_graph
-    from catmin.pseudometric import UnionFind
 
     uf = UnionFind(disc.n_vertices)
     ii, jj = np.where(connecting_pseudometric(disc).upper.d <= zero_tol)
@@ -1018,7 +1032,7 @@ def refined_graph_oracle(disc, refinement=1):
 def key_lemma_sampled_oracle(result, disc, samples=2000, seed=0, subdiv=8, refinement=2):
     """The key lemma's former sampled checks, on W's chord graph.
 
-    Contraction: d_W(p x, p y) - d_mesh(x, y) over every pair of kept sample
+    Contraction: d_W(p x, p y) - d_mesh(x, y) over every pair of sample
     vertices, d_W read off the all-pairs table of ``W.surface_graph(subdiv)``
     and d_mesh off the refined mesh.  Shortness: d(q a, q b) - d_W(a, b) over
     ``samples`` random pairs of surface-graph nodes, q ruling each node to
@@ -1028,18 +1042,17 @@ def key_lemma_sampled_oracle(result, disc, samples=2000, seed=0, subdiv=8, refin
     """
     from catmin.mesh import build_refined_graph
 
-    w, gamma, target = result.disc, result.graph, disc.target
-    kept = [v for v in result.sample if v not in result.collapsed]
+    w, gamma, target, sample = result.disc, result.graph, disc.target, result.sample
     g = build_refined_graph(disc, refinement)
-    nodes = [int(g.orig_index[v]) for v in kept]
+    nodes = [int(g.orig_index[v]) for v in sample]
     d_mesh = g.shortest_paths(np.asarray(nodes))[:, nodes]
     sg = w.surface_graph(subdiv)
     dist_w, _ = sg.all_pairs()
 
     worst_contraction = -math.inf
-    for i, x in enumerate(kept):
-        for j in range(i + 1, len(kept)):
-            dw = dist_w[sg.vertex_node(result.p_map[x]), sg.vertex_node(result.p_map[kept[j]])]
+    for i, x in enumerate(sample):
+        for j in range(i + 1, len(sample)):
+            dw = dist_w[sg.vertex_node(result.p_map[x]), sg.vertex_node(result.p_map[sample[j]])]
             worst_contraction = max(worst_contraction, float(dw - d_mesh[i, j]))
 
     p = gamma.points

@@ -509,6 +509,17 @@ def test_graph_rejects_non_finite_points_on_any_target(target):
     assert err.value.problems == [f"points[1] is not a finite point of {target!r}"]
 
 
+@pytest.mark.parametrize("target", [EuclideanSpace(3), RuledEuclidean()], ids=["euclidean", "general"])
+def test_graph_rejects_a_point_that_is_no_vector(target):
+    # a (1, 3) array is a stack of one point, not a point
+    points = [np.array([0.0, 0.0, 0.0]), np.array([[0.0, 1.0, 0.0]]), np.array([1.0, 0.0, 0.0])]
+    edges = [(0, 1), (1, 2), (0, 2)]
+    positions = np.array([(0.0, 0.0), (0.0, 1.0), (1.0, 0.0)])
+    with pytest.raises(ValueError) as err:
+        GraphInTarget(points, edges, set(), rotation_from_positions(3, edges, positions), target, positions)
+    assert err.value.problems == [f"points[1] is not a finite point of {target!r}"]
+
+
 def test_cut_vertices_bowtie_chain():
     tri = comparison_triangle(1.0, 1.0, 1.0)
     disc = PolyhedralDisc(

@@ -123,7 +123,7 @@ def bits(a):
 @pytest.mark.parametrize("name", sorted(ORACLE_DISCS))
 def test_candidate_planes_bitwise_equal_oracle(name):
     for disc in (ORACLE_DISCS[name](), rigidly_moved(ORACLE_DISCS[name](), 5)):
-        normals, offsets = _candidate_planes(disc, 40, 3, 1e-7)
+        normals, offsets = _candidate_planes(_PlaneSections(disc), 40, 3)
         want = candidate_planes_oracle(disc, 40, 3, 1e-7)
         assert len(want) == len(normals) == len(offsets)
         assert np.array_equal(bits(normals), bits([n for n, _ in want]))
@@ -133,8 +133,8 @@ def test_candidate_planes_bitwise_equal_oracle(name):
 @pytest.mark.parametrize("name", sorted(ORACLE_DISCS))
 def test_check_plane_lists_every_violation_of_the_oracle(name):
     disc = ORACLE_DISCS[name]()
-    normals, offsets = _candidate_planes(disc, 40, 3, 1e-7)
     sections = _PlaneSections(disc)
+    normals, offsets = _candidate_planes(sections, 40, 3)
     for k, (normal, offset) in enumerate(zip(normals, offsets)):
         want = check_plane_oracle(disc, normal, offset)
         assert check_plane(disc, normal, offset, sections=sections) == want
@@ -333,7 +333,7 @@ def test_a_disc_without_interior_vertices_clears_every_plane():
     disc = make_mapped_disc(vertices, triangles, np.column_stack([x, y, x * y]))
     sections = _PlaneSections(disc)
     assert len(sections.inner) == 0
-    for normal, offset in zip(*_candidate_planes(disc, 20, 0, 1e-7)):
+    for normal, offset in zip(*_candidate_planes(sections, 20, 0)):
         assert sections.climbs(sections.distances(normal, offset))
         assert check_plane_oracle(disc, normal, offset) == []
 
@@ -400,7 +400,7 @@ def test_candidate_planes_bitwise_equal_oracle_at_offset_half_ties():
     i, j = np.divmod(np.arange(16), 4)
     images = np.column_stack([2 * j + 1, 2 * i + 1, 2 * ((i * j) % 3) + 1]) / 1024.0
     disc = make_mapped_disc(vertices, triangles, images)
-    normals, offsets = _candidate_planes(disc, 40, 3, 1e-7)
+    normals, offsets = _candidate_planes(_PlaneSections(disc), 40, 3)
     assert np.any(np.abs(offsets * 1e9 % 1.0 - 0.5) == 0.0)
     want = candidate_planes_oracle(disc, 40, 3, 1e-7)
     assert len(want) == len(normals) == len(offsets)

@@ -113,3 +113,12 @@ def test_triangle_points_at_unit_weights_are_the_corners(space):
     for weights, corner in (((1, 0, 0), A), ((0, 1, 0), B), ((0, 0, 1), C)):
         np.testing.assert_allclose(space.triangle_points(A, B, C, *weights), corner,
                                    rtol=1e-12, atol=1e-15)
+
+
+def test_euclidean_contains_answers_row_by_row_for_an_array_of_points():
+    space = EuclideanSpace(3)
+    rows = np.array([[0.0, 1.0, 2.0], [np.nan, 0.0, 0.0], [1.0, 1.0, np.inf]])
+    assert space.contains(rows).tolist() == [True, False, False]
+    assert space.contains(np.zeros((4, 2))).tolist() == [False] * 4
+    assert [space.contains(p) for p in rows] == [True, False, False]
+    assert not space.contains(np.zeros((1, 1, 3)))
