@@ -8,7 +8,10 @@ Faces are what the disc-gluing stage fills with comparison triangles.
 :class:`PathGraph` is catmin's one shortest-path backend: the refined mesh
 graph, the intrinsic quotient of the refined mesh and the surface graph of
 a glued disc W are all path graphs, and this module is the only one that
-runs Dijkstra.
+runs Dijkstra.  It is also the only one that imports scipy, and only when
+the first :class:`PathGraph` is built, so the commands that never take a
+shortest path (validation, the link and saddle checks, the field system)
+start without loading scipy's sparse graph stack.
 """
 
 from __future__ import annotations
@@ -16,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra as _dijkstra
 
 from .targets import TargetSpace, invalid
 
@@ -106,6 +107,8 @@ class PathGraph:
     """
 
     def __init__(self, n: int, a, b, w):
+        from scipy.sparse import csr_matrix
+
         a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
         w = np.asarray(w, dtype=float)
         lo, hi = np.minimum(a, b), np.maximum(a, b)
@@ -131,7 +134,9 @@ class PathGraph:
 
     def shortest_paths(self, sources, return_predecessors: bool = False):
         """Dijkstra from the given node ids (every node for ``None``)."""
-        return _dijkstra(
+        from scipy.sparse.csgraph import dijkstra
+
+        return dijkstra(
             self.matrix, directed=True, indices=sources, return_predecessors=return_predecessors
         )
 

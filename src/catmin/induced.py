@@ -145,7 +145,7 @@ def _exact_connecting(n: int, edges: list[tuple[int, int]], dimg: np.ndarray) ->
 
 def _merge_forest(
     nbrs: list[list[int]], row: np.ndarray
-) -> tuple[list[int], list[tuple[int, int, int, int, int]]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Merge tree of the components grown in order of ``row`` (pass 1).
 
     Vertices enter in stable ascending order of ``row`` until the first
@@ -153,19 +153,20 @@ def _merge_forest(
     neighbour, with the components of its already added neighbours.  Tree
     nodes ``0..n-1`` are the vertices and node ``n + i`` is the i-th merge.
     Returns a leaf order ``p`` of the merge forest and, per merge in creation
-    order, ``(lo, mid, hi, a, b)``: the merged component is ``p[lo:hi]``, the
-    entering vertex's side is node ``a`` on ``p[lo:mid]`` and the neighbour's
-    side is node ``b`` on ``p[mid:hi]``.
+    order, int arrays ``lo, mid, hi``: the merged component is ``p[lo:hi]``,
+    the entering vertex's side is ``p[lo:mid]`` and the neighbour's side is
+    ``p[mid:hi]``.
     """
     n = len(row)
     parent = list(range(n))      # union-find forest of the grown components
     node = list(range(n))        # root vertex -> its merge-tree node
     added = [False] * n
-    kids: list[tuple[int, int]] = []   # node n + i merges kids[i]
+    kids_a: list[int] = []       # node n + i merges kids_a[i] and kids_b[i]
+    kids_b: list[int] = []
     order = np.argsort(row, kind="stable")
     finite = np.isfinite(row[order])
-    entered = order[: finite.argmin() if not finite.all() else n].tolist()
-    for v in entered:
+    entered = order[: finite.argmin() if not finite.all() else n]
+    for v in entered.tolist():
         added[v] = True
         rv = v                   # root of v's component
         for w in nbrs[v]:
@@ -177,31 +178,33 @@ def _merge_forest(
                 rw = parent[rw]
             if rv == rw:
                 continue
-            kids.append((node[rv], node[rw]))
+            kids_a.append(node[rv])
+            kids_b.append(node[rw])
             if rv < rw:                  # rv and rw are roots: join them
                 parent[rw] = rv
             else:
                 parent[rv] = rw
                 rv = rw
-            node[rv] = n + len(kids) - 1
-    size = [1] * n + [0] * len(kids)
-    for i, (a, b) in enumerate(kids):
+            node[rv] = n + len(kids_a) - 1
+    size = [1] * n + [0] * len(kids_a)
+    for i, (a, b) in enumerate(zip(kids_a, kids_b)):
         size[n + i] = size[a] + size[b]
-    start = [0] * (n + len(kids))
+    start = [0] * len(size)
     offset = 0
-    for v in entered:
+    for v in entered.tolist():
         if parent[v] == v:           # one tree per final component
             start[node[v]] = offset
             offset += size[node[v]]
-    for i in range(len(kids) - 1, -1, -1):   # parents before children
-        a, b = kids[i]
+    for i in range(len(kids_a) - 1, -1, -1):   # parents before children
+        a = kids_a[i]
         start[a] = start[n + i]
-        start[b] = start[n + i] + size[a]
-    p = [0] * offset
-    for v in entered:
-        p[start[v]] = v
-    merges = [(start[a], start[b], start[b] + size[b], a, b) for a, b in kids]
-    return p, merges
+        start[kids_b[i]] = start[n + i] + size[a]
+    start, size = np.array(start), np.array(size)
+    p = np.empty(offset, dtype=np.int64)
+    p[start[entered]] = entered
+    lo = start[n:]
+    mid = lo + size[kids_a]
+    return p, lo, mid, lo + size[n:]
 
 
 def _bracket_connecting(
@@ -237,14 +240,12 @@ def _bracket_connecting(
     np.fill_diagonal(upper, 0.0)
     flat_upper, flat_dimg = upper.reshape(-1), dimg.ravel()   # flat_upper is a view of upper
     for c in range(n):
-        p, merges = _merge_forest(nbrs, dimg[c])
-        if not merges:
+        p, lo, mid, hi = _merge_forest(nbrs, dimg[c])
+        if not lo.size:
             continue
-        p = np.asarray(p)
-        lo, mid, hi = np.asarray(merges)[:, :3].T
         rows, cols = mid - lo, hi - mid
         # run r: row run_row[r] of merge run_merge[r], over its columns [mid, hi)
-        run_merge = np.repeat(np.arange(len(merges)), rows)
+        run_merge = np.repeat(np.arange(lo.size), rows)
         run_row = np.arange(len(run_merge)) + np.repeat(lo - np.cumsum(rows) + rows, rows)
         run_len = cols[run_merge]
         at = np.repeat(mid[run_merge] - np.cumsum(run_len) + run_len, run_len)

@@ -175,7 +175,7 @@ def bracket_connecting_oracle(n, edges, dimg):
 
 def merge_forest_oracle(
     nbrs: list[list[int]], row: np.ndarray
-) -> tuple[list[int], list[tuple[int, int, int, int, int]]]:
+) -> tuple[list[int], list[tuple[int, int, int]]]:
     """Merge tree of the components grown in order of ``row`` (pass 1).
 
     Vertices enter in stable ascending order of ``row`` until the first
@@ -183,9 +183,9 @@ def merge_forest_oracle(
     neighbour, with the components of its already added neighbours.  Tree
     nodes ``0..n-1`` are the vertices and node ``n + i`` is the i-th merge.
     Returns a leaf order ``p`` of the merge forest and, per merge in creation
-    order, ``(lo, mid, hi, a, b)``: the merged component is ``p[lo:hi]``, the
-    entering vertex's side is node ``a`` on ``p[lo:mid]`` and the neighbour's
-    side is node ``b`` on ``p[mid:hi]``.
+    order, ``(lo, mid, hi)``: the merged component is ``p[lo:hi]``, the
+    entering vertex's side is ``p[lo:mid]`` and the neighbour's side is
+    ``p[mid:hi]``.
     """
     n = len(row)
     uf = UnionFind(n)            # the grown components
@@ -224,7 +224,7 @@ def merge_forest_oracle(
     p = [0] * offset
     for v in entered:
         p[start[v]] = v
-    merges = [(start[a], start[b], start[b] + size[b], a, b) for a, b in kids]
+    merges = [(start[a], start[b], start[b] + size[b]) for a, b in kids]
     return p, merges
 
 

@@ -263,8 +263,8 @@ def test_bracket_bitwise_equals_oracle_with_infinite_distances():
         nbrs[u].append(v)
         nbrs[v].append(u)
     forests = [induced._merge_forest(nbrs, dimg[c]) for c in range(n)]
-    assert all(len(p) < n for p, _ in forests)
-    assert any(len(p) - len(merges) > 1 for p, merges in forests)
+    assert all(len(p) < n for p, *_ in forests)
+    assert any(len(p) - len(lo) > 1 for p, lo, _, _ in forests)
     assert_bracket_is_oracle(n, edges, dimg)
     skew = dimg + np.triu(rng.uniform(0.0, 0.5, size=(n, n)), 1)
     assert_bracket_is_oracle(n, edges, skew)
@@ -285,7 +285,7 @@ def test_bracket_bitwise_equals_oracle_on_multirow_cross_blocks_with_ties():
     nbrs = neighbour_lists(n, edges)
     for dist in (dimg, dimg + np.triu(rng.integers(0, 2, size=(n, n)), 1)):
         forests = [induced._merge_forest(nbrs, dist[c]) for c in range(n)]
-        assert any(mid - lo > 1 and hi - mid > 1 for _, merges in forests for lo, mid, hi, _, _ in merges)
+        assert any(np.any((mid - lo > 1) & (hi - mid > 1)) for _, lo, mid, hi in forests)
         assert_bracket_is_oracle(n, edges, dist)
 
 
@@ -300,7 +300,10 @@ def neighbour_lists(n, edges):
 def assert_forests_are_oracle(n, edges, dimg):
     nbrs = neighbour_lists(n, edges)
     for c in range(n):
-        assert induced._merge_forest(nbrs, dimg[c]) == merge_forest_oracle(nbrs, dimg[c]), c
+        p, lo, mid, hi = induced._merge_forest(nbrs, dimg[c])
+        p_oracle, merges = merge_forest_oracle(nbrs, dimg[c])
+        assert p.tolist() == p_oracle, c
+        assert np.column_stack([lo, mid, hi]).tolist() == [list(m) for m in merges], c
 
 
 def rigidly_moved(disc, seed):
@@ -334,9 +337,9 @@ def test_merge_forest_equals_oracle_on_acceptance_discs():
 def test_merge_forest_ties_enter_in_stable_order():
     # on a path with one value everywhere, vertices enter as 0, 1, 2, 3 and
     # each joins the component of all earlier ones
-    p, merges = induced._merge_forest(neighbour_lists(4, [(0, 1), (1, 2), (2, 3)]), np.zeros(4))
-    assert p == [3, 2, 1, 0]
-    assert merges == [(2, 3, 4, 1, 0), (1, 2, 4, 2, 4), (0, 1, 4, 3, 5)]
+    p, lo, mid, hi = induced._merge_forest(neighbour_lists(4, [(0, 1), (1, 2), (2, 3)]), np.zeros(4))
+    assert p.tolist() == [3, 2, 1, 0]
+    assert np.column_stack([lo, mid, hi]).tolist() == [[2, 3, 4], [1, 2, 4], [0, 1, 4]]
     rng = np.random.default_rng(29)
     for trial in range(20):
         n = int(rng.integers(2, 30))
@@ -355,15 +358,15 @@ def test_merge_forest_equals_oracle_with_infinite_tails_and_disconnected_skeleto
     pts = rng.standard_normal((n, 3))
     dimg = np.linalg.norm(pts[:, None] - pts[None, :], axis=2)
     assert_forests_are_oracle(n, edges, dimg)
-    p, merges = induced._merge_forest(neighbour_lists(n, edges), dimg[0])
-    assert sorted(p) == list(range(n)) and len(merges) == n - 2    # two trees
+    p, lo, _, _ = induced._merge_forest(neighbour_lists(n, edges), dimg[0])
+    assert sorted(p) == list(range(n)) and len(lo) == n - 2    # two trees
     tails = dimg.copy()
     far = rng.random((n, n)) < 0.3                                  # vertices never reached
     tails[far | far.T] = np.inf
     np.fill_diagonal(tails, 0.0)
     assert_forests_are_oracle(n, edges, tails)
     forests = [induced._merge_forest(neighbour_lists(n, edges), tails[c]) for c in range(n)]
-    assert all(len(p) == n - np.isinf(tails[c]).sum() for c, (p, _) in enumerate(forests))
+    assert all(len(p) == n - np.isinf(tails[c]).sum() for c, (p, *_) in enumerate(forests))
 
 
 def test_bracket_upper_is_closed_and_keeps_zero_classes():

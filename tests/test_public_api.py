@@ -1,6 +1,7 @@
 import ast
 import importlib
 import inspect
+import json
 import os
 import pkgutil
 import subprocess
@@ -262,13 +263,60 @@ def test_every_keyword_default_is_set_by_some_caller():
     assert sorted(set(UNSET_ON_PURPOSE) - unset) == []
 
 
-def test_cli_import_loads_no_optional_heavy_module():
-    # a fresh `catmin` process pays for every module its imports load, and
-    # the benchmark's set-up time is mostly that
-    heavy = ("networkx", "hypothesis", "scipy.optimize", "scipy.spatial", "scipy.stats")
+def _fresh_python(code: str, *args: str) -> str:
+    """Standard output of ``python -c code args`` in a new interpreter that
+    imports catmin from this tree."""
     src = str(Path(catmin.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, catmin, catmin.cli; print(*sorted(sys.modules))"
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    loaded = run.stdout.split()
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True,
+                          check=True).stdout
+
+
+def test_cli_import_loads_no_optional_heavy_module():
+    # a fresh `catmin` process pays for every module its imports load, and
+    # the benchmark's set-up time is mostly that; scipy loads with the
+    # first shortest path
+    heavy = ("networkx", "hypothesis", "scipy")
+    loaded = _fresh_python("import sys, catmin, catmin.cli; print(*sorted(sys.modules))").split()
     assert [m for m in loaded if m in heavy or m.startswith(tuple(h + "." for h in heavy))] == []
+
+
+# each command once in one fresh process, then the scipy modules it left loaded
+RUN_COMMANDS = """import json, sys
+from catmin.cli import main
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps([codes, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))]))"""
+
+
+def test_only_shortest_path_commands_load_scipy(tmp_path):
+    from catmin.instances import fixture_path, graph_instance, save_instance
+    from catmin.saddle import hexagon_graph
+
+    graph = str(tmp_path / "hexagon_graph.json")
+    save_instance(graph_instance(hexagon_graph()), graph)
+
+    def fixture(name):
+        return str(fixture_path(f"{name}.json"))
+
+    # the link condition, the saddle predicate, the field system, validation
+    # and the graph stages take no shortest path
+    without = [
+        (0, ["validate", "--in", fixture("hexagon")]),
+        (0, ["check-saddle", "--in", fixture("hexagon")]),
+        (0, ["check-cat0", "--in", fixture("cone_5pi2")]),
+        (1, ["check-cat0", "--in", fixture("cone_3pi2")]),
+        (0, ["solve-fields", "--in", fixture("saddle_patch")]),
+        (0, ["perturb", "--in", fixture("saddle_patch"), "--trials", "10"]),
+        (0, ["counterexample"]),
+        (0, ["build-disc", "--in", graph]),
+        (0, ["minimize-graph", "--in", graph]),
+    ]
+    argvs = [argv + ["--out", str(tmp_path / f"{k}.json")] for k, (_, argv) in enumerate(without)]
+    codes, scipy_modules = json.loads(_fresh_python(RUN_COMMANDS, json.dumps(argvs)))
+    assert codes == [code for code, _ in without]
+    assert scipy_modules == []
+    # the induced pseudometrics run Dijkstra on the refined mesh
+    argv = ["metrics", "--in", fixture("hexagon"), "--out", str(tmp_path / "metrics.json")]
+    codes, scipy_modules = json.loads(_fresh_python(RUN_COMMANDS, json.dumps([argv])))
+    assert codes == [0]
+    assert "scipy.sparse.csgraph" in scipy_modules
