@@ -282,6 +282,23 @@ def test_cli_image_of_wrong_dimension_is_malformed(tmp_path, capsys, command):
     assert not report.exists()
 
 
+@pytest.mark.xfail(raises=AssertionError, strict=True, reason=(
+    "known defect (ROADMAP item 16): squared distances between images this "
+    "large overflow, so metrics, check-saddle and key-lemma exit 2 on NaN"))
+@pytest.mark.parametrize("scale", [1e156, 1e300])
+def test_cli_disc_that_validates_is_not_malformed_input(tmp_path, capsys, scale):
+    # exit 2 means malformed input, and validate accepts this disc
+    disc = random_height_disc(1005, max_vertices=30)
+    inst = tmp_path / "disc.json"
+    save_instance(mapped_disc_instance(make_mapped_disc(disc.vertices, disc.triangles, scale * disc.images)), inst)
+    assert run_cli("validate", "--in", str(inst), "--out", str(tmp_path / "v.json")) == 0
+    codes = {
+        command[0]: run_cli(*command, "--in", str(inst), "--out", str(tmp_path / "r.json"))
+        for command in (["metrics"], ["check-saddle"], ["key-lemma", "--sample", "0", "1", "2", "3"])
+    }
+    assert 2 not in codes.values(), codes
+
+
 def test_cli_check_saddle_negative_planes_is_malformed(tmp_path, capsys):
     # a negative count of random planes is no count: it must not pass
     # the disc on the vertex-triple planes alone
@@ -589,6 +606,15 @@ def _point_of_names(payload):
     payload["points"][0] = ["a", "b", "c"]
 
 
+def _duplicated_edge(payload):
+    # each end's rotation lists the other twice, so it is still a
+    # permutation of the neighbour list
+    u, v = payload["edges"][0]
+    payload["edges"].append([u, v])
+    payload["rotation"][u].append(v)
+    payload["rotation"][v].append(u)
+
+
 @pytest.mark.parametrize(
     "edit, diagnostic",
     [
@@ -599,11 +625,13 @@ def _point_of_names(payload):
         pytest.param(_rotation_of_names, "['a']", id="rotation_of_names"),
         pytest.param(_pinned_number, "payload.pinned", id="pinned_number"),
         pytest.param(_point_of_names, "['a', 'b', 'c']", id="point_of_names"),
+        pytest.param(_duplicated_edge, "edge (0,1) listed twice", id="duplicated_edge"),
     ],
 )
 def test_cli_malformed_graph(tmp_path, capsys, edit, diagnostic):
     # none of these payloads can be glued: validate names the entry, and
-    # build-disc rejects it as input instead of failing inside numpy
+    # build-disc and minimize-graph reject it as input instead of failing
+    # inside numpy or relaxing a multigraph
     from catmin.saddle import hexagon_graph
 
     doc = graph_instance(hexagon_graph())
@@ -615,8 +643,9 @@ def test_cli_malformed_graph(tmp_path, capsys, edit, diagnostic):
     assert run_cli("validate", "--in", str(inst), "--out", str(out)) == 1
     assert any(diagnostic in p for p in load_instance(out)["diagnostics"])
     capsys.readouterr()
-    assert run_cli("build-disc", "--in", str(inst)) == 2
-    assert capsys.readouterr().err.startswith("input error: invalid instance")
+    for command in ("build-disc", "minimize-graph"):
+        assert run_cli(command, "--in", str(inst)) == 2
+        assert capsys.readouterr().err.startswith("input error: invalid instance")
 
 
 def test_svg_outputs(tmp_path):

@@ -264,13 +264,32 @@ def test_p_map_covers_exactly_the_sample(disc, sample):
 # ------------------------------------------------------ certificates
 
 
-# W of these sweep instances has a sliver face (area 4.1e-9, 2.4e-10 and
-# 6.6e-16) whose sides agree with the target's to rounding, while the
+def keylemma_grid_instance(k):
+    """The k x k grid disc of z = 1.2xy and its sample, as the benchmark's
+    ``keylemma_grid`` workload builds them (before its rigid motion): 8
+    boundary vertices spread along the loop and 3 random interior ones."""
+    disc = saddle_grid(k, 1.2)
+    loop = list(disc.boundary_loop)
+    interior = sorted(set(range(disc.n_vertices)) - set(loop))
+    sample = [loop[(j * len(loop)) // 8] for j in range(8)]
+    return disc, sample + [int(v) for v in np.random.default_rng(k).choice(interior, size=3, replace=False)]
+
+
+# W of sweep instances 14, 22 and 31 has a sliver face (area 4.1e-9, 2.4e-10
+# and 6.6e-16) whose sides agree with the target's to rounding, while the
 # largest singular value of q's linear part on it exceeds 1 by 0.49, 0.60
-# and 5.6e-5: the side comparison certifies q where that test would not
-@pytest.mark.parametrize("s", [14, 22, 31])
-def test_key_lemma_certifies_shortness_on_sliver_faces(s):
-    disc, sample = sweep_instance(s)
+# and 5.6e-5: the side comparison certifies q where that test would not.
+# On the hexagon relax moves a vertex by 0.50, and every W edge is still no
+# longer than the initial graph's edge it came from
+@pytest.mark.parametrize("disc, sample", [
+    pytest.param(*sweep_instance(14), id="14"),
+    pytest.param(*sweep_instance(22), id="22"),
+    pytest.param(*sweep_instance(31), id="31"),
+    pytest.param(hexagon_counterexample(), [0, 2, 4, 6], id="hexagon"),
+    pytest.param(*keylemma_grid_instance(8), id="grid8"),
+    pytest.param(*keylemma_grid_instance(12), id="grid12"),
+])
+def test_key_lemma_certifies_shortness_on_sliver_faces(disc, sample):
     result = run_key_lemma(disc, sample)
     assert result.ok, result.verification
     assert result.verification["shortness_max_excess"] <= 1e-12
@@ -304,12 +323,7 @@ def test_key_lemma_builds_two_graphs(monkeypatch):
         post_init(self)
 
     monkeypatch.setattr(GraphInTarget, "__post_init__", counted)
-    disc = saddle_grid(8, 1.2)
-    loop = list(disc.boundary_loop)
-    interior = sorted(set(range(disc.n_vertices)) - set(loop))
-    sample = [loop[(j * len(loop)) // 8] for j in range(8)]
-    sample += [int(v) for v in np.random.default_rng(8).choice(interior, size=3, replace=False)]
-    res = run_key_lemma(disc, sample)
+    res = run_key_lemma(*keylemma_grid_instance(8))
     assert res.verification["ok"]
     assert [id(g) for g in built] == [id(res.graph_initial), id(res.graph)]
 
