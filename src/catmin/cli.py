@@ -308,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--refine", type=int, default=2)
 
-    p = add("minimize-graph", cmd_minimize_graph, help="straighten and relax a mapped graph")
+    p = add("minimize-graph", cmd_minimize_graph, help="relax a mapped graph and certify it")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--tol-descent", type=float, default=None)
     p.add_argument("--max-iter", type=int, default=2000)

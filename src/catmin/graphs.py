@@ -1,9 +1,11 @@
 """Finite graphs mapped into a target space with a planar rotation system.
 
-The rotation system (counterclockwise cyclic neighbor order per vertex)
-determines the faces by the usual directed-edge tracing; for graphs that
-come with parameter-plane positions the outer face is the clockwise walk.
-Faces are what the disc-gluing stage fills with comparison triangles.
+A mapped graph is a simple graph whose every edge is the target geodesic
+between its ends' points.  The rotation system (counterclockwise cyclic
+neighbor order per vertex) determines the faces by the usual directed-edge
+tracing; for graphs that come with parameter-plane positions the outer
+face is the clockwise walk.  Faces are what the disc-gluing stage fills
+with comparison triangles.
 
 :class:`PathGraph` is catmin's one shortest-path backend: the refined mesh
 graph, the intrinsic quotient of the refined mesh and the surface graph of
@@ -192,8 +194,11 @@ def rotation_from_positions(
 class GraphInTarget:
     """Vertices with target points, edges, a pinned subset and rotations.
 
-    A graph is checked when it is built: a malformed one raises a
-    ValueError whose ``problems`` lists the diagnostics.
+    A simple connected graph: no loop, and no edge listed twice.  Each edge
+    is the target geodesic between its ends' points, so its length is their
+    target distance.  Each vertex's rotation is a permutation of its
+    neighbours.  A graph is checked when it is built: a malformed one raises
+    a ValueError whose ``problems`` lists the diagnostics.
     """
 
     points: list                               # per-vertex target point
@@ -202,9 +207,6 @@ class GraphInTarget:
     rotation: list[list[int]]                  # CCW neighbor order per vertex
     target: TargetSpace
     positions: np.ndarray | None = None        # optional parameter-plane coords
-    edge_paths: dict[tuple[int, int], list] = field(default_factory=dict)
-    # optional polyline realizations (target points, endpoints included);
-    # absent entries mean the edge is realized as the geodesic
     # traced once: edges and rotation never change after construction
     _faces: list | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -231,13 +233,7 @@ class GraphInTarget:
         return out
 
     def edge_length(self, u: int, v: int) -> float:
-        key = (min(u, v), max(u, v))
-        path = self.edge_paths.get(key)
-        if path is None:
-            return self.target.distance(self.points[u], self.points[v])
-        return sum(
-            self.target.distance(path[i], path[i + 1]) for i in range(len(path) - 1)
-        )
+        return self.target.distance(self.points[u], self.points[v])
 
     def edge_lengths(self) -> dict[tuple[int, int], float]:
         return {e: self.edge_length(*e) for e in self.edges}
@@ -255,6 +251,9 @@ class GraphInTarget:
                 problems.append(f"edge ({u},{v}) out of range")
             if u == v:
                 problems.append(f"loop edge at {u}")
+        # edges are sorted, so a duplicate follows its first listing
+        problems += [f"edge ({u},{v}) listed twice" for (u, v), prev in zip(self.edges[1:], self.edges)
+                     if (u, v) == prev]
         problems += [f"pinned vertex {v} out of range" for v in sorted(self.pinned) if not 0 <= v < n]
         if self.positions is not None and not (
                 self.positions.shape == (n, 2) and np.isfinite(self.positions).all()):
@@ -276,15 +275,12 @@ class GraphInTarget:
         return problems
 
     def spherical_diagnostics(self) -> list[str]:
-        """Check that face tracing tiles the directed edges with Euler 2.
+        """Check that the face walks have Euler characteristic 2.
 
         Required before faces can be filled with triangles; plain
         relaxation does not need it.
         """
-        try:
-            walks = self.faces()
-        except ValueError as exc:
-            return [str(exc)]
+        walks = self.faces()
         euler = self.n_vertices - len(self.edges) + len(walks)
         if self.edges and euler != 2:
             return [f"rotation system is not spherical: Euler {euler} != 2"]
@@ -298,6 +294,10 @@ class GraphInTarget:
         return self._faces
 
     def _trace_faces(self) -> list[list[int]]:
+        """Orbits of the step (u, v) -> (v, w), w the neighbour before u in
+        v's rotation.  Each rotation is a permutation of distinct
+        neighbours, so the step is a bijection on the directed edges, and
+        each walk closes where it started."""
         idx_in_rot = [
             {w: k for k, w in enumerate(rot)} for rot in self.rotation
         ]
@@ -308,20 +308,10 @@ class GraphInTarget:
                 continue
             walk = []
             u, v = start
-            guard = 4 * len(self.edges) + 4
             while (u, v) in unused:
                 unused.remove((u, v))
                 walk.append(u)
-                k = idx_in_rot[v].get(u)
-                if k is None:
-                    raise ValueError(f"rotation at {v} does not mention {u}")
-                w = self.rotation[v][k - 1]
-                u, v = v, w
-                guard -= 1
-                if guard < 0:
-                    raise ValueError("face tracing does not close up")
-            if (u, v) != start:
-                raise ValueError("face tracing does not close up")
+                u, v = v, self.rotation[v][idx_in_rot[v][u] - 1]
             walks.append(walk)
         return walks
 

@@ -19,8 +19,9 @@ so within one `relax` call each star is solved once per change: a sweep
 reuses the t* and direction of every unchanged star, and so does the
 certificate that `relax` computes on its result.
 
-`relax` works on one straightened copy of its graph, so every edge it
-certifies is realized as the geodesic between its ends.  The certificate
+Every edge of a mapped graph is the geodesic between its ends, so moving
+a vertex moves its edges with it.  `relax` moves the points of one copy of
+its graph (`straighten`) and leaves the input as it is.  The certificate
 records, per free vertex, the program value t*, and per interior vertex,
 the sum of consecutive comparison angles in rotation order, which must
 reach a full turn at a length-minimizing position.
@@ -283,14 +284,10 @@ def descent_direction(units) -> tuple[float, np.ndarray | None]:
 
 
 def straighten(g: GraphInTarget) -> GraphInTarget:
-    """A copy of the graph with every edge realized as the geodesic between
-    its endpoints.
-
-    Vertex points are unchanged and no edge length increases, since a
-    geodesic is the shortest realization with the given endpoints.  The
-    copy has its own point list, so rebinding a point leaves ``g`` as it is.
-    """
-    return replace(g, points=list(g.points), edge_paths={})
+    """A copy of the graph with its own point list, so rebinding a point
+    leaves ``g`` as it is.  Its edges, like ``g``'s, are the geodesics
+    between their ends."""
+    return replace(g, points=list(g.points))
 
 
 @dataclass
@@ -373,10 +370,11 @@ def relax(
 ) -> tuple[GraphInTarget, MinimizationCertificate]:
     """Sweep free vertices into Pareto-stationary position.
 
-    Works on `straighten` of ``g`` and returns that copy relaxed; ``g``
-    is left as it is.  Each accepted move strictly decreases every incident
-    edge length (backtracking line search, halving from the shortest
-    incident edge), so the final graph is edgewise dominated by the input.
+    Moves the points of the copy `straighten` makes of ``g`` and returns
+    that copy; ``g`` is left as it is.  Each accepted move strictly
+    decreases every incident edge length (backtracking line search, halving
+    from the shortest incident edge), so the final graph is edgewise
+    dominated by the input.
     Terminates when no free vertex admits a shortening direction above
     ``tol_descent`` or when ``max_iter`` sweeps have run.  The returned
     certificate holds the result to ``tol_descent`` and ``tol_angle``.
@@ -453,22 +451,18 @@ def certify_conditions(
     _t_star: dict[int, float] | None = None,
 ) -> MinimizationCertificate:
     """Check the two necessary conditions of a length-minimizing position
-    of a graph whose edges are geodesics.
+    of a mapped graph.
 
     (a) no free vertex admits an all-shortening direction (t* <= tol);
     (b) at every interior vertex the consecutive comparison angles in
         rotation order sum to at least a full turn.
-    The graph must have no ``edge_paths`` (`relax` and `straighten` return
-    such graphs); one with paths raises ValueError.  The conditions are
-    necessary only: configurations exist that satisfy both yet still admit
-    a global shortening deformation.
+    The conditions are necessary only: configurations exist that satisfy
+    both yet still admit a global shortening deformation.
 
     ``_t_star`` is `relax`'s own: t* of the vertices whose stars it solved
     and did not change afterwards, which are not solved again.
     """
     _require_tolerances(tol_descent=tol_descent, tol_angle=tol_angle)
-    if g.edge_paths:
-        raise ValueError("certify_conditions needs geodesic edges: straighten the graph first")
     known = _t_star or {}
     _require_euclidean(g)
     nbrs = g.neighbors()

@@ -4,9 +4,10 @@ Given a mapped disc and a finite vertex sample F, the pipeline
 
 1. joins all sample pairs by shortest paths in the refined mesh graph and
    unites them into an embedded graph (shared subpaths automatically become
-   shared edges),
-2. straightens and relaxes that graph relative to the pinned boundary
-   sample A = F on the boundary loop,
+   shared edges), each chain of mesh edges replaced by the target geodesic
+   between its ends, its chord,
+2. relaxes that graph relative to the pinned boundary sample A = F on the
+   boundary loop,
 3. fills its bounded faces with comparison-triangle fans and glues them
    into a polyhedral disc W,
 4. maps each sample vertex to its W vertex (the contraction p) and every
@@ -14,9 +15,10 @@ Given a mapped disc and a finite vertex sample F, the pipeline
    (the short map q).
 
 Both hold by construction, and each is certified on every run by a check
-linear in the size of W: no relaxed edge is longer than the mesh polyline
-it came from (`contraction_excess`), and W's sides and bridges are as long
-as the target distances between their ends' images (`shortness_excess`).
+linear in the size of W: no relaxed edge is longer than the initial
+graph's chord it came from (`contraction_excess`), and W's sides and
+bridges are as long as the target distances between their ends' images
+(`shortness_excess`).
 """
 
 from __future__ import annotations
@@ -66,10 +68,11 @@ def geodesic_graph(
 
     A `MappedDisc` is connected, so every pair of sample vertices is joined.
     Degree-2 chains between sample vertices and path intersections are
-    contracted into single edges carrying their polylines, so the result
-    is a small piecewise-geodesic graph; the rotation system is inherited
-    from the parameter-plane embedding.  Returns the graph and the map
-    from mesh vertex index to graph vertex index.
+    contracted into single edges, each the target geodesic between the
+    chain's ends, so the result is a small graph no longer than the paths;
+    the rotation system is inherited from the parameter-plane embedding.
+    Returns the graph and the map from mesh vertex index to graph vertex
+    index.
     """
     sample = _checked_sample(disc, sample)
     g = build_refined_graph(disc, refinement)
@@ -133,15 +136,9 @@ def geodesic_graph(
     points = [g.node_images[n] for n in graph_nodes]
     positions = np.asarray([g.node_param[n] for n in graph_nodes])
     edges = []
-    edge_paths = {}
     depart: dict[int, list[tuple[float, int]]] = {i: [] for i in range(len(graph_nodes))}
     for chain in final_chains:
-        u, v = index_of[chain[0]], index_of[chain[-1]]
-        key = (min(u, v), max(u, v))
-        edges.append(key)
-        if len(chain) > 2:
-            path_pts = [g.node_images[n] for n in chain]
-            edge_paths[key] = path_pts if u <= v else path_pts[::-1]
+        edges.append((index_of[chain[0]], index_of[chain[-1]]))
         for a, b in ((chain[0], chain[1]), (chain[-1], chain[-2])):
             vec = g.node_param[b] - g.node_param[a]
             ang = float(np.arctan2(vec[1], vec[0]))
@@ -158,7 +155,6 @@ def geodesic_graph(
         rotation=rotation,
         target=disc.target,
         positions=positions,
-        edge_paths=edge_paths,
     )
     vertex_map = {v: index_of[int(g.orig_index[v])] for v in sample}
     return gamma, vertex_map
@@ -298,9 +294,10 @@ def _w_edges(w: PolyhedralDisc) -> tuple[np.ndarray, np.ndarray]:
 
 def contraction_excess(w: PolyhedralDisc, graph_initial: GraphInTarget) -> float:
     """Largest excess, over the graph's edges, of W's length for the edge
-    (its shortest side or bridge joining the ends) over the mesh polyline it
-    replaced.  A mesh geodesic between samples is a chain of these
-    polylines, so d_W(p x, p y) - d_mesh(x, y) is at most the sum of the
+    (its shortest side or bridge joining the ends) over the initial graph's
+    edge, the chord of the mesh polyline it replaced.  A mesh geodesic
+    between samples is a chain of these polylines, each at least as long as
+    its chord, so d_W(p x, p y) - d_mesh(x, y) is at most the sum of the
     chain's excesses: a maximum of 0 up to rounding certifies p."""
     ends, lengths = _w_edges(w)
     w_length: dict[tuple[int, int], float] = {}

@@ -230,24 +230,6 @@ def test_degenerate_star_values():
 # ------------------------------------------------------------- straighten
 
 
-def test_straighten_replaces_detour_by_segment():
-    g = euclidean_graph(
-        points=[(0.0, 0.0), (1.0, 0.0)],
-        edges=[(0, 1)],
-        pinned=[0, 1],
-    )
-    g.edge_paths[(0, 1)] = [
-        np.array([0.0, 0.0]),
-        np.array([0.5, 0.7]),
-        np.array([1.0, 0.0]),
-    ]
-    detour = g.edge_length(0, 1)
-    s = straighten(g)
-    assert s.edge_length(0, 1) == pytest.approx(1.0)
-    assert s.edge_length(0, 1) < detour
-    assert np.allclose(s.points[0], g.points[0])
-
-
 def test_straighten_identity_on_straight_graph():
     g = euclidean_graph(
         points=[(0.0, 0.0), (1.0, 0.0), (0.5, 1.0)],
@@ -355,10 +337,9 @@ def test_relax_commutes_with_rigid_motion():
 # ------------------------------------------------------------- star memo
 
 
-def grid_graph_with_paths():
-    """Geodesic graph, with its mesh polylines, of the 8x8 z = 1.2xy grid
-    disc with 8 evenly spread boundary and 3 random interior sample
-    vertices."""
+def grid_geodesic_graph():
+    """Geodesic graph of the 8x8 z = 1.2xy grid disc with 8 evenly spread
+    boundary and 3 random interior sample vertices."""
     from catmin.meshgen import grid_disc, make_mapped_disc
     from catmin.pipeline import geodesic_graph
 
@@ -372,13 +353,8 @@ def grid_graph_with_paths():
     return geodesic_graph(disc, sample)[0]
 
 
-def grid_geodesic_graph():
-    """`grid_graph_with_paths` straightened."""
-    return straighten(grid_graph_with_paths())
-
-
 def sweep_geodesic_graph(s):
-    """Straightened geodesic graph of key-lemma sweep instance ``s``."""
+    """Geodesic graph of key-lemma sweep instance ``s``."""
     from catmin.meshgen import random_height_disc
     from catmin.pipeline import geodesic_graph
 
@@ -386,7 +362,7 @@ def sweep_geodesic_graph(s):
     rng = np.random.default_rng(s)
     k = int(rng.integers(3, min(disc.n_vertices, 12) + 1))
     sample = [int(v) for v in rng.choice(disc.n_vertices, k, replace=False)]
-    return straighten(geodesic_graph(disc, sample)[0])
+    return geodesic_graph(disc, sample)[0]
 
 
 MEMO_GRAPHS = {"grid8": grid_geodesic_graph, **{f"sweep{s}": (lambda s=s: sweep_geodesic_graph(s)) for s in (1, 2, 3)}}
@@ -417,26 +393,12 @@ def test_relax_on_enumerated_hull_is_bitwise_equal(monkeypatch, name):
 
 
 def test_relax_straightens_a_copy_of_its_graph():
-    g = grid_graph_with_paths()
-    assert g.edge_paths
+    g = grid_geodesic_graph()
     points = [p.copy() for p in g.points]
-    out, cert = relax(g)
-    assert out.edge_paths == {}
-    # the input keeps its points and paths
-    assert g.edge_paths
+    out, _ = relax(g)
+    # the copy moves and the input keeps its points
+    assert not all(np.array_equal(p, q) for p, q in zip(out.points, points))
     assert all(np.array_equal(p, q) for p, q in zip(g.points, points))
-    out_straight, cert_straight = relax(straighten(g))
-    assert len(out.points) == len(out_straight.points)
-    for p, q in zip(out.points, out_straight.points):
-        assert np.array_equal(p, q)
-    assert cert.summary() == cert_straight.summary()
-
-
-def test_certify_conditions_needs_geodesic_edges():
-    g = grid_graph_with_paths()
-    with pytest.raises(ValueError, match="geodesic edges"):
-        certify_conditions(g)
-    assert certify_conditions(straighten(g)).interior_vertices
 
 
 def test_relax_solves_each_unchanged_star_once(monkeypatch):
@@ -511,9 +473,8 @@ def test_certify_on_relax_outputs():
         pts = np.column_stack([vertices, np.zeros(len(vertices))])
         pts += 0.25 * rng.standard_normal(pts.shape)
         g = euclidean_graph(pts, edges, boundary, positions=vertices)
-        out, cert = relax(g, tol_descent=1e-8)
+        _, cert = relax(g, tol_descent=1e-8)
         assert cert.worst_t_star <= 1e-8, trial
-        assert out.edge_paths == {}
         assert cert.interior_vertices == [4]
         assert cert.worst_angle_deficit <= 1e-6, (trial, cert.angle_sums)
 

@@ -41,7 +41,7 @@ def test_two_point_sample_gives_single_path():
     disc = flat_grid(3)
     gamma, vmap = geodesic_graph(disc, [0, 8], refinement=1)
     assert set(vmap.keys()) == {0, 8}
-    # a single shortest path contracts to one edge carrying its polyline
+    # a single shortest path contracts to one geodesic edge
     assert len(gamma.edges) == 1
     u, v = gamma.edges[0]
     assert {vmap[0], vmap[8]} == {u, v}
@@ -375,8 +375,8 @@ def test_shortness_certificate_fails_on_a_doctored_bridge():
 
 def test_contraction_certificate_fails_on_a_lengthened_edge(monkeypatch):
     # relax moves a free vertex off its place: the edges there grow longer
-    # than the mesh polylines they replaced, W follows the moved graph, and
-    # p is no longer certified a contraction
+    # than the initial chords, W follows the moved graph, and p is no longer
+    # certified a contraction
     tol = 1e-6
 
     def doctored_relax(graph, **kwargs):
