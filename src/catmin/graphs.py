@@ -14,18 +14,39 @@ runs Dijkstra.  It is also the only one that imports scipy, and only when
 the first :class:`PathGraph` is built, so the commands that never take a
 shortest path (validation, the link and saddle checks, the field system)
 start without loading scipy's sparse graph stack.
+
+A large Dijkstra call runs across the process's CPUs.  When the sources
+times the matrix's stored entries reach :data:`FORK_WORK` edge scans,
+:meth:`PathGraph.shortest_paths` starts w - 1 forked workers, w the smaller
+of that quotient, the source count and the CPUs ``os.sched_getaffinity``
+allows, and computes the first of w contiguous blocks of sources itself.
+The rows are bitwise those of one serial run, since each source's Dijkstra
+is independent; every worker is waited for before the call returns or
+raises, and a worker's failure raises ``RuntimeError``.  A process pinned to
+one CPU, a smaller call or a platform without ``os.fork`` runs serially.
+The workers only run scipy's Dijkstra and leave with ``os._exit``, so the
+BLAS threads numpy starts are no hazard to them; Python 3.12 and later
+still warn at each fork in a process with such threads
+(``DeprecationWarning: This process ... is multi-threaded, use of fork()
+may lead to deadlocks in the child``).
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .targets import TargetSpace, invalid
 
-__all__ = ["GraphInTarget", "PathGraph", "components", "path_from", "path_hops", "rotation_from_positions",
-           "signed_area", "walk_back"]
+__all__ = ["FORK_WORK", "GraphInTarget", "PathGraph", "components", "path_from", "path_hops",
+           "rotation_from_positions", "signed_area", "walk_back"]
+
+# Dijkstra work, in edge scans (sources x stored matrix entries), per forked
+# worker: a smaller call does not repay a fork, and a worker's block should
+# take tens of milliseconds (2**22 scans take about 0.07 s on a 2 GHz core)
+FORK_WORK = 1 << 22
 
 
 def components(n: int, a, b) -> np.ndarray:
@@ -106,6 +127,11 @@ class PathGraph:
     and ``path_nodes`` read it); ``rows(sources)`` runs Dijkstra only from
     sources it has not seen, and reads from all-pairs once that exists.
     Both give bitwise the same distances.
+
+    Both run through ``shortest_paths``, which splits a call of at least
+    2 x ``FORK_WORK`` edge scans between forked workers, one per usable CPU
+    at most (see the module docstring): the same rows, bitwise, with no
+    worker left behind once the call returns or raises.
     """
 
     def __init__(self, n: int, a, b, w):
@@ -135,12 +161,72 @@ class PathGraph:
         return self.matrix.shape[0]
 
     def shortest_paths(self, sources, return_predecessors: bool = False):
-        """Dijkstra from the given node ids (every node for ``None``)."""
+        """Dijkstra from the given node ids (every node for ``None``).
+
+        Rows are scipy's, float64 distances and int32 predecessors; a call
+        worth w >= 2 workers computes them in w contiguous blocks of
+        sources, w - 1 of them in forked children that write into one
+        shared anonymous map.
+        """
         from scipy.sparse.csgraph import dijkstra
 
-        return dijkstra(
-            self.matrix, directed=True, indices=sources, return_predecessors=return_predecessors
-        )
+        def run(indices):
+            return dijkstra(self.matrix, directed=True, indices=indices, return_predecessors=return_predecessors)
+
+        ids = np.arange(self.n_nodes) if sources is None else np.asarray(sources)
+        workers = self._workers(ids.size if ids.ndim else 1)
+        if workers <= 1:
+            return run(sources)
+        import mmap
+
+        k, n = ids.size, self.n_nodes
+        shared = mmap.mmap(-1, k * n * (12 if return_predecessors else 8))
+        dist = np.frombuffer(shared, np.float64, k * n).reshape(k, n)
+        pred = np.frombuffer(shared, np.int32, k * n, offset=k * n * 8).reshape(k, n) if return_predecessors else None
+
+        def fill(lo, hi):
+            if return_predecessors:
+                dist[lo:hi], pred[lo:hi] = run(ids[lo:hi])
+            else:
+                dist[lo:hi] = run(ids[lo:hi])
+
+        bounds = [k * i // workers for i in range(workers + 1)]
+        children = []
+        try:
+            for lo, hi in zip(bounds[1:-1], bounds[2:]):
+                pid = os.fork()
+                if pid == 0:  # the child never returns from here
+                    code = 1
+                    try:
+                        # no collection of the parent's garbage, whose finalizers are the parent's
+                        import gc
+
+                        gc.disable()
+                        fill(lo, hi)
+                        code = 0
+                    except BaseException:
+                        import sys
+                        import traceback
+
+                        traceback.print_exc()
+                        sys.stderr.flush()
+                    finally:
+                        os._exit(code)
+                children.append(pid)
+            fill(bounds[0], bounds[1])
+        finally:
+            codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in children]
+        if any(codes):
+            raise RuntimeError(f"Dijkstra workers exited with codes {codes}")
+        return (dist, pred) if return_predecessors else dist
+
+    def _workers(self, n_sources: int) -> int:
+        """Processes a Dijkstra run from ``n_sources`` sources is split
+        between: one per ``FORK_WORK`` edge scans, at most one per source
+        and per CPU this process may run on; 1 without ``os.fork``."""
+        if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+            return 1
+        return min(len(os.sched_getaffinity(0)), n_sources, n_sources * self.matrix.nnz // FORK_WORK)
 
     def all_pairs(self):
         """Distance and predecessor matrices from every node, computed once."""
