@@ -26,7 +26,11 @@ characteristic speeds +-1; the solver marches it away from the grid
 anti-diagonal (the t = 0 line) with unit data, following each
 characteristic family exactly along the grid axes with a Heun corrector,
 so the update is an upwind difference along the characteristics and the
-scheme is second-order accurate.
+scheme is second-order accurate.  The march stores its coefficients and
+w in anti-diagonal-major order (the cells with i + j = c together, by
+increasing i, for c = 0, 1, ...), so each step reads one diagonal and
+writes the next as contiguous slices; w returns to row-major order once,
+at the end.
 
 The accompanying quadrature energy  E_v s = sum_i int |v_i s|^2  is a
 positive semidefinite quadratic form in the grid values, so it is exactly
@@ -175,6 +179,17 @@ def _along(vec: np.ndarray, grad: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     return vec[..., :1] * ax + vec[..., 1:2] * ay
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products over a last axis of length 3.
+
+    Bit for bit ``np.sum(a * b, axis=-1)``, signed zeros included (the
+    leading 0.0 makes a row of -0.0 products sum to 0.0, as np.sum does),
+    without its slow reduction over a short axis.
+    """
+    p = a * b
+    return 0.0 + p[..., 0] + p[..., 1] + p[..., 2]
+
+
 def directional_derivative(patch: HeightFieldPatch, vec: np.ndarray, arr: np.ndarray) -> np.ndarray:
     """Derivative of a grid quantity along a parameter vector field."""
     return _along(vec, _grad(patch, arr))
@@ -234,12 +249,12 @@ def curvature_frame(patch: HeightFieldPatch) -> CurvatureFrame:
     if np.any(nn <= 0.0):
         raise FieldSystemError("degenerate parametrization: zero normal")
     normal = normal / nn
-    E = np.sum(s_x * s_x, axis=-1)
-    F = np.sum(s_x * s_y, axis=-1)
-    G = np.sum(s_y * s_y, axis=-1)
-    L = np.sum(s_xx * normal, axis=-1)
-    M = np.sum(s_xy * normal, axis=-1)
-    N = np.sum(s_yy * normal, axis=-1)
+    E = _dot(s_x, s_x)
+    F = _dot(s_x, s_y)
+    G = _dot(s_y, s_y)
+    L = _dot(s_xx, normal)
+    M = _dot(s_xy, normal)
+    N = _dot(s_yy, normal)
     det_i = E * G - F * F
     gauss = (L * N - M * M) / det_i
     if np.any(gauss >= -STRICT_SADDLE_TOL):
@@ -290,10 +305,7 @@ def energy(patch: HeightFieldPatch, fields: FieldArray | list, values: np.ndarra
     vals = patch.values if values is None else np.asarray(values, dtype=float)
     total = 0.0
     for deriv in _derivatives(fields, _grad(patch, vals)):
-        sq = deriv * deriv
-        # coordinates added in index order, the order np.sum(sq, axis=-1)
-        # takes, without its slow reduction over an axis of length 3
-        dens = sq[..., 0] + sq[..., 1] + sq[..., 2]
+        dens = _dot(deriv, deriv)
         total += float(np.trapezoid(np.trapezoid(dens, dx=patch.hy, axis=1), dx=patch.hx))
     return total
 
@@ -342,8 +354,8 @@ def laplacian(patch: HeightFieldPatch, fields: FieldArray | list) -> np.ndarray:
 def _tangential_coefficients(frame: CurvatureFrame, u: np.ndarray):
     E, F, G = frame.first_form
     det = E * G - F * F
-    ub1 = np.sum(u * frame.s_x, axis=-1)
-    ub2 = np.sum(u * frame.s_y, axis=-1)
+    ub1 = _dot(u, frame.s_x)
+    ub2 = _dot(u, frame.s_y)
     c1 = (G * ub1 - F * ub2) / det
     c2 = (E * ub2 - F * ub1) / det
     return c1, c2
@@ -357,8 +369,13 @@ def solve_field_system(patch: HeightFieldPatch) -> FieldArray:
     patches sampled in asymptotic coordinates such as z = c x y.  The
     squared scalings w = (l1^2, l2^2) obey one transport equation per
     characteristic family; both are marched from unit data on the grid
-    anti-diagonal with a Heun corrector.  If positivity fails, the patch
-    is shrunk to the largest centered window on which it holds.
+    anti-diagonal with a Heun corrector.  The coefficients and w are held
+    diagonal by diagonal (anti-diagonal-major order), so a forward step's
+    neighbours (i - 1, j) and (i, j - 1) are the first and the last cells
+    of the previous diagonal, and a backward step's (i + 1, j) and
+    (i, j + 1) the last and the first of the next; w is scattered back to
+    row-major order once.  If positivity fails, the patch is shrunk to the
+    largest centered window on which it holds.
     """
     frame = curvature_frame(patch)
     nx, ny = patch.shape
@@ -387,50 +404,70 @@ def solve_field_system(patch: HeightFieldPatch) -> FieldArray:
     s = patch.values
     vv1, vv2 = _second_derivatives(patch, (v1, v2), (frame.s_x, frame.s_y))
     T = vv1 + vv2
+    del vv1, vv2
     A1 = _dd(s, patch.hx, 0)   # s_xx, the axis field (1, 0) applied twice
     A2 = _dd(s, patch.hy, 1)
 
-    t1, t2 = _tangential_coefficients(frame, T)
-    a11, a12 = _tangential_coefficients(frame, A1)
-    a21, a22 = _tangential_coefficients(frame, A2)
+    # anti-diagonal-major order: diagonal c = i + j holds its cells by
+    # increasing i, from start[c] on, so each step of the march reads and
+    # writes slices; each coefficient is dropped as soon as it is skewed
+    diagonal = np.add.outer(np.arange(nx), np.arange(ny)).ravel()
+    order = np.argsort(diagonal, kind="stable")
+    start = [0, *np.cumsum(np.bincount(diagonal)).tolist()]
 
-    def h1(i, j, w1, w2):
-        return -2.0 * (t1[i, j] + w1 * a11[i, j] + w2 * a21[i, j])
+    def skewed(u):
+        return (coef.ravel()[order] for coef in _tangential_coefficients(frame, u))
 
-    def h2(i, j, w1, w2):
-        return -2.0 * (t2[i, j] + w1 * a12[i, j] + w2 * a22[i, j])
+    t1, t2 = skewed(T)
+    a11, a12 = skewed(A1)
+    a21, a22 = skewed(A2)
+    del T, A1, A2
+
+    def h1(d, w1, w2):
+        return -2.0 * (t1[d] + w1 * a11[d] + w2 * a21[d])
+
+    def h2(d, w1, w2):
+        return -2.0 * (t2[d] + w1 * a12[d] + w2 * a22[d])
 
     n = nx - 1
     hx, hy = patch.hx, patch.hy
-    w1 = np.full((nx, ny), np.nan)
-    w2 = np.full((nx, ny), np.nan)
-    diag_i = np.arange(nx)
-    w1[diag_i, n - diag_i] = 1.0
-    w2[diag_i, n - diag_i] = 1.0
+    w1 = np.full(nx * ny, np.nan)
+    w2 = np.full(nx * ny, np.nan)
+    w1[start[n]:start[n + 1]] = 1.0
+    w2[start[n]:start[n + 1]] = 1.0
 
     for c in range(n + 1, 2 * n + 1):
-        i = np.arange(max(0, c - n), min(n, c) + 1)
-        j = c - i
-        f1_prev = h1(i - 1, j, w1[i - 1, j], w2[i - 1, j])
-        f2_prev = h2(i, j - 1, w1[i, j - 1], w2[i, j - 1])
-        w1_star = w1[i - 1, j] + hx * f1_prev
-        w2_star = w2[i, j - 1] + hy * f2_prev
-        w1[i, j] = w1[i - 1, j] + 0.5 * hx * (f1_prev + h1(i, j, w1_star, w2_star))
-        w2[i, j] = w2[i, j - 1] + 0.5 * hy * (f2_prev + h2(i, j, w1_star, w2_star))
+        # diagonal c - 1 is one cell longer: (i - 1, j) are its first
+        # cells, (i, j - 1) its last
+        at = slice(start[c], start[c + 1])
+        di = slice(start[c - 1], start[c] - 1)
+        dj = slice(start[c - 1] + 1, start[c])
+        f1_prev = h1(di, w1[di], w2[di])
+        f2_prev = h2(dj, w1[dj], w2[dj])
+        w1_star = w1[di] + hx * f1_prev
+        w2_star = w2[dj] + hy * f2_prev
+        w1[at] = w1[di] + 0.5 * hx * (f1_prev + h1(at, w1_star, w2_star))
+        w2[at] = w2[dj] + 0.5 * hy * (f2_prev + h2(at, w1_star, w2_star))
     for c in range(n - 1, -1, -1):
-        i = np.arange(max(0, c - n), min(n, c) + 1)
-        j = c - i
-        f1_next = h1(i + 1, j, w1[i + 1, j], w2[i + 1, j])
-        f2_next = h2(i, j + 1, w1[i, j + 1], w2[i, j + 1])
-        w1_star = w1[i + 1, j] - hx * f1_next
-        w2_star = w2[i, j + 1] - hy * f2_next
-        w1[i, j] = w1[i + 1, j] - 0.5 * hx * (f1_next + h1(i, j, w1_star, w2_star))
-        w2[i, j] = w2[i, j + 1] - 0.5 * hy * (f2_next + h2(i, j, w1_star, w2_star))
+        # diagonal c + 1 is one cell longer: (i + 1, j) are its last
+        # cells, (i, j + 1) its first
+        at = slice(start[c], start[c + 1])
+        di = slice(start[c + 1] + 1, start[c + 2])
+        dj = slice(start[c + 1], start[c + 2] - 1)
+        f1_next = h1(di, w1[di], w2[di])
+        f2_next = h2(dj, w1[dj], w2[dj])
+        w1_star = w1[di] - hx * f1_next
+        w2_star = w2[dj] - hy * f2_next
+        w1[at] = w1[di] - 0.5 * hx * (f1_next + h1(at, w1_star, w2_star))
+        w2[at] = w2[dj] - 0.5 * hy * (f2_next + h2(at, w1_star, w2_star))
 
-    shrunk = False
-    window = (0, nx)
     if np.isnan(w1).any() or np.isnan(w2).any():
         raise FieldSystemError("marching failed to cover the grid")
+    rows = np.empty((2, nx * ny))
+    rows[:, order] = w1, w2
+    w1, w2 = rows.reshape(2, nx, ny)
+    shrunk = False
+    window = (0, nx)
     if min(w1.min(), w2.min()) <= POSITIVITY_TOL:
         k = 0
         ok = -1
@@ -481,7 +518,7 @@ def field_system_report(fields: FieldArray) -> dict:
     res_norm = float(np.abs(res).max()) if res.size else 0.0
     checks = {}
     for name, gg in (("v3", terms[2]), ("v4", terms[3])):
-        normal_part = np.abs(np.sum(gg * frame.normal, axis=-1))[2:-2, 2:-2]
+        normal_part = np.abs(_dot(gg, frame.normal))[2:-2, 2:-2]
         checks[f"{name}_normal_part_max"] = float(normal_part.max()) if normal_part.size else 0.0
     return {
         "residual_max": res_norm,
@@ -581,9 +618,9 @@ def _bump_forms(tensor, p, q, fx, fy, directions):
     rim_tensor = (a00[rim], a01[rim], a11[rim])
     gram += (_a_form(rim_tensor, full_gx[k], full_gy[k], full_gx[l], full_gy[l])
              - _a_form(rim_tensor, core_gx[k], core_gy[k], core_gx[l], core_gy[l]))
-    linear = np.sum(lin * directions, axis=1).reshape(-1, 2).sum(axis=1)
-    dots = np.sum(directions[k] * directions[l], axis=1)
-    quadratic = np.sum((gram * dots).reshape(-1, 3) * [1.0, 2.0, 1.0], axis=1)
+    linear = _dot(lin, directions).reshape(-1, 2).sum(axis=1)
+    dots = _dot(directions[k], directions[l])
+    quadratic = _dot((gram * dots).reshape(-1, 3), np.array([1.0, 2.0, 1.0]))
     return linear, quadratic
 
 

@@ -76,7 +76,7 @@ SHORTEN_TOL = 1e-9  # length change that counts as growing or shrinking
 @dataclass
 class SaddleVerdict:
     saddle: bool
-    planes_tested: int
+    planes_tested: int  # the planes `check_plane` ran on, up to the first violating one
     witness: dict | None
 
     def __bool__(self):
@@ -286,8 +286,10 @@ def is_saddle_pl(
 
     Tests every plane through a triple of distinct vertex images (with the
     offset also nudged both ways to break ties) plus seeded random planes.
-    Degenerate (collinear) triples are skipped.  The witness is the first
-    violation of the first violating plane, as `check_plane` lists them.
+    Degenerate (collinear) triples are skipped.  The planes are checked in
+    order up to the first violating one; the witness is its first violation,
+    as `check_plane` lists them, and ``planes_tested`` counts the planes
+    checked (all candidates on a saddle verdict).
     """
     if extra_planes < 0:
         raise ValueError(f"extra_planes must be >= 0, got {extra_planes}")
@@ -296,10 +298,10 @@ def is_saddle_pl(
         raise ValueError("the saddle predicate expects a disc mapped into Euclidean 3-space")
     sections = _PlaneSections(disc)
     normals, offsets = _candidate_planes(sections, extra_planes, seed)
-    for normal, offset in zip(normals, offsets):
+    for tested, (normal, offset) in enumerate(zip(normals, offsets), 1):
         violations = check_plane(disc, normal, offset, sections=sections)
         if violations:
-            return SaddleVerdict(False, len(normals), violations[0])
+            return SaddleVerdict(False, tested, violations[0])
     return SaddleVerdict(True, len(normals), None)
 
 

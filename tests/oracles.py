@@ -656,6 +656,75 @@ def laplacian_oracle(patch, vecs):
     return out[1:-1, 1:-1]
 
 
+def field_march_oracle(patch):
+    """The former row-major march of the field system: each step gathers
+    its diagonal's cells and their neighbours by 2-D fancy indexing.
+    Returns (lambda1, lambda2, window, shrunk) as the solve keeps them."""
+    from catmin.fields import (
+        POSITIVITY_TOL,
+        FieldSystemError,
+        _dd,
+        _second_derivatives,
+        curvature_frame,
+    )
+
+    frame = curvature_frame(patch)
+    nx, ny = patch.shape
+    E, F, G = frame.first_form
+    det = E * G - F * F
+
+    def tangential(u):
+        ub1 = np.sum(u * frame.s_x, axis=-1)
+        ub2 = np.sum(u * frame.s_y, axis=-1)
+        return (G * ub1 - F * ub2) / det, (E * ub2 - F * ub1) / det
+
+    v1 = frame.e1 * (1.0 / np.sqrt(np.abs(frame.kappa1)))[..., None]
+    v2 = frame.e2 * (1.0 / np.sqrt(np.abs(frame.kappa2)))[..., None]
+    vv1, vv2 = _second_derivatives(patch, (v1, v2), (frame.s_x, frame.s_y))
+    t1, t2 = tangential(vv1 + vv2)
+    a11, a12 = tangential(_dd(patch.values, patch.hx, 0))
+    a21, a22 = tangential(_dd(patch.values, patch.hy, 1))
+
+    def h1(i, j, w1, w2):
+        return -2.0 * (t1[i, j] + w1 * a11[i, j] + w2 * a21[i, j])
+
+    def h2(i, j, w1, w2):
+        return -2.0 * (t2[i, j] + w1 * a12[i, j] + w2 * a22[i, j])
+
+    n = nx - 1
+    hx, hy = patch.hx, patch.hy
+    w1 = np.full((nx, ny), np.nan)
+    w2 = np.full((nx, ny), np.nan)
+    diag_i = np.arange(nx)
+    w1[diag_i, n - diag_i] = 1.0
+    w2[diag_i, n - diag_i] = 1.0
+    for c in range(n + 1, 2 * n + 1):
+        i = np.arange(max(0, c - n), min(n, c) + 1)
+        j = c - i
+        f1_prev = h1(i - 1, j, w1[i - 1, j], w2[i - 1, j])
+        f2_prev = h2(i, j - 1, w1[i, j - 1], w2[i, j - 1])
+        w1_star = w1[i - 1, j] + hx * f1_prev
+        w2_star = w2[i, j - 1] + hy * f2_prev
+        w1[i, j] = w1[i - 1, j] + 0.5 * hx * (f1_prev + h1(i, j, w1_star, w2_star))
+        w2[i, j] = w2[i, j - 1] + 0.5 * hy * (f2_prev + h2(i, j, w1_star, w2_star))
+    for c in range(n - 1, -1, -1):
+        i = np.arange(max(0, c - n), min(n, c) + 1)
+        j = c - i
+        f1_next = h1(i + 1, j, w1[i + 1, j], w2[i + 1, j])
+        f2_next = h2(i, j + 1, w1[i, j + 1], w2[i, j + 1])
+        w1_star = w1[i + 1, j] - hx * f1_next
+        w2_star = w2[i, j + 1] - hy * f2_next
+        w1[i, j] = w1[i + 1, j] - 0.5 * hx * (f1_next + h1(i, j, w1_star, w2_star))
+        w2[i, j] = w2[i, j + 1] - 0.5 * hy * (f2_next + h2(i, j, w1_star, w2_star))
+    if np.isnan(w1).any() or np.isnan(w2).any():
+        raise FieldSystemError("marching failed to cover the grid")
+    for k in range((n + 1) // 2):
+        sl = slice(k, nx - k)
+        if min(w1[sl, sl].min(), w2[sl, sl].min()) > POSITIVITY_TOL:
+            return np.sqrt(w1[sl, sl]), np.sqrt(w2[sl, sl]), (k, nx - k), k > 0
+    raise FieldSystemError("lost positivity of the squared scalings")
+
+
 def check_plane_oracle(disc, normal, offset, tol=1e-9):
     """One plane section, its face adjacency rebuilt and its components
     found by a per-edge union-find (the saddle predicate's per-plane loop)."""
@@ -752,12 +821,13 @@ def candidate_planes_oracle(disc, extra_planes, seed, nudge):
 
 
 def is_saddle_oracle(disc, extra_planes=200, seed=0, tol=1e-9, nudge=1e-7):
-    """Saddle verdict as (saddle, planes tested, witness), plane by plane."""
+    """Saddle verdict as (saddle, planes tested, witness), plane by plane;
+    a violating plane ends the test, and is the last plane counted."""
     planes = candidate_planes_oracle(disc, extra_planes, seed, nudge)
-    for normal, offset in planes:
+    for tested, (normal, offset) in enumerate(planes, 1):
         violations = check_plane_oracle(disc, normal, offset, tol)
         if violations:
-            return False, len(planes), violations[0]
+            return False, tested, violations[0]
     return True, len(planes), None
 
 

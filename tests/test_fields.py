@@ -20,6 +20,7 @@ import catmin.fields as fields_module
 
 from oracles import (
     energy_oracle,
+    field_march_oracle,
     laplacian_oracle,
     perturbation_closed_form_oracle,
     perturbation_evidence_oracle,
@@ -208,6 +209,40 @@ def test_report_reads_the_solver_frame(monkeypatch):
         fa.frame = original(fa.patch)
         assert field_system_report(fa) == rep
         assert rep["residual_max"] == float(np.abs(laplacian_oracle(fa.patch, fa.fields)).max())
+
+
+def bits(a):
+    """The bit patterns of a float array: equal only if every bit is (-0.0 too)."""
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("half_width", [0.5, 1.5])
+@pytest.mark.parametrize("coef", [0.8, 1.0, 1.1, 1.25])
+@pytest.mark.parametrize("n", [8, 16, 31, 32, 64, 128])
+def test_march_along_diagonals_equals_the_row_major_oracle(n, coef, half_width):
+    # at half-width 1.5 positivity fails at the corners and the solve shrinks its window
+    patch = bilinear_saddle_patch(half_width, n, coef=coef)
+    fa = solve_field_system(patch)
+    lam1, lam2, window, shrunk = field_march_oracle(patch)
+    assert (fa.window, fa.shrunk) == (window, shrunk)
+    assert shrunk is (half_width == 1.5)
+    assert np.array_equal(bits(fa.lambda1), bits(lam1))
+    assert np.array_equal(bits(fa.lambda2), bits(lam2))
+
+
+def test_dot_equals_numpy_sum_bit_for_bit():
+    rng = np.random.default_rng(7)
+    for shape in [(3,), (5, 3), (33, 33, 3), (2, 7, 9, 3)]:
+        a = rng.standard_normal(shape) * 10.0 ** rng.integers(-30, 30, shape)
+        b = rng.standard_normal(shape)
+        b[rng.random(shape) < 0.1] = 0.0
+        assert np.array_equal(bits(fields_module._dot(a, b)), bits(np.sum(a * b, axis=-1)))
+    # rows whose three products are all -0.0 sum to 0.0 under np.sum, and so under the helper
+    a = np.array([[-0.0, -0.0, -0.0], [-1.0, 0.0, 2.0]])
+    b = np.array([[1.0, 2.0, 3.0], [0.0, -1.0, -0.0]])
+    got = fields_module._dot(a, b)
+    assert np.array_equal(bits(got), bits(np.sum(a * b, axis=-1)))
+    assert np.array_equal(bits(got), bits([0.0, 0.0]))
 
 
 # ------------------------------------------------------------- minimality

@@ -219,6 +219,30 @@ def test_saddle_verdict_reads_the_adjacency_once_and_checks_each_plane(monkeypat
     assert calls["edge_faces"] == 1
 
 
+@pytest.mark.parametrize("name", ["cap", "grid25"])
+def test_planes_tested_counts_the_planes_checked(monkeypatch, name):
+    import catmin.saddle as saddle_module
+
+    disc = paraboloid_cap_disc() if name == "cap" else grid_saddle_disc(5)
+    saddle = name != "cap"
+    violated = []
+    check = saddle_module.check_plane
+
+    def counted_check(*args, **kwargs):
+        found = check(*args, **kwargs)
+        violated.append(bool(found))
+        return found
+
+    monkeypatch.setattr(saddle_module, "check_plane", counted_check)
+    verdict = is_saddle_pl(disc)
+    assert verdict.saddle is saddle
+    assert verdict.planes_tested == len(violated)
+    # the verdict stops at the first violating plane, if there is one
+    assert violated == [False] * (len(violated) - 1) + [not saddle]
+    candidates = len(_candidate_planes(_PlaneSections(disc), 200, 0)[0])
+    assert (verdict.planes_tested == candidates) if saddle else (1 <= verdict.planes_tested < candidates)
+
+
 def test_check_plane_rejects_zero_normal():
     with pytest.raises(ValueError):
         check_plane(flat_disc(), (0.0, 0.0, 0.0), 0.0)
