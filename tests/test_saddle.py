@@ -78,6 +78,21 @@ def test_paraboloid_explicit_horizontal_witness():
     assert apex_triangles & set(bad[0]["triangles"])
 
 
+@pytest.mark.xfail(raises=AssertionError, strict=True, reason=(
+    "known defect (ROADMAP item 19 step 1): _candidate_planes flips a normal but keeps its "
+    "offset, so half the planes through vertex triples are never tested"))
+@pytest.mark.parametrize("seed", [56, 80, 46])
+def test_random_discs_with_a_cap_are_not_saddle(seed):
+    # each of these discs has a plane through three vertex images, with a
+    # negative leading normal coordinate, that cuts off a cap
+    disc = random_height_disc(seed, max_vertices=25, jitter=0.05)
+    verdict = is_saddle_pl(disc)
+    assert not verdict.saddle
+    normals, offsets = _candidate_planes(_PlaneSections(disc), 200, 0)
+    k = verdict.planes_tested - 1
+    assert check_plane(disc, normals[k], offsets[k])[0] == verdict.witness
+
+
 def test_saddle_invariant_under_rigid_motion():
     rng = np.random.default_rng(3)
     theta = 0.7
