@@ -236,7 +236,8 @@ def _candidate_planes(sections: _PlaneSections, extra_planes: int, seed: int):
     (each also nudged both ways by `PLANE_NUDGE`) and of seeded random
     planes, for the images and scale of ``sections``.
 
-    Each normal's sign is fixed by its first coordinate beyond 1e-12, and
+    Each normal's sign is fixed by its first coordinate beyond 1e-12 (a
+    flipped normal flips its offset, so the plane stays the same), and
     planes repeating an earlier (normal, offset) rounded to 9 digits are
     dropped, so the order is that of first appearance.
     """
@@ -265,6 +266,7 @@ def _candidate_planes(sections: _PlaneSections, extra_planes: int, seed: int):
     first = np.argmax(lead, axis=1)
     flip = lead.any(axis=1) & (normals[np.arange(len(normals)), first] < 0)
     normals = np.where(flip[:, None], -normals, normals)
+    offsets = np.where(flip, -offsets, offsets)
 
     # a key row per plane: the normal rounded by np.round, the offset as by
     # Python's round; sorting and != take -0.0 for 0.0, as tuple keys do

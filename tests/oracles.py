@@ -794,7 +794,7 @@ def candidate_planes_oracle(disc, extra_planes, seed, nudge):
         for k in range(3):
             if abs(normal[k]) > 1e-12:
                 if normal[k] < 0:
-                    normal = -normal
+                    normal, offset = -normal, -offset
                 break
         key = (tuple(np.round(normal, 9)), round(float(offset), 9))
         if key in seen:
