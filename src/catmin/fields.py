@@ -222,6 +222,8 @@ class CurvatureFrame:
     second_form: tuple[np.ndarray, np.ndarray, np.ndarray]   # L, M, N
     s_x: np.ndarray
     s_y: np.ndarray
+    s_xx: np.ndarray
+    s_yy: np.ndarray
     normal: np.ndarray
 
 
@@ -289,7 +291,7 @@ def curvature_frame(patch: HeightFieldPatch) -> CurvatureFrame:
     e1 = _orient(e1, e1[center])
     e2 = _orient(e2, e2[center])
 
-    return CurvatureFrame(kappa1, kappa2, e1, e2, (E, F, G), (L, M, N), s_x, s_y, normal)
+    return CurvatureFrame(kappa1, kappa2, e1, e2, (E, F, G), (L, M, N), s_x, s_y, s_xx, s_yy, normal)
 
 
 # --------------------------------------------------------------------------
@@ -401,12 +403,11 @@ def solve_field_system(patch: HeightFieldPatch) -> FieldArray:
     v1 = frame.e1 * inv_sqrt_k1[..., None]
     v2 = frame.e2 * inv_sqrt_k2[..., None]
 
-    s = patch.values
     vv1, vv2 = _second_derivatives(patch, (v1, v2), (frame.s_x, frame.s_y))
     T = vv1 + vv2
     del vv1, vv2
-    A1 = _dd(s, patch.hx, 0)   # s_xx, the axis field (1, 0) applied twice
-    A2 = _dd(s, patch.hy, 1)
+    A1 = frame.s_xx   # the axis field (1, 0) applied twice
+    A2 = frame.s_yy
 
     # anti-diagonal-major order: diagonal c = i + j holds its cells by
     # increasing i, from start[c] on, so each step of the march reads and
