@@ -12,12 +12,17 @@ of the unit edge directions u_i.  The value is zero exactly when the
 origin lies in that hull, i.e. when no all-shortening direction exists.
 Wolfe's finite algorithm finds the face of the hull that holds that point,
 and the point is the origin's exact projection onto the face's affine hull
-(see `min_norm_hull_point`).
+(see `min_norm_hull_point`).  The walk stops early at a stationary star:
+once its point is at most ``STATIONARY_TOL / 2`` long, the star has no
+shortening direction whatever the minimum is, and the walk neither goes on
+to the minimum nor refines it.
 
 A vertex star changes only when the vertex or one of its neighbours moves,
-so within one `relax` call each star is solved once per change: a sweep
-reuses the t* and direction of every unchanged star, and so does the
-certificate that `relax` computes on its result.
+so within one `relax` call each star is built and solved once per change:
+a sweep reuses the unit edge directions, edge lengths, t* and direction of
+every unchanged star, a move steps along the star it was solved on, and the
+certificate that `relax` computes on its result takes the t* of every star
+of the last sweep without building the star again.
 
 Every edge of a mapped graph is the geodesic between its ends, so moving
 a vertex moves its edges with it.  `relax` moves the points of one copy of
@@ -69,12 +74,21 @@ def min_norm_hull_point(units: np.ndarray) -> np.ndarray:
     precision.  Supports whose points agree to rounding are a tie, settled
     by row order (see `_settle_ties`), so the result depends on the rows
     alone and not on the path of the walk.
+
+    The walk stops as soon as its point is at most ``STATIONARY_TOL / 2``
+    long and returns that point as it is, with no tie settling and no
+    refinement: every such star reads as stationary in `descent_direction`,
+    and so does its minimum.  So the result is the minimum-norm point only
+    when it is longer than that; a shorter result is a point of the hull
+    (up to the rounding of its weights) within ``STATIONARY_TOL / 2`` of the
+    origin.  `relax` asks once per star and change of the star (see the
+    module docstring), so a stationary star costs one short walk.
     """
     u = np.asarray(units, dtype=float)
     support, w = _wolfe(u)
     if len(support) > u.shape[1]:
         return np.zeros(u.shape[1])
-    if len(support) >= 2 and 0.0 < float(np.linalg.norm(w)) < 1e-6:
+    if len(support) >= 2 and WOLFE_STOP < math.sqrt(w @ w) < 1e-6:
         # near stationarity the direction error of a double-precision
         # projection is eps / |w|; one extended-precision pass keeps the
         # direction usable down to values far below the certificates' tol
@@ -84,6 +98,9 @@ def min_norm_hull_point(units: np.ndarray) -> np.ndarray:
     return w
 
 
+# the walk ends at a point this short: `descent_direction` reads it, and
+# every shorter hull point, as stationary
+WOLFE_STOP = STATIONARY_TOL / 2
 # an affine minimum whose weights (they sum to one) are all at least
 # -WOLFE_WEIGHT_TOL lies in the hull up to the rounding of its weights
 WOLFE_WEIGHT_TOL = 1e-10
@@ -95,14 +112,15 @@ WOLFE_GAP_NOISE = 1e-12
 WOLFE_TIE_WEIGHT = 1e-6
 
 
-def _affine_minimum(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The origin's projection onto the rows' affine hull, and its weights."""
-    if len(pts) == 1:
-        return pts[0], np.ones(1)
-    base = pts[0]
-    diffs = (pts[1:] - base).T
-    s, *_ = np.linalg.lstsq(diffs, -base, rcond=None)
-    return base + diffs @ s, np.concatenate([[1.0 - s.sum()], s])
+def _affine_minimum(u: np.ndarray, diffs: np.ndarray, support: list[int]):
+    """The origin's projection onto the support rows' affine hull, and its
+    weights as a list; ``diffs[j, s]`` is row s minus row j."""
+    base = u[support[0]]
+    if len(support) == 1:
+        return base.copy(), [1.0]
+    d = diffs[support[0]].take(support[1:], axis=0).T
+    s, *_ = np.linalg.lstsq(d, -base, rcond=None)
+    return base + d @ s, [1.0 - s.sum(), *s.tolist()]
 
 
 def _wolfe(u: np.ndarray) -> tuple[list[int], np.ndarray]:
@@ -123,71 +141,84 @@ def _wolfe(u: np.ndarray) -> tuple[list[int], np.ndarray]:
     rounding, ``WOLFE_NORM_TOL``, of the current point may be stepped to.
     The walk is finite because no support is visited twice.  It returns
     the shortest point it visited, where a point within rounding of an
-    earlier one does not count as shorter.
+    earlier one does not count as shorter, or the first point at most
+    ``WOLFE_STOP`` long.
+
+    A star has a few rows and a support at most ``dim + 1``, so the walk
+    keeps supports, weights and tests in Python lists and leaves numpy
+    only the vector arithmetic: the rows' differences, the gaps and the
+    projections.
     """
-    dim = u.shape[1]
-    sq = np.einsum("ij,ij->i", u, u)
-    scale = float(np.sqrt(sq.max()))
+    k, dim = u.shape
+    sq = np.einsum("ij,ij->i", u, u).tolist()
+    scale = math.sqrt(max(sq))
     tol = WOLFE_NORM_TOL * scale
+    noise = WOLFE_GAP_NOISE * scale
     diffs = u[None, :, :] - u[:, None, :]  # diffs[j, s] = p_s - p_j
-    dist2 = np.einsum("jsd,jsd->js", diffs, diffs)
-    rows = np.arange(len(u))
+    dist2 = np.einsum("jsd,jsd->js", diffs, diffs).tolist()
+    flat = diffs.reshape(k * k, dim)
 
     def tests(support, x):
-        """Each row's gap, the gap's rounding bound and the squared distance
-        to the nearest support row."""
-        near = np.asarray(support)[dist2[:, support].argmin(axis=1)]
-        d2 = dist2[rows, near]
-        return diffs[rows, near] @ x, (WOLFE_GAP_NOISE * scale) * np.sqrt(d2), d2
+        """Each row's gap and the squared distance to its nearest support
+        row (the first in the support at a tie)."""
+        if len(support) == 1:
+            s = support[0]
+            return ((u[s] - u) @ x).tolist(), [row[s] for row in dist2]
+        near = [min(support, key=row.__getitem__) for row in dist2]
+        gaps = flat.take([r * k + s for r, s in enumerate(near)], axis=0) @ x
+        return gaps.tolist(), [row[s] for row, s in zip(dist2, near)]
 
-    j = int(sq.argmin())
-    support, weights, x = [j], np.ones(1), u[[j]][0]
-    norm = float(np.linalg.norm(x))
+    j = sq.index(min(sq))
+    support, weights, x = [j], [1.0], u[j].copy()
+    norm = math.sqrt(x @ x)
     visited = {(j,)}
     best = (norm, support, weights, x)
-    tested = None  # the last support tested, its gaps and their rounding
-    while len(support) < len(u) and len(support) <= dim and norm > tol:
-        gaps, rounding, d2 = tests(support, x)
-        tested = support, gaps, rounding
+    tested = None  # the last support tested, its gaps and squared distances
+    stop = max(tol, WOLFE_STOP)
+    while len(support) < k and len(support) <= dim and norm > stop:
+        gaps, d2 = tests(support, x)
+        tested = support, gaps, d2
         # a row is ruled out when its gap clears the rounding and its weight
         # in the affine minimum with it, gap / |p_j - q|^2 for q the nearest
         # point of the support's affine hull, is below -WOLFE_WEIGHT_TOL
-        margin = gaps + rounding + WOLFE_WEIGHT_TOL * d2
-        step = _major_cycle(u, support, weights, margin, norm, tol, visited)
+        margin = [g + noise * math.sqrt(e) + WOLFE_WEIGHT_TOL * e for g, e in zip(gaps, d2)]
+        step = _major_cycle(u, diffs, support, weights, margin, norm, tol, visited)
         if step is None:
             break
         support, weights, x, norm = step
         visited.add(tuple(support))
         if norm < best[0] - tol:
             best = (norm, support, weights, x)
+    if norm <= WOLFE_STOP:
+        return support, x  # stationary: no tie settling, no refinement
     norm, support, weights, x = best
     if norm <= tol or len(support) > dim:
         return support, x  # the origin lies in the hull
-    if len(support) == len(u):
+    if len(support) == k:
         tied = support
     else:
         if tested is None or tested[0] is not support:
-            tested = support, *tests(support, x)[:2]
-        tied = np.flatnonzero(np.abs(tested[1]) <= tested[2]).tolist()
-    return _settle_ties(u, tol, tied, norm, support, weights, x)
+            tested = support, *tests(support, x)
+        # rows whose gap is within its rounding
+        tied = [j for j, (g, e) in enumerate(zip(tested[1], tested[2])) if abs(g) <= noise * math.sqrt(e)]
+    return _settle_ties(u, diffs, tol, tied, norm, support, weights, x)
 
 
-def _major_cycle(u, support, weights, margin, norm, tol, visited):
+def _major_cycle(u, diffs, support, weights, margin, norm, tol, visited):
     """A new support that adding a row of positive ``margin`` reaches
     (support rows and their duplicates have margin 0): the first in margin
     order that shortens x by more than ``tol``, else the shortest within
     ``tol`` of ``norm``; None when there is neither."""
     tie = None
-    for j in np.argsort(-margin, kind="stable").tolist():
-        if margin[j] <= 0.0:
-            break
+    # most-opposed first, and in row order at equal margins
+    for j in sorted((j for j, m in enumerate(margin) if m > 0.0), key=margin.__getitem__, reverse=True):
         at = bisect.bisect(support, j)
         new_support, new_weights, new_x = _wolfe_minor(
-            u, support[:at] + [j] + support[at:], np.concatenate((weights[:at], [0.0], weights[at:]))
+            u, diffs, support[:at] + [j] + support[at:], weights[:at] + [0.0] + weights[at:]
         )
         if tuple(new_support) in visited:
             continue
-        new_norm = float(np.linalg.norm(new_x))
+        new_norm = math.sqrt(new_x @ new_x)
         if new_norm < norm - tol:
             return new_support, new_weights, new_x, new_norm
         if new_norm < norm + tol and (tie is None or new_norm < tie[3]):
@@ -195,7 +226,7 @@ def _major_cycle(u, support, weights, margin, norm, tol, visited):
     return tie
 
 
-def _settle_ties(u, tol, tied, norm, support, weights, x):
+def _settle_ties(u, diffs, tol, tied, norm, support, weights, x):
     """Among supports tied with the best one, the first in (size, index) order.
 
     The best point's face may hold more rows than its support: the ``tied``
@@ -206,25 +237,26 @@ def _settle_ties(u, tol, tied, norm, support, weights, x):
     is a support, and the first in (size, row index) order is taken, so
     that the result does not depend on the path of the walk.
     """
-    if len(tied) == len(support) and weights.min() >= WOLFE_TIE_WEIGHT:
+    if len(tied) == len(support) and min(weights) >= WOLFE_TIE_WEIGHT:
         return support, x
     for size in range(1, min(len(tied), u.shape[1] + 1) + 1):
         for subset in itertools.combinations(tied, size):
-            y, v = _affine_minimum(u[list(subset)])
-            if (v >= -WOLFE_WEIGHT_TOL).all() and float(np.linalg.norm(y)) <= norm + tol:
+            y, v = _affine_minimum(u, diffs, list(subset))
+            if min(v) >= -WOLFE_WEIGHT_TOL and math.sqrt(y @ y) <= norm + tol:
                 return list(subset), y
     return support, x
 
 
-def _wolfe_minor(u: np.ndarray, support: list[int], weights: np.ndarray):
+def _wolfe_minor(u: np.ndarray, diffs: np.ndarray, support: list[int], weights: list[float]):
     """Minor cycles from hull ``weights`` on ``support``: returns the
     support, weights and point of the affine minimum they end at."""
     while True:
-        x, v = _affine_minimum(u[support])
-        low = v < -WOLFE_WEIGHT_TOL
-        if not low.any():
+        x, v = _affine_minimum(u, diffs, support)
+        if not any(e < -WOLFE_WEIGHT_TOL for e in v):
             return support, v, x
         # step from the weights toward v until the first weight reaches zero
+        v = np.array(v)
+        low = v < -WOLFE_WEIGHT_TOL
         w = np.maximum(weights, 0.0)
         ratios = np.full(len(v), np.inf)
         ratios[low] = w[low] / (w[low] - v[low])
@@ -233,7 +265,7 @@ def _wolfe_minor(u: np.ndarray, support: list[int], weights: np.ndarray):
         w[hit] = 0.0
         keep = w > 0.0
         support = [s for s, kept in zip(support, keep.tolist()) if kept]
-        weights = w[keep]
+        weights = w[keep].tolist()
 
 
 def _refine_projection_longdouble(pts64: np.ndarray) -> np.ndarray | None:
@@ -277,7 +309,7 @@ def descent_direction(units) -> tuple[float, np.ndarray | None]:
     if u.ndim != 2 or u.shape[0] == 0:
         raise ValueError("need a nonempty list of unit vectors")
     w = min_norm_hull_point(u)
-    t_star = float(np.linalg.norm(w))
+    t_star = math.sqrt(w @ w)
     if t_star <= STATIONARY_TOL:
         return 0.0, None
     return t_star, w / t_star
@@ -387,10 +419,10 @@ def relax(
     nbrs = work.neighbors()
     free = [v for v in range(work.n_vertices) if v not in work.pinned]
     skipped: set[int] = set()
-    t_star: dict[int, float] = {}
-    # (t*, d) of every star unchanged since it was solved: a move drops the
-    # entries of the vertex and its neighbours, whose stars it changes
-    solved: dict[int, tuple[float, np.ndarray | None]] = {}
+    # every star unchanged since it was built: (t*, d, units, lengths), or
+    # t* = 0 and no units for a star with a zero-length edge; a move drops
+    # the entries of the vertex and its neighbours, whose stars it changes
+    stars: dict[int, tuple] = {}
     iterations = 0
     converged = False
     for sweep in range(max_iter):
@@ -400,16 +432,15 @@ def relax(
         for v in free:
             if not nbrs[v]:
                 continue
-            vecs, lens = _vertex_star(work, nbrs, v)
-            if np.any(lens <= ZERO_EDGE_TOL):
-                skipped.add(v)
-                t_star[v] = 0.0
-                continue
-            units = vecs / lens[:, None]
-            if v not in solved:
-                solved[v] = descent_direction(units)
-            t, d = solved[v]
-            t_star[v] = t
+            if v not in stars:
+                vecs, lens = _vertex_star(work, nbrs, v)
+                if np.any(lens <= ZERO_EDGE_TOL):
+                    skipped.add(v)
+                    stars[v] = (0.0, None, None, None)
+                else:
+                    units = vecs / lens[:, None]
+                    stars[v] = (*descent_direction(units), units, lens)
+            t, d, units, lens = stars[v]
             worst = max(worst, t)
             if t <= tol_descent or d is None:
                 continue
@@ -427,15 +458,15 @@ def relax(
                 step *= 0.5
             work.points[v] = work.points[v] + step * d
             moved = True
-            solved.pop(v, None)
+            stars.pop(v, None)
             for w in nbrs[v]:
-                solved.pop(w, None)
+                stars.pop(w, None)
         if not moved:
             # a sweep without any accepted move repeats forever; stop here
             converged = worst <= tol_descent
             break
     cert = certify_conditions(
-        work, tol_descent, tol_angle, _t_star={v: t for v, (t, _) in solved.items()}
+        work, tol_descent, tol_angle, _t_star={v: star[0] for v, star in stars.items()}
     )
     cert.iterations = iterations
     cert.converged = converged
@@ -459,8 +490,9 @@ def certify_conditions(
     The conditions are necessary only: configurations exist that satisfy
     both yet still admit a global shortening deformation.
 
-    ``_t_star`` is `relax`'s own: t* of the vertices whose stars it solved
-    and did not change afterwards, which are not solved again.
+    ``_t_star`` is `relax`'s own: t* of the vertices whose stars it built
+    and did not change afterwards, which are neither built nor solved
+    again.
     """
     _require_tolerances(tol_descent=tol_descent, tol_angle=tol_angle)
     known = _t_star or {}
@@ -471,15 +503,15 @@ def certify_conditions(
     for v in range(g.n_vertices):
         if v in g.pinned or not nbrs[v]:
             continue
+        if v in known:
+            t_star[v] = known[v]
+            continue
         vecs, lens = _vertex_star(g, nbrs, v)
         if np.any(lens <= ZERO_EDGE_TOL):
             skipped.append(v)
             t_star[v] = 0.0
             continue
-        if v in known:
-            t_star[v] = known[v]
-        else:
-            t_star[v], _ = descent_direction(vecs / lens[:, None])
+        t_star[v], _ = descent_direction(vecs / lens[:, None])
     angle_sums: dict[int, float] = {}
     for v in range(g.n_vertices):
         if v in g.pinned:

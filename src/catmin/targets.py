@@ -21,6 +21,8 @@ through these primitives.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = ["TargetSpace", "EuclideanSpace", "angle_from_sides"]
@@ -35,7 +37,9 @@ def angle_from_sides(a: float, b: float, c: float) -> float:
     if a <= 0.0 or b <= 0.0:
         raise ValueError("apex sides must be positive for an angle")
     cos = (a * a + b * b - c * c) / (2.0 * a * b)
-    return float(np.arccos(np.clip(cos, -1.0, 1.0)))
+    # np.clip(cos, -1.0, 1.0) on a scalar, NaN passed through, at a tenth
+    # of its cost
+    return float(np.arccos(min(max(cos, -1.0), 1.0)))
 
 
 def invalid(obj, problems: list[str], error: type[ValueError] = ValueError) -> ValueError:
@@ -114,7 +118,10 @@ class EuclideanSpace(TargetSpace):
         return p.shape == (self.dimension,) and bool(np.all(np.isfinite(p)))
 
     def distance(self, p, q) -> float:
-        return float(np.linalg.norm(np.asarray(p, float) - np.asarray(q, float)))
+        # np.linalg.norm's own sum, sqrt(d . d) over the flattened difference,
+        # without its dispatch
+        d = (np.asarray(p, float) - np.asarray(q, float)).ravel(order="K")
+        return math.sqrt(d @ d)
 
     def distances(self, P, Q) -> np.ndarray:
         return np.linalg.norm(np.asarray(P, float) - np.asarray(Q, float), axis=-1)

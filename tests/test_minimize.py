@@ -227,6 +227,47 @@ def test_degenerate_star_values():
         assert np.allclose(d, [1.0, 0.0], atol=1e-12)
 
 
+# the walk stops at a point at most STATIONARY_TOL / 2 long; these hull
+# distances lie on both sides of that stop and of STATIONARY_TOL itself
+NEAR_STOP = (1e-14, 2.5e-13, 5e-13, 1e-12, 2e-12)
+
+# stars of R^3 whose hull holds the origin on an edge (an exactly opposite
+# pair), on a face, or inside; moving every row by delta along `lift`
+# before normalizing puts the origin about delta outside the hull
+STATIONARY_3D = {
+    "edge": ([[1, 0, 0], [-1, 0, 0], [0, 0.6, 0.8], [0, -0.6, 0.8]], [0, 0, 1]),
+    "face": ([[1, 0, 0], [-0.5, 0.8, 0], [-0.5, -0.8, 0], [0, 0.3, 1]], [0, 0, 1]),
+    "inside": ([[1, 0, -0.3], [-0.5, 0.8, -0.3], [-0.5, -0.8, -0.3], [0, 0, 1]], [0, 0, 1]),
+}
+
+
+def _rotations(n, seed):
+    rng = np.random.default_rng(seed)
+    return [np.linalg.qr(rng.standard_normal((3, 3)))[0] for _ in range(n)]
+
+
+@pytest.mark.parametrize("delta", NEAR_STOP)
+def test_descent_bitwise_equals_enumerated_hull_on_pairs_near_the_stop(delta):
+    pair = _near_stationary_pair(delta)
+    assert_same_descent(pair)
+    flat = np.column_stack([pair, np.zeros(2)])
+    for q in _rotations(10, 41):
+        assert_same_descent(flat @ q.T)
+        # a third row off the pair's plane, on the side its hull leaves open
+        assert_same_descent(unit_rows([*flat, [0.6, 0.0, 0.8]]) @ q.T)
+
+
+@pytest.mark.parametrize("name", sorted(STATIONARY_3D))
+def test_descent_bitwise_equals_enumerated_hull_on_stationary_stars_near_the_stop(name):
+    rows, lift = STATIONARY_3D[name]
+    rows = unit_rows(rows)
+    for q in _rotations(10, 42):
+        assert descent_direction(rows @ q.T) == (0.0, None)
+        assert_same_descent(rows @ q.T)
+        for delta in NEAR_STOP:
+            assert_same_descent(unit_rows(rows + delta * np.asarray(lift, float)) @ q.T)
+
+
 # ------------------------------------------------------------- straighten
 
 
@@ -416,6 +457,45 @@ def test_relax_solves_each_unchanged_star_once(monkeypatch):
     visited = (cert.iterations + 1) * len(free)
     assert cert.converged and not cert.skipped_vertices
     assert len(free) <= len(calls) < visited / 2
+
+
+def test_relax_builds_and_solves_each_star_once(monkeypatch):
+    # a star is built only to be solved: a move reuses the star it was
+    # solved on, and the certificate reuses every star of the last sweep;
+    # each solve goes through minimize.min_norm_hull_point
+    g = grid_geodesic_graph()
+    solved, built, hull, in_certify = [], [], [], []
+    wrapped = {name: getattr(minimize, name) for name in
+               ("descent_direction", "_vertex_star", "min_norm_hull_point", "certify_conditions")}
+
+    def descent(units):
+        solved.append(np.asarray(units).tobytes())
+        return wrapped["descent_direction"](units)
+
+    def vertex_star(g, nbrs, v):
+        built.append(v)
+        return wrapped["_vertex_star"](g, nbrs, v)
+
+    def hull_point(units):
+        hull.append(len(units))
+        return wrapped["min_norm_hull_point"](units)
+
+    def certify(*args, **kwargs):
+        before = len(built), len(hull)
+        cert = wrapped["certify_conditions"](*args, **kwargs)
+        in_certify.append((len(built) - before[0], len(hull) - before[1]))
+        return cert
+
+    monkeypatch.setattr(minimize, "descent_direction", descent)
+    monkeypatch.setattr(minimize, "_vertex_star", vertex_star)
+    monkeypatch.setattr(minimize, "min_norm_hull_point", hull_point)
+    monkeypatch.setattr(minimize, "certify_conditions", certify)
+    _, cert = relax(g)
+    free = [v for v in range(g.n_vertices) if v not in g.pinned and g.neighbors()[v]]
+    assert cert.converged and not cert.skipped_vertices and cert.iterations > 2
+    assert len(built) == len(solved) == len(hull) > len(free)
+    assert len(set(solved)) == len(solved)  # no star solved twice
+    assert in_certify == [(0, 0)]
 
 
 # ------------------------------------------------------------- certify

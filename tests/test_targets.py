@@ -122,3 +122,36 @@ def test_euclidean_contains_answers_row_by_row_for_an_array_of_points():
     assert space.contains(np.zeros((4, 2))).tolist() == [False] * 4
     assert [space.contains(p) for p in rows] == [True, False, False]
     assert not space.contains(np.zeros((1, 1, 3)))
+
+
+def _bits(x: float) -> bytes:
+    return np.float64(x).tobytes()
+
+
+def test_euclidean_distance_is_numpy_norm_bit_for_bit():
+    rng = np.random.default_rng(21)
+    for dim in (1, 2, 3, 7):
+        sp = EuclideanSpace(dim)
+        for scale in (1e-170, 1e-8, 1.0, 1e8, 1e150):
+            P = rng.standard_normal((40, dim)) * scale
+            Q = rng.standard_normal((40, dim)) * scale
+            for p, q in zip(P, Q):
+                assert _bits(sp.distance(p, q)) == _bits(float(np.linalg.norm(p - q)))
+                assert _bits(sp.distance(list(p), tuple(q))) == _bits(float(np.linalg.norm(p - q)))
+    # a scalar point of a line, and a strided view
+    assert EuclideanSpace(1).distance(0.5, -2.0) == 2.5
+    M = rng.standard_normal((6, 6))
+    assert _bits(EuclideanSpace(3).distance(M[::2, 0], M[1::2, 3])) == _bits(float(np.linalg.norm(M[::2, 0] - M[1::2, 3])))
+
+
+def test_angle_from_sides_is_numpy_clip_bit_for_bit():
+    rng = np.random.default_rng(22)
+    cases = [tuple(s) for s in rng.uniform(0.01, 3.0, (300, 3))]
+    # degenerate triangles whose cosine rounds past -1 or 1, and NaN cosines
+    cases += [(1.0, 1.0, 2.0), (1.0, 1.0, 2.0 + 4e-16), (0.1, 0.2, 0.1 + 1e-17), (0.3, 0.1, 0.2),
+              (1.0, 1.0, 0.0), (1.0, 1.0, math.nan), (math.inf, 1.0, 1.0), (1.0, 2.0, math.inf)]
+    for a, b, c in cases:
+        cos = (a * a + b * b - c * c) / (2.0 * a * b)
+        want = float(np.arccos(np.clip(cos, -1.0, 1.0)))
+        assert _bits(angle_from_sides(a, b, c)) == _bits(want), (a, b, c)
+    assert math.isnan(angle_from_sides(1.0, 1.0, math.nan))
