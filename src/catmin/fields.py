@@ -406,8 +406,6 @@ def solve_field_system(patch: HeightFieldPatch) -> FieldArray:
     vv1, vv2 = _second_derivatives(patch, (v1, v2), (frame.s_x, frame.s_y))
     T = vv1 + vv2
     del vv1, vv2
-    A1 = frame.s_xx   # the axis field (1, 0) applied twice
-    A2 = frame.s_yy
 
     # anti-diagonal-major order: diagonal c = i + j holds its cells by
     # increasing i, from start[c] on, so each step of the march reads and
@@ -420,9 +418,10 @@ def solve_field_system(patch: HeightFieldPatch) -> FieldArray:
         return (coef.ravel()[order] for coef in _tangential_coefficients(frame, u))
 
     t1, t2 = skewed(T)
-    a11, a12 = skewed(A1)
-    a21, a22 = skewed(A2)
-    del T, A1, A2
+    # s_xx and s_yy: the axis fields (1, 0) and (0, 1) applied twice
+    a11, a12 = skewed(frame.s_xx)
+    a21, a22 = skewed(frame.s_yy)
+    del T
 
     def h1(d, w1, w2):
         return -2.0 * (t1[d] + w1 * a11[d] + w2 * a21[d])

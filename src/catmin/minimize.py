@@ -150,8 +150,8 @@ def _wolfe(u: np.ndarray) -> tuple[list[int], np.ndarray]:
     projections.
     """
     k, dim = u.shape
-    sq = np.einsum("ij,ij->i", u, u).tolist()
-    scale = math.sqrt(max(sq))
+    sq = np.einsum("ij,ij->i", u, u)
+    scale = math.sqrt(sq.max())
     tol = WOLFE_NORM_TOL * scale
     noise = WOLFE_GAP_NOISE * scale
     diffs = u[None, :, :] - u[:, None, :]  # diffs[j, s] = p_s - p_j
@@ -168,7 +168,9 @@ def _wolfe(u: np.ndarray) -> tuple[list[int], np.ndarray]:
         gaps = flat.take([r * k + s for r, s in enumerate(near)], axis=0) @ x
         return gaps.tolist(), [row[s] for row, s in zip(dist2, near)]
 
-    j = sq.index(min(sq))
+    # with numpy's max and argmin a NaN row makes the scale NaN and is the
+    # start, so the walk returns its NaN point at once
+    j = int(sq.argmin())
     support, weights, x = [j], [1.0], u[j].copy()
     norm = math.sqrt(x @ x)
     visited = {(j,)}
