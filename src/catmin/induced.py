@@ -29,6 +29,13 @@ merge links them directly without finding them again.  In a depth-first
 leaf order of that forest every merge is a contiguous block whose cross
 pairs are runs of consecutive positions, one per row of its entering side,
 so one gather over all runs reads each merge's cross block once.  The
+forests of consecutive centers are laid end to end in blocks of at most
+`BRACKET_BLOCK_PAIRS` pairs, and one gather and one scatter serve a whole
+block, so the fixed cost of their twenty-odd array calls is paid per block,
+not per center.  A pair recurs once per center of a block that reaches it,
+so the scatter takes the minimum over its recurrences (``np.minimum.at``);
+a minimum does not depend on the order of its operands, so the blocks
+change no bit of the result.  The
 bracket's ``upper`` is the metric (min-plus) closure of the raw
 grown-component diameters: the connecting pseudometric obeys the triangle
 inequality and lies below the raw values, so it lies below their closure
@@ -62,6 +69,9 @@ __all__ = [
 EXACT_CONNECTING_LIMIT = 14
 ZERO_TOL = 1e-9  # connecting distance that identifies vertices: the instance key "zero"
 CHAIN_SLACK = 1e-9  # of the ordering chain, on top of the identification tolerance
+#: pairs that one block of bracket centers may hold: about 2 MB of the
+#: block's index and distance arrays, so that they stay in cache
+BRACKET_BLOCK_PAIRS = 1 << 15
 
 
 def vertex_image_distances(disc: MappedDisc) -> np.ndarray:
@@ -228,9 +238,17 @@ def _bracket_connecting(
     merges are the ones split between positions ``lo + 1`` and ``hi - 1``:
     a range maximum of the per-split cross maxima.  A pair's entry is the
     diameter of its lowest common merge, written to the pair's run; pairs
-    in different trees or at vertices never reached stay infinite.  Every
-    value is a max or a min of the entries the merge-by-merge construction
-    reads, so the result is bitwise the same.
+    in different trees or at vertices never reached stay infinite.
+
+    Forests of consecutive centers share one pass, up to
+    `BRACKET_BLOCK_PAIRS` pairs (so many that the pass's arrays stay in
+    cache): their leaf orders are laid end to end, which keeps every merge
+    a contiguous block, and the block's pair entries are min-scattered into
+    ``upper``, since a pair recurs once per center of the block that
+    reaches it.  Every value is a max or a min of the entries the
+    merge-by-merge construction reads, and a minimum does not depend on
+    the order of its operands, so the result is bitwise the same whatever
+    the blocks.
     """
     nbrs: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
@@ -239,30 +257,53 @@ def _bracket_connecting(
     upper = np.full((n, n), np.inf)
     np.fill_diagonal(upper, 0.0)
     flat_upper, flat_dimg = upper.reshape(-1), dimg.ravel()   # flat_upper is a view of upper
+    block: list[tuple[np.ndarray, ...]] = []
+    held = 0                                     # pairs the block's forests may hold
     for c in range(n):
-        p, lo, mid, hi = _merge_forest(nbrs, dimg[c])
-        if not lo.size:
-            continue
-        rows, cols = mid - lo, hi - mid
-        # run r: row run_row[r] of merge run_merge[r], over its columns [mid, hi)
-        run_merge = np.repeat(np.arange(lo.size), rows)
-        run_row = np.arange(len(run_merge)) + np.repeat(lo - np.cumsum(rows) + rows, rows)
-        run_len = cols[run_merge]
-        at = np.repeat(mid[run_merge] - np.cumsum(run_len) + run_len, run_len)
-        at += np.arange(len(at))                 # column position of each pair
-        flat = p.take(at)
-        flat += np.repeat(p[run_row] * n, run_len)
-        pairs = rows * cols
-        split = np.zeros(len(p) + 1)             # padded: a range may end at len(p)
-        split[mid] = np.maximum.reduceat(flat_dimg.take(flat), np.cumsum(pairs) - pairs)
-        diam = np.maximum.reduceat(split, np.stack([lo + 1, hi], axis=1).ravel())[::2]
-        entry = flat_upper.take(flat)
-        np.minimum(entry, np.repeat(diam, pairs), out=entry)
-        flat_upper[flat] = entry
+        forest = _merge_forest(nbrs, dimg[c])
+        leaves = len(forest[0])
+        pairs = leaves * (leaves - 1) // 2
+        if block and held + pairs > BRACKET_BLOCK_PAIRS:
+            _scatter_block(block, n, flat_dimg, flat_upper)
+            block, held = [], 0
+        if forest[1].size:
+            block.append(forest)
+            held += pairs
+    if block:
+        _scatter_block(block, n, flat_dimg, flat_upper)
     upper = np.minimum(upper, upper.T)
     lower = np.maximum(upper / 2.0, dimg)
     np.fill_diagonal(lower, 0.0)
     return lower, upper
+
+
+def _scatter_block(
+    forests: list[tuple[np.ndarray, ...]], n: int, flat_dimg: np.ndarray, flat_upper: np.ndarray
+) -> None:
+    """Min-scatter the merge diameters of a block of centers' forests.
+
+    The forests' leaf orders are laid end to end, so each merge's
+    positions stay one contiguous block and no range crosses into a
+    neighbouring forest.
+    """
+    leaves = [len(f[0]) for f in forests]
+    shift = np.repeat(np.cumsum(leaves) - leaves, [len(f[1]) for f in forests])
+    p = np.concatenate([f[0] for f in forests])
+    lo, mid, hi = (np.concatenate([f[k] for f in forests]) + shift for k in (1, 2, 3))
+    rows, cols = mid - lo, hi - mid
+    # run r: row run_row[r] of merge run_merge[r], over its columns [mid, hi)
+    run_merge = np.repeat(np.arange(lo.size), rows)
+    run_row = np.arange(len(run_merge)) + np.repeat(lo - np.cumsum(rows) + rows, rows)
+    run_len = cols[run_merge]
+    at = np.repeat(mid[run_merge] - np.cumsum(run_len) + run_len, run_len)
+    at += np.arange(len(at))                 # column position of each pair
+    flat = p.take(at)
+    flat += np.repeat(p[run_row] * n, run_len)
+    pairs = rows * cols
+    split = np.zeros(len(p) + 1)             # padded: a range may end at len(p)
+    split[mid] = np.maximum.reduceat(flat_dimg.take(flat), np.cumsum(pairs) - pairs)
+    diam = np.maximum.reduceat(split, np.stack([lo + 1, hi], axis=1).ravel())[::2]
+    np.minimum.at(flat_upper, flat, np.repeat(diam, pairs))
 
 
 def _metric_closure(d: np.ndarray) -> np.ndarray:

@@ -6,6 +6,13 @@ min/plus arithmetic and is never encoded by a sentinel.  Distances of zero
 between distinct points are legal; `catmin.induced.intrinsic_pseudometric`
 collapses the connecting pseudometric's zero classes with
 `catmin.graphs.components`.
+
+`verify_pseudometric` checks the triangle inequality one pivot k at a time:
+the n x n detours ``d[i,k] + d[k,j]`` go into one reused buffer and fold
+into a running minimum, so the check holds two n x n arrays at any n.
+Blocks of pivots as one (block, n, n) array make fewer calls, but such
+arrays outgrow the cache, and at the sizes of `catmin metrics` (n up to a
+few hundred) they cost more than the calls they save.
 """
 
 from __future__ import annotations
@@ -21,8 +28,6 @@ __all__ = [
 
 #: slack used whenever a matrix is checked for the pseudometric axioms
 VERIFY_TOL = 1e-9
-#: detour entries built at once by the triangle check (a few MB)
-PIVOT_BLOCK_ENTRIES = 1 << 19
 
 
 @dataclass
@@ -76,33 +81,27 @@ def _worst_triangle_slack(d: np.ndarray) -> tuple[float, int | None]:
     pivots k up to the first whose detour is finite across an infinite
     entry, and that pivot (None when there is none).
 
-    Pivots go in blocks: a block's detours are one array, and a pair's
-    least finite detour gives its largest finite slack, because subtracting
-    is monotone under rounding.
+    Pivot by pivot, the n x n detours go into one reused buffer and fold
+    into a running minimum: a pair's least finite detour gives its largest
+    finite slack, because subtracting is monotone under rounding.
     """
     n = d.shape[0]
-    infinite = ~np.isfinite(d)
-    any_infinite = bool(infinite.any())
-    # detours of finite entries are finite or +inf, unless negative entries
-    # sum to -inf; only then are non-finite detours set to +inf (no detour)
-    sanitize = any_infinite or bool((d < 0.0).any())
-    block = max(1, PIVOT_BLOCK_ENTRIES // max(n * n, 1))
+    infinite = np.flatnonzero(~np.isfinite(d))
+    # detours are finite or +inf unless negative entries sum to -inf or
+    # meet +inf; only then are non-finite detours set to +inf (no detour)
+    sanitize = bool((d < 0.0).any())
     least = np.full(d.shape, np.inf)
+    detour = np.empty_like(least)
     bad_pivot = None
-    for k0 in range(0, n, block):
-        with np.errstate(invalid="ignore"):   # inf + -inf
-            detour = d[:, k0:k0 + block].T[:, :, None] + d[k0:k0 + block, None, :]
-        if sanitize:
-            finite = np.isfinite(detour)
-            bad = (infinite & finite).any(axis=(1, 2))
-            if bad.any():
-                bad_pivot = k0 + int(bad.argmax())
-                detour, finite = detour[: bad_pivot - k0 + 1], finite[: bad_pivot - k0 + 1]
-            detour = np.where(finite, detour, np.inf)
-        np.minimum(least, detour.min(axis=0), out=least)
-        if bad_pivot is not None:
-            break
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore"):   # inf + -inf, inf - inf
+        for k in range(n):
+            np.add(d[:, k, None], d[k], out=detour)
+            if sanitize:
+                np.copyto(detour, np.inf, where=~np.isfinite(detour))
+            np.minimum(least, detour, out=least)
+            if infinite.size and np.isfinite(detour.take(infinite)).any():
+                bad_pivot = k
+                break
         slack = d - least
     slack = slack[np.isfinite(slack)]
     return max(0.0, float(slack.max())) if slack.size else 0.0, bad_pivot

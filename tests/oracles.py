@@ -109,7 +109,12 @@ def connected_subsets_oracle(n, edges):
 
 
 def connecting_matrix_oracle(n, edges, image_dist):
-    """Exhaustive min over connected subsets of the image diameter."""
+    """Exhaustive min over connected subsets of the image diameter.
+
+    An independent formulation: the definition itself, over subsets listed
+    by `itertools.combinations` and tested by a search, sharing no code or
+    idea with the bitmask passes or the bracket.
+    """
     image_dist = np.asarray(image_dist)
     subsets = connected_subsets_oracle(n, edges)
     out = np.full((n, n), math.inf)
@@ -130,6 +135,11 @@ def bracket_connecting_oracle(n, edges, dimg):
     first infinite one; every union of two grown components writes its
     diameter into ``upper`` for each cross pair.  Returns (lower, upper)
     with ``lower = max(upper / 2, dimg)``; ``upper`` is not metric-closed.
+
+    A former implementation: the bracket as first written.  It shares the
+    growth order and the merge rule with `induced._bracket_connecting`, so
+    it pins that code's refactors bit for bit but cannot catch a defect of
+    the construction itself; `connecting_matrix_oracle` checks the bounds.
     """
     nbrs = [[] for _ in range(n)]
     for u, v in edges:
@@ -186,6 +196,10 @@ def merge_forest_oracle(
     order, ``(lo, mid, hi)``: the merged component is ``p[lo:hi]``, the
     entering vertex's side is ``p[lo:mid]`` and the neighbour's side is
     ``p[mid:hi]``.
+
+    A former implementation of `induced._merge_forest`, with a plain
+    union-find that finds both roots and merges as lists; it pins the
+    forest and its leaf order, not the bracket built on them.
     """
     n = len(row)
     uf = UnionFind(n)            # the grown components
@@ -955,6 +969,11 @@ def verify_pseudometric_oracle(d, tol=1e-9):
     inequality.  The triangle inequality is checked with infinity-aware
     arithmetic: two points at finite distance from a common third point must
     themselves be at finite distance.
+
+    A former implementation, the loop that the array check replaced: it
+    takes each pivot's slacks directly instead of a least detour per pair,
+    but it repeats the axiom checks and the stop rule of
+    `verify_pseudometric`, so it pins messages, not the axioms' reading.
     """
     d = np.asarray(d, dtype=float)
     problems: list[str] = []

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catmin import induced
 from catmin.induced import (
@@ -287,6 +289,61 @@ def test_bracket_bitwise_equals_oracle_on_multirow_cross_blocks_with_ties():
         forests = [induced._merge_forest(nbrs, dist[c]) for c in range(n)]
         assert any(np.any((mid - lo > 1) & (hi - mid > 1)) for _, lo, mid, hi in forests)
         assert_bracket_is_oracle(n, edges, dist)
+
+
+@pytest.mark.parametrize("block_pairs", [0, 1 << 62], ids=["one_center", "all_centers"])
+def test_bracket_blocks_of_one_center_and_of_all_centers_equal_oracle(monkeypatch, block_pairs):
+    # a bound of 0 makes each center with a merge a block of its own; a
+    # bound that no disc reaches makes all centers one block
+    blocks = []
+    scatter = induced._scatter_block
+
+    def counted(forests, *args):
+        blocks.append(len(forests))
+        scatter(forests, *args)
+
+    monkeypatch.setattr(induced, "BRACKET_BLOCK_PAIRS", block_pairs)
+    monkeypatch.setattr(induced, "_scatter_block", counted)
+    disc = smooth_grid_disc(10)
+    assert_bracket_is_oracle(disc.n_vertices, disc.skeleton_edges(), induced.vertex_image_distances(disc))
+    assert blocks == ([1] * 100 if block_pairs == 0 else [100])
+    # the oracle cases above, run again under this bound
+    test_bracket_bitwise_equals_oracle_on_acceptance_discs()
+    test_bracket_bitwise_equals_oracle_with_infinite_distances()
+    test_bracket_bitwise_equals_oracle_on_multirow_cross_blocks_with_ties()
+
+
+@st.composite
+def small_image_graphs(draw):
+    """A graph on at most 10 vertices, connected or not, with vertex images
+    in R^3; integer coordinates make tied distances."""
+    n = draw(st.integers(1, 10))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = set(draw(st.lists(st.sampled_from(pairs), max_size=2 * n))) if pairs else set()
+    if draw(st.booleans()):
+        edges |= {(i - 1, i) for i in range(1, n)}
+    coord = st.one_of(st.integers(-2, 2).map(float), st.floats(-2.0, 2.0))
+    pts = np.array(draw(st.lists(st.tuples(coord, coord, coord), min_size=n, max_size=n)))
+    return n, sorted(edges), np.linalg.norm(pts[:, None] - pts[None, :], axis=2)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(small_image_graphs())
+def test_connecting_dp_and_bracket_against_the_brute_force_definition(graph):
+    # against the definition itself, which shares no code with either: the
+    # bitmask DP gives it exactly (both take maxima and minima of the same
+    # entries); forced, the bracket has lower <= exact <= closed upper, and
+    # its raw upper is within the docstring's factor 2 (to rounding of the
+    # triangle inequality)
+    n, edges, dimg = graph
+    exact = connecting_matrix_oracle(n, edges, dimg)
+    assert np.array_equal(connecting_on_graph(n, edges, dimg).upper.d, exact)
+    res = connecting_on_graph(n, edges, dimg, exact_limit=0)
+    assert not res.exact
+    _, raw = induced._bracket_connecting(n, edges, dimg)
+    assert np.all(res.lower <= exact + 1e-12)
+    assert np.all(exact <= res.upper.d + 1e-12)
+    assert np.all(raw <= 2.0 * exact + 1e-12)
 
 
 def neighbour_lists(n, edges):

@@ -34,7 +34,7 @@ def _euclidean(rng, n, dim=3):
 
 def _axiom_breakers(rng):
     """Matrices that break each axiom, alone and together, some with
-    infinite entries, some with more pivots than one block holds."""
+    infinite entries, at sizes up to n = 110."""
     out = []
     for n in (3, 7, 40, 110):
         d = _euclidean(rng, n)
@@ -105,6 +105,22 @@ def test_verify_reports_the_first_pivot_with_a_finite_detour():
     problems = verify_pseudometric(d)
     assert problems == verify_pseudometric_oracle(d)
     assert "infinite distance with finite detour via 5" in problems
+
+
+def test_verify_stops_at_a_late_first_finite_detour():
+    # n = 120: the infinite pairs (0, k), k < 70, have their first finite
+    # detour at pivot 70; the violated pair (1, 2) has its least detour at
+    # a later pivot, so its reported slack is the one up to pivot 70
+    rng = np.random.default_rng(43)
+    n = 120
+    d = _euclidean(rng, n)
+    d[0, 1:70] = d[1:70, 0] = INF
+    d[1, 2] = d[2, 1] = d[1, 2] + 3.0
+    assert (d[1, 71:] + d[71:, 2]).min() < (d[1, :71] + d[:71, 2]).min()
+    problems = verify_pseudometric(d)
+    assert problems == verify_pseudometric_oracle(d)
+    assert "infinite distance with finite detour via 70" in problems
+    assert any(p.startswith("triangle inequality violated by") for p in problems)
 
 
 def test_verify_equals_pivot_loop_on_random_matrices():
