@@ -51,7 +51,7 @@ per-trial pass over the grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -222,8 +222,9 @@ class CurvatureFrame:
     second_form: tuple[np.ndarray, np.ndarray, np.ndarray]   # L, M, N
     s_x: np.ndarray
     s_y: np.ndarray
-    s_xx: np.ndarray
-    s_yy: np.ndarray
+    # read by the solve only; a solved `FieldArray`'s frame holds None
+    s_xx: np.ndarray | None
+    s_yy: np.ndarray | None
     normal: np.ndarray
 
 
@@ -505,7 +506,7 @@ def _assemble(patch, frame, w1, w2, shrunk, window) -> FieldArray:
         lambda2=lam2,
         shrunk=shrunk,
         window=window,
-        frame=frame,
+        frame=replace(frame, s_xx=None, s_yy=None),
     )
 
 
